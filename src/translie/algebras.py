@@ -25,6 +25,7 @@ vanishes on the whole L family and has finite support on the M family.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import lcm
 
 from .elements import BasisSymbol, Element, L, M, check_index
 from .errors import DomainError
@@ -102,6 +103,17 @@ class BracketDef:
     kind: str
     k: int = 0
     f: FiniteFunctional | None = None
+    # f's values times the lcm of their denominators, bound once; None when
+    # f has an imaginary value, so that the bracket has no integer form
+    int_f: dict | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        values = self.f.values if self.f is not None else ()
+        int_f = None
+        if not any(v.im for _, v in values):
+            den = lcm(*[v.re.denominator for _, v in values])
+            int_f = {i: v.re.numerator * (den // v.re.denominator) for i, v in values}
+        object.__setattr__(self, "int_f", int_f)
 
     def terms(self, x, y, z):
         """Bracket of three basis symbols as a list of (Scalar, symbol) terms."""
@@ -134,6 +146,29 @@ class BracketDef:
                 coeff = fv.scale_int(sign * (a.index - b.index))
                 return [(coeff, L(a.index + b.index + self.k))]
             return []
+        raise ValueError(f"unknown bracket kind {kind!r}")
+
+    def int_terms(self, x, y, z):
+        """terms() with int structure constants, the a-f-k ones scaled by
+        the lcm of f's denominators; only for brackets whose int_f is set."""
+        if x == y or y == z or x == z:
+            return []
+        a, b, c, sign = _sort3(x, y, z)
+        if a.family != "L" or c.family != "M":
+            return []
+        r, s, t = a.index, b.index, c.index
+        kind = self.kind
+        if kind == A_OMEGA_DELTA:
+            if b.family == "L":
+                return [(sign * (s - r), L(r + s + t))]
+            return [(sign * (s - t), M(r + s + t))]
+        if kind == OMEGA_FORM:
+            if b.family == "L":
+                return [(sign * (s - r), L(r + s - t))]
+            return [(sign * (t - s), M(s + t - r))]
+        if kind == AFK:
+            fv = self.int_f.get(t) if b.family == "L" else None
+            return [(fv * sign * (r - s), L(r + s + self.k))] if fv else []
         raise ValueError(f"unknown bracket kind {kind!r}")
 
 

@@ -152,11 +152,16 @@ def _require(cond, message):
         raise ConfigSchemaError(message)
 
 
+def _is_int(value):
+    """JSON integers only: bool is an int subclass, but true is not 1 here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _parse_scalar(value, where):
     try:
         if isinstance(value, str):
             return Scalar.parse(value)
-        if isinstance(value, int):
+        if _is_int(value):
             return Scalar(value)
     except ValueError as exc:
         raise ConfigSchemaError(f"{where}: {exc}") from None
@@ -177,7 +182,7 @@ def _parse_scalar_map(obj, where):
 
 def _parse_window(value, where):
     _require(
-        isinstance(value, list) and len(value) == 2 and all(isinstance(v, int) for v in value),
+        isinstance(value, list) and len(value) == 2 and all(_is_int(v) for v in value),
         f"{where}: a window is a two-element list [lo, hi]",
     )
     lo, hi = value
@@ -197,7 +202,7 @@ def _parse_algebra(obj):
     if kind == OMEGA_FORM:
         return omega_form()
     k = obj.get("k", 0)
-    _require(isinstance(k, int), "algebra.k must be an integer")
+    _require(_is_int(k), "algebra.k must be an integer")
     f = functional(_parse_scalar_map(obj.get("f", {}), "algebra.f"))
     _require(not f.is_zero(), "algebra.f must be nonzero for the functional bracket")
     return afk(k, f)
@@ -221,7 +226,7 @@ def _parse_tp_params(obj, bdef):
         _require(
             isinstance(item, list)
             and len(item) == 4
-            and all(isinstance(v, int) for v in item[:3]),
+            and all(_is_int(v) for v in item[:3]),
             f"tp_params.d[{pos}]: expected [i, j, q, scalar]",
         )
         d[(item[0], item[1], item[2])] = _parse_scalar(item[3], f"tp_params.d[{pos}]")
@@ -280,17 +285,17 @@ def parse_config(text, command=None):
     _require(cfg.mode in ("exhaustive", "randomized"), "mode must be exhaustive or randomized")
     if "budget" in data:
         _require(
-            isinstance(data["budget"], int) and data["budget"] > 0,
+            _is_int(data["budget"]) and data["budget"] > 0,
             "budget must be a positive integer",
         )
         cfg.budget = data["budget"]
     cfg.seed = data.get("seed", 0)
-    _require(isinstance(cfg.seed, int), "seed must be an integer")
+    _require(_is_int(cfg.seed), "seed must be an integer")
     cfg.degree = data.get("degree", 0)
-    _require(isinstance(cfg.degree, int), "degree must be an integer")
+    _require(_is_int(cfg.degree), "degree must be an integer")
     cfg.max_rounds = data.get("max_rounds", 16)
     _require(
-        isinstance(cfg.max_rounds, int) and cfg.max_rounds >= 0,
+        _is_int(cfg.max_rounds) and cfg.max_rounds >= 0,
         "max_rounds must be a non-negative integer",
     )
 
@@ -309,7 +314,7 @@ def parse_config(text, command=None):
                 isinstance(item, list)
                 and len(item) == 2
                 and item[0] in ("L", "M")
-                and isinstance(item[1], int),
+                and _is_int(item[1]),
                 f"generators[{pos}]: expected [\"L\"|\"M\", index]",
             )
             cfg.generators.append(BasisSymbol(item[0], item[1]))

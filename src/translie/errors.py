@@ -28,6 +28,10 @@ class EmptySystemError(TransLieError):
     """Constraint assembly produced no qualifying equation triples."""
 
 
+class VerificationError(TransLieError):
+    """A computed nullspace basis vector left a constraint row nonzero."""
+
+
 class InvalidParamsError(TransLieError):
     """Product parameters failed validation; the report explains why."""
 

@@ -1,27 +1,31 @@
 """Exact nullspace computation for sparse homogeneous systems.
 
-Rows are sparse maps column -> Scalar over an ordered list of named
-unknowns.  Elimination is exact Gaussian elimination over the Gaussian
-rationals: forward reduction keeps pivot rows sparse, a final
-back-substitution produces fully reduced pivot rows, and the nullspace
-basis is read off the free columns.  Output is deterministic: pivots are
-chosen at the smallest column index and basis vectors are normalized so
-their first nonzero coordinate is 1.
+Rows are sparse maps column -> coefficient over an ordered list of named
+unknowns.  A system keeps every row as added and, beside them, the distinct
+normal forms of its rows: a real row becomes the primitive integer row with
+a positive leading coefficient, a row with an imaginary coefficient becomes
+monic.  Rows are homogeneous, so rows with one normal form impose one
+constraint; elimination and verification run on the distinct forms only.
 
-Systems whose coefficients are all real run through a fraction-free
-integer elimination (rows are homogeneous, so each can be scaled to a
-primitive integer row); the result is identical to the rational path.
+Elimination is one incremental reduced row echelon form: each incoming row
+is cleared against the pivots, becomes a pivot at its smallest column, and
+is cleared out of the earlier pivots, so the pivots stay fully reduced as
+rows arrive.  Integer rows stay fraction-free (every pivot is a primitive
+integer row); when any row is Gaussian, all rows are lifted to monic rows
+over the Gaussian rationals.  The RREF is unique, so the output does not
+depend on row order: the nullspace basis has one vector per free column,
+normalized so its first nonzero coordinate is 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import NamedTuple
 
-from .errors import UnknownNotFoundError
-from .scalars import Scalar, ZERO, ONE
+from .errors import UnknownNotFoundError, VerificationError
+from .scalars import Scalar, ZERO, ONE, from_int
 
 
 class UnknownId(NamedTuple):
@@ -40,11 +44,19 @@ def unknown(name, *subs):
 
 @dataclass
 class ConstraintSystem:
-    """Homogeneous linear system: rows of Scalar coefficients, rhs = 0."""
+    """Homogeneous linear system, rhs = 0.
+
+    rows holds every row as added, as maps column -> Scalar, duplicates
+    included; provenance holds one tuple (name, *indices, symbol) or None
+    per row; distinct maps each distinct normal form (a tuple of (column,
+    value) pairs sorted by column) to the index of its first row.  Rows are
+    added through add_row only, which keeps the three in step.
+    """
 
     unknowns: list = field(default_factory=list)
     rows: list = field(default_factory=list)  # list[dict[int, Scalar]]
     provenance: list = field(default_factory=list)
+    distinct: dict = field(default_factory=dict)
     _index: dict = field(default_factory=dict, repr=False)
 
     def register(self, uid):
@@ -61,16 +73,30 @@ class ConstraintSystem:
         except KeyError:
             raise UnknownNotFoundError(f"unregistered unknown {uid}") from None
 
-    def add_row(self, coeffs, provenance=""):
-        """coeffs: map UnknownId -> Scalar; zero coefficients are dropped."""
-        row = {}
-        for uid, coeff in coeffs.items():
-            if coeff:
-                row[self.column_of(uid)] = coeff
-        if row:
+    def add_row(self, coeffs, provenance=None):
+        """coeffs: map UnknownId -> int or Scalar; zero coefficients are dropped."""
+        try:
+            row = {self._index[uid]: coeff for uid, coeff in coeffs.items() if coeff}
+        except KeyError as exc:
+            raise UnknownNotFoundError(f"unregistered unknown {exc.args[0]}") from None
+        if not row:
+            return row
+        if all(type(v) is int for v in row.values()):
+            self.rows.append({col: from_int(v) for col, v in row.items()})
+        else:
+            row = {col: from_int(v) if type(v) is int else v for col, v in row.items()}
             self.rows.append(row)
-            self.provenance.append(provenance)
-        return row
+        self.provenance.append(provenance)
+        self.distinct.setdefault(_normal_form(row), len(self.rows) - 1)
+        return self.rows[-1]
+
+    def describe(self, index):
+        """A row's provenance as text, e.g. "LLM(-1,1,0)@L_1"."""
+        prov = self.provenance[index]
+        if prov is None:
+            return f"row {index}"
+        name, *args, sym = prov
+        return f"{name}({','.join(map(str, args))})@{sym}"
 
     @property
     def num_unknowns(self):
@@ -105,18 +131,45 @@ class SolutionSpace:
 
     def verify_against(self, system):
         """Substitute every basis vector into every row; exact zero required."""
+        return self.first_residual(system) is None
+
+    def first_residual(self, system):
+        """(basis vector index, row index) of the first row left nonzero, or None.
+
+        Only the distinct normal forms are substituted: every row is a
+        nonzero multiple of one of them, so this checks every row.  Integer
+        forms are checked in integers against the real and the imaginary
+        part of the vector, each scaled to integers.
+        """
         col_map = [system.column_of(uid) for uid in self.unknowns]
-        for vec in self.basis:
-            by_col = {col_map[i]: coeff for i, coeff in enumerate(vec) if coeff}
-            for row in system.rows:
-                total = ZERO
-                for col, coeff in row.items():
-                    v = by_col.get(col)
-                    if v is not None:
-                        total = total + coeff * v
-                if total:
-                    return False
-        return True
+        for idx, vec in enumerate(self.basis):
+            sparse = {col_map[i]: coeff for i, coeff in enumerate(vec) if coeff}
+            parts = [p for p in (_int_part(sparse, "re"), _int_part(sparse, "im")) if p]
+            for form, row in system.distinct.items():
+                if type(form[0][1]) is int:
+                    bad = any(_dot(form, part, 0) for part in parts)
+                else:
+                    bad = _dot(form, sparse, ZERO)
+                if bad:
+                    return idx, row
+        return None
+
+
+def _int_part(vec, attr):
+    """Real or imaginary part of a sparse Scalar vector, times the lcm of
+    its denominators."""
+    part = {col: getattr(v, attr) for col, v in vec.items()}
+    den = lcm(*[q.denominator for q in part.values()])
+    return {col: q.numerator * (den // q.denominator) for col, q in part.items() if q}
+
+
+def _dot(items, vec, zero):
+    total = zero
+    for col, coeff in items:
+        v = vec.get(col)
+        if v is not None:
+            total = total + coeff * v
+    return total
 
 
 def residual_rows(system, assignment):
@@ -124,234 +177,153 @@ def residual_rows(system, assignment):
 
     assignment: map UnknownId -> Scalar; unknowns not mentioned are zero.
     """
-    vec = {}
-    for uid, val in assignment.items():
-        if val:
-            vec[system.column_of(uid)] = val
-    bad = []
-    for idx, row in enumerate(system.rows):
-        total = ZERO
-        for col, coeff in row.items():
-            v = vec.get(col)
-            if v is not None:
-                total = total + coeff * v
-        if total:
-            bad.append(idx)
-    return bad
+    vec = {system.column_of(uid): val for uid, val in assignment.items() if val}
+    return [idx for idx, row in enumerate(system.rows) if _dot(row.items(), vec, ZERO)]
 
 
 # ---------------------------------------------------------------------------
-# elimination cores
+# normal forms and elimination
 
 
-def _all_real(rows):
-    for row in rows:
-        for v in row.values():
-            if v.im:
-                return False
-    return True
+def _normal_form(row):
+    """The canonical multiple of a nonzero row, as (column, value) pairs:
+    primitive integers with a positive lead when the row is real, monic
+    Scalars otherwise."""
+    cols = sorted(row)
+    vals = [row[c] for c in cols]
+    if type(vals[0]) is not int:
+        if any(v.im for v in vals):
+            lead = vals[0]
+            rest = tuple((c, v / lead) for c, v in zip(cols[1:], vals[1:]))
+            return ((cols[0], ONE),) + rest
+        den = lcm(*[v.re.denominator for v in vals])
+        vals = [v.re.numerator * (den // v.re.denominator) for v in vals]
+    g = gcd(*vals)
+    if vals[0] < 0:
+        g = -g
+    return tuple(zip(cols, [v // g for v in vals]))
 
 
-def _int_row(row):
-    """Scale a real row to a primitive integer row with positive lead."""
-    lcm = 1
-    for v in row.values():
-        den = v.re.denominator
-        lcm = lcm * den // gcd(lcm, den)
+def _lifted(forms):
+    """Normal forms ready for one elimination, and whether they are integer.
+
+    When any form is Gaussian, the integer forms are lifted to monic Scalar
+    forms and the result is deduplicated again.
+    """
+    if all(type(form[0][1]) is int for form in forms):
+        return forms, True
     out = {}
-    g = 0
-    for col, v in row.items():
-        iv = int(v.re * lcm)
-        out[col] = iv
-        g = gcd(g, iv)
-    if g > 1:
-        out = {c: v // g for c, v in out.items()}
-    if out[min(out)] < 0:
-        out = {c: -v for c, v in out.items()}
+    for form in forms:
+        lead = form[0][1]
+        if type(lead) is int:
+            form = tuple((col, Scalar(Fraction(v, lead))) for col, v in form)
+        out[form] = None
+    return list(out), False
+
+
+def _rref(forms, integer):
+    """Reduced row echelon form of the span of the forms: {lead column: row}.
+
+    Each pivot row's smallest column is its lead, and it is zero in every
+    other pivot's lead column.  Integer pivots are primitive with a positive
+    lead (the RREF row is the pivot divided by its lead); Scalar pivots are
+    monic.
+    """
+    pivots = {}
+    for form in forms:
+        row = dict(form)
+        for col in [c for c in row if c in pivots]:
+            _clear(row, col, pivots[col], integer)
+        if not row:
+            continue
+        lead = min(row)
+        a = row[lead]
+        if integer:
+            if a < 0:
+                for col in row:
+                    row[col] = -row[col]
+        elif a != ONE:
+            for col in row:
+                row[col] = row[col] / a
+        for prow in pivots.values():
+            if lead in prow:
+                _clear(prow, lead, row, integer)
+        pivots[lead] = row
+    return pivots
+
+
+def _clear(row, col, pivot, integer):
+    """Zero row[col] in place by subtracting a multiple of pivot, whose lead
+    is col; an integer row is first scaled by the pivot's lead value and is
+    left primitive."""
+    a = row[col]
+    if integer:
+        b = pivot[col]
+        g = gcd(a, b)
+        a //= g
+        b //= g
+        if b != 1:
+            for c in row:
+                row[c] *= b
+    for c, v in pivot.items():
+        cur = row.get(c)
+        if cur is None:
+            row[c] = -(a * v)
+        else:
+            cur = cur - a * v
+            if cur:
+                row[c] = cur
+            else:
+                del row[c]
+    if integer and row:
+        g = gcd(*row.values())
+        if g > 1:
+            for c in row:
+                row[c] //= g
+
+
+def _monic_dense(n, vec, integer):
+    """Dense Scalar vector of a sparse one divided by its first nonzero value."""
+    first = vec[min(vec)]
+    out = [ZERO] * n
+    for col, v in vec.items():
+        out[col] = Scalar(Fraction(v, first)) if integer else v / first
     return out
 
 
 def rank(rows):
     """Rank of a list of sparse Scalar rows (non-destructive)."""
-    pivots = {}
-    for row in rows:
-        reduced, lead = _reduce_row(row, pivots)
-        if lead is not None:
-            inv = reduced[lead]
-            pivots[lead] = {c: v / inv for c, v in reduced.items()}
-    return len(pivots)
-
-
-def _reduce_row(row, pivots):
-    """Forward reduction over any exact field type (Scalar or Fraction)."""
-    row = dict(row)
-    while row:
-        lead = min(row)
-        pivot = pivots.get(lead)
-        if pivot is None:
-            return row, lead
-        factor = row[lead]
-        for col, coeff in pivot.items():
-            cur = row.get(col)
-            if cur is None:
-                val = -factor * coeff
-                if val:
-                    row[col] = val
-            else:
-                val = cur - factor * coeff
-                if val:
-                    row[col] = val
-                else:
-                    del row[col]
-    return row, None
-
-
-def _back_substitute(pivots):
-    """Turn monic echelon pivot rows into reduced row echelon form."""
-    for lead in sorted(pivots, reverse=True):
-        prow = pivots[lead]
-        for other_lead, other in pivots.items():
-            if other_lead >= lead:
-                continue
-            factor = other.get(lead)
-            if factor is None:
-                continue
-            for col, coeff in prow.items():
-                cur = other.get(col)
-                if cur is None:
-                    val = -factor * coeff
-                    if val:
-                        other[col] = val
-                else:
-                    val = cur - factor * coeff
-                    if val:
-                        other[col] = val
-                    else:
-                        del other[col]
+    return len(_rref(*_lifted([_normal_form(row) for row in rows if row])))
 
 
 def nullspace(system, verify=True):
     """Exact basis of {v : Av = 0} for a homogeneous ConstraintSystem.
 
     dimension = num_unknowns - rank(A) by construction; when verify is
-    set, every basis vector is substituted back into every row.
+    set, every basis vector is substituted back into every row, and a
+    residual raises VerificationError naming the row's provenance.
     """
     n = system.num_unknowns
-    if _all_real(system.rows):
-        pivots = _eliminate_int(system.rows)
-        basis = _extract_basis(n, pivots, Fraction(0), Fraction(1))
-        basis = [[Scalar(v) for v in vec] for vec in basis]
-    else:
-        pivots = _eliminate_scalar(system.rows)
-        basis = _extract_basis(n, pivots, ZERO, ONE)
-
-    space = SolutionSpace(unknowns=list(system.unknowns), basis=basis)
+    forms, integer = _lifted(list(system.distinct))
+    pivots = _rref(forms, integer)
+    one = 1 if integer else ONE
+    free = {j: {j: one} for j in range(n) if j not in pivots}
+    for lead, prow in pivots.items():
+        b = prow[lead]
+        for col, v in prow.items():
+            if col != lead:
+                free[col][lead] = Fraction(-v, b) if integer else -v
+    space = SolutionSpace(
+        unknowns=list(system.unknowns),
+        basis=[_monic_dense(n, vec, integer) for vec in free.values()],
+    )
     if verify and not space.verify_against(system):
-        raise AssertionError("nullspace verification failed: residual row found")
+        idx, row = space.first_residual(system)
+        raise VerificationError(
+            f"nullspace verification failed: basis vector {idx} leaves row "
+            f"{system.describe(row)} nonzero"
+        )
     return space
-
-
-def _eliminate_int(rows):
-    """Duplicate-free fraction-free elimination; returns monic Fraction RREF."""
-    seen = set()
-    pivots_int = {}
-    for raw in rows:
-        if not raw:
-            continue
-        row = _int_row(raw)
-        key = tuple(sorted(row.items()))
-        if key in seen:
-            continue
-        seen.add(key)
-
-        # forward reduction: row := b*row - a*pivot, content-normalized
-        while row:
-            lead = min(row)
-            pivot = pivots_int.get(lead)
-            if pivot is None:
-                g = 0
-                for v in row.values():
-                    g = gcd(g, v)
-                if g > 1:
-                    row = {c: v // g for c, v in row.items()}
-                if row[lead] < 0:
-                    row = {c: -v for c, v in row.items()}
-                pivots_int[lead] = row
-                break
-            a = row[lead]
-            b = pivot[lead]
-            if b != 1:
-                for col in row:
-                    row[col] *= b
-            for col, v in pivot.items():
-                av = a * v
-                cur = row.get(col)
-                if cur is None:
-                    row[col] = -av
-                else:
-                    cur -= av
-                    if cur:
-                        row[col] = cur
-                    else:
-                        del row[col]
-            if row:
-                g = 0
-                for v in row.values():
-                    g = gcd(g, v)
-                if g > 1:
-                    row = {c: v // g for c, v in row.items()}
-
-    pivots = {}
-    for lead, row in pivots_int.items():
-        b = row[lead]
-        pivots[lead] = {c: Fraction(v, b) for c, v in row.items()}
-    _back_substitute(pivots)
-    return pivots
-
-
-def _eliminate_scalar(rows):
-    """Scalar-field elimination for systems with imaginary coefficients."""
-    seen = set()
-    pivots = {}
-    for row in rows:
-        if not row:
-            continue
-        cols = sorted(row)
-        lead_val = row[cols[0]]
-        key = tuple((c, (s.re, s.im)) for c, s in ((c, row[c] / lead_val) for c in cols))
-        if key in seen:
-            continue
-        seen.add(key)
-        reduced, lead = _reduce_row(row, pivots)
-        if lead is not None:
-            inv = reduced[lead]
-            pivots[lead] = {c: v / inv for c, v in reduced.items()}
-    _back_substitute(pivots)
-    return pivots
-
-
-def _extract_basis(n, pivots, zero, one):
-    basis = []
-    for j in range(n):
-        if j in pivots:
-            continue
-        vec = [zero] * n
-        vec[j] = one
-        for lead, prow in pivots.items():
-            coeff = prow.get(j)
-            if coeff:
-                vec[lead] = -coeff
-        basis.append(_normalize(vec, one))
-    return basis
-
-
-def _normalize(vec, one):
-    for coeff in vec:
-        if coeff:
-            if coeff == one:
-                return vec
-            return [v / coeff for v in vec]
-    return vec
 
 
 def project_solution(space, keep):
@@ -367,20 +339,8 @@ def project_solution(space, keep):
     cols = [i for i, uid in enumerate(space.unknowns) if uid in keep]
     kept_unknowns = [space.unknowns[i] for i in cols]
 
-    pivots = {}
-    for vec in space.basis:
-        row = {j: vec[col] for j, col in enumerate(cols) if vec[col]}
-        reduced, lead = _reduce_row(row, pivots)
-        if lead is not None:
-            inv = reduced[lead]
-            pivots[lead] = {c: v / inv for c, v in reduced.items()}
-    _back_substitute(pivots)
-
-    basis = []
-    for lead in sorted(pivots):
-        prow = pivots[lead]
-        vec = [ZERO] * len(cols)
-        for col, coeff in prow.items():
-            vec[col] = coeff
-        basis.append(_normalize(vec, ONE))
+    rows = [{j: vec[col] for j, col in enumerate(cols) if vec[col]} for vec in space.basis]
+    forms, integer = _lifted([_normal_form(row) for row in rows if row])
+    pivots = _rref(forms, integer)
+    basis = [_monic_dense(len(cols), pivots[lead], integer) for lead in sorted(pivots)]
     return SolutionSpace(unknowns=kept_unknowns, basis=basis)

@@ -98,12 +98,19 @@ def assemble_system(bdef, ansatz, eq_window):
     """Impose the one-third-derivation law on all representable triples.
 
     Each basis-symbol coordinate of each qualifying relation instance
-    contributes one homogeneous row; provenance records the generating
-    pattern, index triple, and coordinate.
+    contributes one homogeneous row, with provenance (pattern, r, s, t,
+    coordinate symbol).  A bracket with integer structure constants gives
+    int rows (an a-f-k bracket's scaled by the lcm of f's denominators,
+    which leaves each row's constraint unchanged); a Gaussian functional
+    keeps Scalar coefficients.
     """
     system = ConstraintSystem()
     for uid in ansatz.unknown_ids():
         system.register(uid)
+    if bdef.int_f is not None:
+        bracket, three = bdef.int_terms, 3
+    else:
+        bracket, three = bdef.terms, from_int(3)
 
     image_cache = {}
 
@@ -132,38 +139,33 @@ def assemble_system(bdef, ansatz, eq_window):
                     img_z = images_of(z)
                     if img_z is None:
                         continue
-                    bracket = bdef.terms(x, y, z)
                     lhs_images = []
                     ok = True
-                    for coeff, out in bracket:
+                    for coeff, out in bracket(x, y, z):
                         img_out = images_of(out)
                         if img_out is None:
                             ok = False
                             break
-                        lhs_images.append((coeff, img_out))
+                        lhs_images.append((three * coeff, img_out))
                     if not ok:
                         continue
                     qualifying += 1
 
                     form = {}
                     for coeff, img_out in lhs_images:
-                        three = coeff.scale_int(3)
                         for uid, img in img_out:
-                            _form_add(form, img, uid, three)
-                    for img_arg, args in (
-                        (img_x, (None, y, z)),
-                        (img_y, (x, None, z)),
-                        (img_z, (x, y, None)),
-                    ):
-                        for uid, img in img_arg:
-                            trip = tuple(img if a is None else a for a in args)
-                            for c2, out2 in bdef.terms(*trip):
-                                _form_add(form, out2, uid, -c2)
+                            _form_add(form, img, uid, coeff)
+                    for uid, img in img_x:
+                        for c2, out2 in bracket(img, y, z):
+                            _form_add(form, out2, uid, -c2)
+                    for uid, img in img_y:
+                        for c2, out2 in bracket(x, img, z):
+                            _form_add(form, out2, uid, -c2)
+                    for uid, img in img_z:
+                        for c2, out2 in bracket(x, y, img):
+                            _form_add(form, out2, uid, -c2)
                     for out_sym in sorted(form):
-                        system.add_row(
-                            form[out_sym],
-                            provenance=f"{pattern_name}({r},{s},{t})@{out_sym}",
-                        )
+                        system.add_row(form[out_sym], (pattern_name, r, s, t, out_sym))
     if qualifying == 0:
         raise EmptySystemError("no equation triple is representable in the ansatz")
     return system
@@ -497,19 +499,12 @@ def tp_triviality_system(w_index, w_basis, include_m_rows=True):
         for k in w_index.indices():
             system.register(unknown("beta", i, k))
 
-    one = from_int(1)
     for i in w_basis.indices():
         for j in w_basis.indices():
             for k in w_index.indices():
                 if include_m_rows:
-                    system.add_row(
-                        {unknown("alpha", i, k): one},
-                        provenance=f"pair({i},{j})@M_{k + j}",
-                    )
-                system.add_row(
-                    {unknown("beta", j, k): one},
-                    provenance=f"pair({i},{j})@L_{k + i}",
-                )
+                    system.add_row({unknown("alpha", i, k): 1}, ("pair", i, j, M(k + j)))
+                system.add_row({unknown("beta", j, k): 1}, ("pair", i, j, L(k + i)))
     return system
 
 

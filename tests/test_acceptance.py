@@ -6,6 +6,7 @@ them).  The final test re-runs a battery covering every CLI command twice
 and byte-compares the serialized reports.
 """
 
+import hashlib
 import json
 import random
 import time
@@ -274,6 +275,29 @@ BATTERY = (
         },
     ),
 )
+
+# sha256 of each BATTERY report, in BATTERY order; a change to any report
+# byte must be deliberate and come with new digests and a reason.
+BATTERY_SHA256 = (
+    "f985925869051ce1bdc510e9261ee80da0bdbf224770798514956449f670e6c9",
+    "863d04f016cbad5a3487daea48bd15139f630e4c9d4bac2643d1dd3c64c80be3",
+    "8517630492bacd3c2a65541962b9e29b669ef2898b22c26c077519db67667be0",
+    "264b6a9f02349615264455995a0d1dcab254d717c49f04c3ddf6fa3103279636",
+    "ce74deb8a4a50db53b0056ae0242f333a5f47bccc874a5054ae8202b1011fa2f",
+    "01cee6d327d6c5d55e58410dd03e366eb716ca5b2fa29c2ea499f0eaf36e6a87",
+    "6c3e7829c2f268a7bb2050cc2c2eb534f433ef7a70dbf961408e6df82dc6b7bc",
+    "43b603d323305ad0bdeb4840fff7452a1da3e89e754fc7ba8262629fa1623343",
+)
+
+
+def test_battery_reports_match_recorded_digests():
+    digests = tuple(
+        hashlib.sha256(
+            run(parse_config(json.dumps({"command": command, **body}))).to_json().encode()
+        ).hexdigest()
+        for command, body in BATTERY
+    )
+    assert digests == BATTERY_SHA256
 
 
 def test_c12_determinism_and_runtime():

@@ -72,6 +72,27 @@ def test_unshifted_form_bracket():
     assert ev(bdef, L(3), M(1), M(4)) == Element.from_terms((M(2), 3))
 
 
+@pytest.mark.parametrize(
+    "bdef, scale",
+    [
+        (a_omega_delta(), 1),
+        (omega_form(), 1),
+        (afk(2, functional({0: "1/2", 1: "-2/3", 3: "5"})), 6),
+    ],
+    ids=["a-omega-delta", "omega-form", "a-f-k"],
+)
+def test_int_terms_are_scaled_terms(bdef, scale):
+    """The integer structure constants agree with terms() on every triple."""
+    symbols = window_symbols(window(-3, 3))
+    for x, y, z in itertools.product(symbols, repeat=3):
+        expected = [(c.scale_int(scale), sym) for c, sym in bdef.terms(x, y, z)]
+        assert [(Scalar(c), sym) for c, sym in bdef.int_terms(x, y, z)] == expected
+
+
+def test_gaussian_functional_has_no_int_terms():
+    assert afk(0, functional({0: Scalar(1, 1)})).int_f is None
+
+
 def test_bracket_trilinear_on_elements():
     bdef = a_omega_delta()
     x = Element.from_terms((L(0), 2), (L(1), 1))

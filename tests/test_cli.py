@@ -1,7 +1,9 @@
 import json
+import re
 
 import pytest
 
+from translie import linalg
 from translie.cli import main, parse_config, run
 from translie.errors import ConfigParseError, ConfigSchemaError
 from translie.scalars import Scalar
@@ -240,3 +242,73 @@ def test_main_seed_override(tmp_path):
     r2 = json.loads(out2.read_text())
     assert r1["config"]["seed"] == 1
     assert r2["config"]["seed"] == 9
+
+
+BOOLEAN_FIELDS = {
+    "windows.domain": dict(command="check-laws", algebra={"kind": "a-omega-delta"},
+                           windows={"domain": [True, 2]}),
+    "budget": dict(command="check-laws", algebra={"kind": "a-omega-delta"}, budget=True),
+    "seed": dict(command="check-laws", algebra={"kind": "a-omega-delta"}, seed=True),
+    "degree": dict(command="solve-derivations", algebra={"kind": "a-omega-delta"}, degree=True),
+    "algebra.k": dict(command="check-laws", algebra={"kind": "a-f-k", "k": True, "f": {"0": "1"}}),
+    "algebra.f": dict(command="check-laws", algebra={"kind": "a-f-k", "k": 0, "f": {"0": True}}),
+    "max_rounds": dict(command="generators", algebra={"kind": "a-omega-delta"}, max_rounds=False),
+    "generators": dict(command="generators", algebra={"kind": "a-omega-delta"},
+                       generators=[["L", True]]),
+    "tp_params.d": dict(command="verify-tp", algebra={"kind": "a-f-k", "k": 2, "f": {"0": "1"}},
+                        tp_params={"alpha": "0", "d": [[0, False, 0, "5"]]}),
+}
+
+
+@pytest.mark.parametrize("field", sorted(BOOLEAN_FIELDS))
+def test_parse_rejects_boolean_for_integer(field, tmp_path, capsys):
+    text = json.dumps(BOOLEAN_FIELDS[field])
+    with pytest.raises(ConfigSchemaError):
+        parse_config(text)
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    assert main([BOOLEAN_FIELDS[field]["command"], "--config", str(path), "--quiet"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_failed_verification_exits_2_naming_the_row(tmp_path, capsys, monkeypatch):
+    """A basis vector that misses a constraint is a typed error, not a traceback."""
+    rref = linalg._rref
+
+    def drop_last_pivot(forms, integer):
+        pivots = rref(forms, integer)
+        del pivots[max(pivots)]
+        return pivots
+
+    monkeypatch.setattr(linalg, "_rref", drop_last_pivot)
+    path = tmp_path / "cfg.json"
+    path.write_text(
+        cfg_text(
+            command="solve-derivations",
+            algebra={"kind": "a-omega-delta"},
+            windows={"domain": [-4, 4], "core": [-2, 2]},
+            degree=1,
+        )
+    )
+    assert main(["solve-derivations", "--config", str(path), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert re.search(
+        r"error: nullspace verification failed: basis vector \d+ leaves row "
+        r"(LLM|LMM|LLL|MMM)\(-?\d+,-?\d+,-?\d+\)@[LM]_-?\d+ nonzero",
+        err,
+    ), err
+
+
+def test_run_solve_derivations_gaussian_functional():
+    cfg = parse_config(
+        cfg_text(
+            command="solve-derivations",
+            algebra={"kind": "a-f-k", "k": 1, "f": {"0": "1+i", "1": "2"}},
+            windows={"domain": [-3, 3], "core": [-1, 1]},
+        )
+    )
+    report = run(cfg)
+    assert report.verdict == "pass"
+    details = report.entries[0]["details"]
+    assert details["core_dimension"] == details["expected_core_dimension"] == 10

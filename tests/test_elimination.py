@@ -1,0 +1,72 @@
+"""Differential tests of exact elimination: the integer path, the Gaussian
+path and sympy must agree on the nullspace of the same system."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from translie.linalg import ConstraintSystem, nullspace, rank, unknown
+from translie.scalars import I, Scalar
+
+sympy = pytest.importorskip("sympy")
+
+sparse_rows = st.lists(
+    st.dictionaries(st.integers(0, 6), st.integers(-4, 4).filter(bool), min_size=1, max_size=3),
+    min_size=1,
+    max_size=7,
+)
+factors = st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(bool)
+
+
+@st.composite
+def systems(draw):
+    """(n, rows): sparse integer rows plus duplicates and rescaled copies."""
+    n = draw(st.integers(1, 7))
+    rows = [{c % n: v for c, v in row.items()} for row in draw(sparse_rows)]
+    copies = draw(st.lists(st.tuples(st.integers(0, len(rows) - 1), factors), max_size=6))
+    rows += [{c: Scalar(v * q) for c, v in rows[i].items()} for i, q in copies]
+    order = draw(st.permutations(range(len(rows))))
+    return n, [rows[i] for i in order]
+
+
+def _scalar(v):
+    return v if isinstance(v, Scalar) else Scalar(v)
+
+
+def _system(n, rows, scale=None):
+    """Rows as given (int or Scalar values), or each multiplied by scale."""
+    system = ConstraintSystem()
+    uids = [unknown("x", j) for j in range(n)]
+    for uid in uids:
+        system.register(uid)
+    for row in rows:
+        if scale is not None:
+            row = {c: scale * _scalar(v) for c, v in row.items()}
+        system.add_row({uids[c]: v for c, v in row.items()})
+    return system
+
+
+def _sympy_basis(n, rows):
+    """sympy's nullspace basis, each vector divided by its first nonzero entry."""
+    values = [[_scalar(row.get(j, 0)).re for j in range(n)] for row in rows]
+    matrix = sympy.Matrix([[sympy.Rational(q.numerator, q.denominator) for q in vals] for vals in values])
+    basis = []
+    for vec in matrix.nullspace():
+        first = next(v for v in vec if v != 0)
+        basis.append([Fraction(str(v / first)) for v in vec])
+    return basis
+
+
+@given(systems())
+@settings(max_examples=150, deadline=None)
+def test_integer_gaussian_and_sympy_nullspaces_agree(case):
+    n, rows = case
+    real = nullspace(_system(n, rows))
+    gaussian = nullspace(_system(n, rows, scale=I))
+    assert gaussian.basis == real.basis
+    assert [[v.re for v in vec] for vec in real.basis] == _sympy_basis(n, rows)
+    scalar_rows = [{c: _scalar(v) for c, v in row.items()} for row in rows]
+    assert rank(scalar_rows) == rank([{c: I * v for c, v in row.items()} for row in scalar_rows])
+    assert rank(scalar_rows) + real.dimension == n

@@ -98,6 +98,9 @@ def test_verification_catches_bad_vector():
     sys_, uids = _system("xy", [{0: 1, 1: 1}])
     bad = SolutionSpace(unknowns=uids, basis=[[ONE, ONE]])
     assert not bad.verify_against(sys_)
+    # an integer row is checked against both parts of a Gaussian vector
+    assert not SolutionSpace(uids, [[ONE, Scalar(-1, 1)]]).verify_against(sys_)
+    assert SolutionSpace(uids, [[Scalar(0, 1), Scalar(0, -1)]]).verify_against(sys_)
 
 
 def test_row_referencing_unregistered_unknown():

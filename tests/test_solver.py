@@ -31,7 +31,7 @@ def test_assembled_row_matches_known_substitution():
         prov: {sys_.unknowns[c]: v for c, v in row.items()}
         for row, prov in zip(sys_.rows, sys_.provenance)
     }
-    row = rows["LLM(-1,1,0)@L_1"]
+    row = rows[("LLM", -1, 1, 0, L(1))]
     assert row == {
         unknown("a", 0): Scalar(6),
         unknown("a", -1): Scalar(-1),
