@@ -19,7 +19,6 @@ from .algebras import (
     bracket_eval,
     functional,
     omega_form,
-    operator_apply,
     product_eval,
     relabel_m_negation,
     zero_product,
@@ -43,7 +42,6 @@ __all__ = [
     "combine",
     "functional",
     "omega_form",
-    "operator_apply",
     "product_eval",
     "relabel_m_negation",
     "window",

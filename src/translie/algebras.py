@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import lcm
 
-from .elements import BasisSymbol, Element, L, M, check_index
+from .elements import BasisSymbol, Element, L, M, add_terms, check_index
 from .errors import DomainError
 from .scalars import Scalar, ZERO, ONE, from_int
 
@@ -115,6 +115,11 @@ class BracketDef:
             int_f = {i: v.re.numerator * (den // v.re.denominator) for i, v in values}
         object.__setattr__(self, "int_f", int_f)
 
+    @property
+    def integral(self):
+        """True when int_terms() is defined for this bracket."""
+        return self.int_f is not None
+
     def terms(self, x, y, z):
         """Bracket of three basis symbols as a list of (Scalar, symbol) terms."""
         if x == y or y == z or x == z:
@@ -150,7 +155,7 @@ class BracketDef:
 
     def int_terms(self, x, y, z):
         """terms() with int structure constants, the a-f-k ones scaled by
-        the lcm of f's denominators; only for brackets whose int_f is set."""
+        the lcm of f's denominators; only for integral brackets."""
         if x == y or y == z or x == z:
             return []
         a, b, c, sign = _sort3(x, y, z)
@@ -196,20 +201,8 @@ def bracket_eval(bdef, x, y, z):
                 continue
             for sz, cz in z.terms.items():
                 coeff = cxy * cz
-                if not coeff:
-                    continue
-                for base, sym in bdef.terms(sx, sy, sz):
-                    cur = acc.get(sym)
-                    val = coeff * base
-                    if cur is None:
-                        if val:
-                            acc[sym] = val
-                    else:
-                        cur = cur + val
-                        if cur:
-                            acc[sym] = cur
-                        else:
-                            del acc[sym]
+                if coeff:
+                    add_terms(acc, coeff, bdef.terms(sx, sy, sz))
     return Element(acc)
 
 
@@ -223,18 +216,30 @@ class ProductDef:
     kind: str
     params: object = None  # TPParams for kind "tp-family"
 
+    @property
+    def integral(self):
+        """True when int_terms() is defined for this product."""
+        return self.kind != TP_FAMILY or self.params.integral
+
     def terms(self, x, y):
         """Product of two basis symbols as a list of (Scalar, symbol) terms."""
+        return self._terms(x, y, ints=False)
+
+    def int_terms(self, x, y):
+        """terms() with int coefficients; only for integral products."""
+        return self._terms(x, y, ints=True)
+
+    def _terms(self, x, y, ints):
         kind = self.kind
         if kind == ALGEBRA_A:
             if x.family != y.family:
                 return []
             sym = BasisSymbol(x.family, check_index(x.index + y.index))
-            return [(ONE, sym)]
+            return [(1 if ints else ONE, sym)]
         if kind == ZERO_PRODUCT:
             return []
         if kind == TP_FAMILY:
-            return self.params.product_terms(x, y)
+            return self.params.product_terms(x, y, ints)
         raise ValueError(f"unknown product kind {kind!r}")
 
 
@@ -252,20 +257,8 @@ def product_eval(pdef, x, y):
     for sx, cx in x.terms.items():
         for sy, cy in y.terms.items():
             coeff = cx * cy
-            if not coeff:
-                continue
-            for base, sym in pdef.terms(sx, sy):
-                cur = acc.get(sym)
-                val = coeff * base
-                if cur is None:
-                    if val:
-                        acc[sym] = val
-                else:
-                    cur = cur + val
-                    if cur:
-                        acc[sym] = cur
-                    else:
-                        del acc[sym]
+            if coeff:
+                add_terms(acc, coeff, pdef.terms(sx, sy))
     return Element(acc)
 
 
@@ -273,6 +266,7 @@ INDEX_SCALING = "index-scaling"
 FAMILY_SWAP = "family-swap"
 SCALED_L_SHIFT = "scaled-l-shift"
 UNIFORM_SHIFT = "uniform-shift"
+M_NEGATION = "m-negation"
 SCALAR_MULTIPLE = "scalar"
 CUSTOM = "custom"
 
@@ -284,21 +278,37 @@ class LinearOperator:
     factor: Scalar = ONE
     table: dict | None = field(default=None, compare=False)
 
+    @property
+    def integral(self):
+        """True when int_terms() is defined: every kind but the two whose
+        coefficients are given as Scalars."""
+        return self.kind not in (SCALAR_MULTIPLE, CUSTOM)
+
     def terms(self, sym):
+        """Image of a basis symbol as a list of (Scalar, symbol) terms."""
+        return self._terms(sym, from_int)
+
+    def int_terms(self, sym):
+        """terms() with int coefficients; only for integral operators."""
+        return self._terms(sym, int)
+
+    def _terms(self, sym, num):
         kind = self.kind
         if kind == INDEX_SCALING:
             if sym.index == 0:
                 return []
-            return [(from_int(sym.index), sym)]
+            return [(num(sym.index), sym)]
         if kind == FAMILY_SWAP:
             fam = "M" if sym.family == "L" else "L"
-            return [(ONE, BasisSymbol(fam, check_index(-sym.index)))]
+            return [(num(1), BasisSymbol(fam, check_index(-sym.index)))]
         if kind == SCALED_L_SHIFT:
             if sym.family != "L" or sym.index == 0:
                 return []
-            return [(from_int(sym.index), L(sym.index + self.k))]
+            return [(num(sym.index), L(sym.index + self.k))]
         if kind == UNIFORM_SHIFT:
-            return [(ONE, BasisSymbol(sym.family, check_index(sym.index + self.k)))]
+            return [(num(1), BasisSymbol(sym.family, check_index(sym.index + self.k)))]
+        if kind == M_NEGATION:
+            return [(num(1), M(-sym.index) if sym.family == "M" else sym)]
         if kind == SCALAR_MULTIPLE:
             if not self.factor:
                 return []
@@ -313,18 +323,7 @@ class LinearOperator:
     def apply(self, element):
         acc = {}
         for sym, coeff in element.terms.items():
-            for base, out in self.terms(sym):
-                cur = acc.get(out)
-                val = coeff * base
-                if cur is None:
-                    if val:
-                        acc[out] = val
-                else:
-                    cur = cur + val
-                    if cur:
-                        acc[out] = cur
-                    else:
-                        del acc[out]
+            add_terms(acc, coeff, self.terms(sym))
         return Element(acc)
 
 
@@ -362,28 +361,11 @@ def custom_operator(table):
     return LinearOperator(CUSTOM, table=dict(table))
 
 
-def operator_apply(op, element):
-    return op.apply(element)
+def m_negation():
+    """Fixes every L_r and sends each M_r to M_{-r} (an involution)."""
+    return LinearOperator(M_NEGATION)
 
 
 def relabel_m_negation(element):
     """Fix every L term and send each M_r term to M_{-r}."""
-    acc = {}
-    for sym, coeff in element.terms.items():
-        if sym.family == "M":
-            sym = M(-sym.index)
-        cur = acc.get(sym)
-        acc[sym] = coeff if cur is None else cur + coeff
-    return Element(acc)
-
-
-def derived_lie_bracket(k, u, v):
-    """Binary bracket induced by the scaled L shift: d(u)*v - d(v)*u.
-
-    Antisymmetric by construction; restricted to the L family it acts as
-    [L_r, L_s] = (r-s) L_{r+s+k} and it annihilates anything involving M.
-    Provided as an auxiliary check only; nothing downstream consumes it.
-    """
-    d = scaled_l_shift(k)
-    prod = algebra_a()
-    return product_eval(prod, d.apply(u), v) - product_eval(prod, d.apply(v), u)
+    return m_negation().apply(element)

@@ -5,24 +5,43 @@ window, or over seeded random samples from a wider index range, and
 returns a CheckReport with exact residual witnesses for every violation.
 Exhaustive runs refuse to start when the case count exceeds the budget
 instead of silently sampling.
+
+A law is a small function giving the two sides of one basis tuple from a
+set of kernels: the terms() functions of the definitions it uses.  One
+driver, run_law, owns the budget, the RNG, the tuple stream and the
+Violation building for every checker.  Its kernels are the definitions'
+integer forms (int_terms) when every definition has one, and their Scalar
+terms otherwise; either way each kernel remembers its recent results for
+the length of one check, because an exhaustive check asks for the same
+basis-level terms over and over.  Integer forms decide pass or fail exactly: an a-f-k
+bracket table may be scaled by the lcm of f's denominators, and every law
+that uses a bracket is homogeneous in it; products and operators have
+integer forms only when their constants are integers as given, since the
+involutive-morphism law is not homogeneous in its operator.  The witness of
+a failing tuple is rebuilt by the same law function over the unscaled
+Scalar terms, so reports do not depend on which kernels ran.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .algebras import a_omega_delta, algebra_a, bracket_eval, omega_form, relabel_m_negation
-from .elements import BasisSymbol, Element, L, M
+from .algebras import a_omega_delta, algebra_a, bracket_eval, m_negation, omega_form
+from .elements import BasisSymbol, Element, L, M, add_terms
 from .errors import BudgetExceededError
 from .scalars import from_int
 
 DEFAULT_EXHAUSTIVE_CAP = 2_000_000
 DEFAULT_SAMPLES = 10_000
-
-_THIRD = from_int(1) / from_int(3)
+# entries each kernel memo keeps: more than the ~12,000 distinct calls of
+# the largest exhaustive check the CLI and the benchmark run (the
+# one-third derivation on [-4,4]), and a bound of about 9 MiB on a wide
+# randomized run, where few calls repeat
+MEMO_SIZE = 2**14
 
 
 class Window(NamedTuple):
@@ -82,36 +101,6 @@ class CheckReport:
         return self
 
 
-def _add_terms(acc, scale, terms):
-    for base, sym in terms:
-        val = scale * base
-        cur = acc.get(sym)
-        if cur is None:
-            if val:
-                acc[sym] = val
-        else:
-            cur = cur + val
-            if cur:
-                acc[sym] = cur
-            else:
-                del acc[sym]
-
-
-def _diff(lhs, rhs):
-    out = dict(lhs)
-    for sym, coeff in rhs.items():
-        cur = out.get(sym)
-        if cur is None:
-            out[sym] = -coeff
-        else:
-            cur = cur - coeff
-            if cur:
-                out[sym] = cur
-            else:
-                del out[sym]
-    return out
-
-
 def _check_budget(mode, total, budget):
     if mode == "exhaustive":
         cap = DEFAULT_EXHAUSTIVE_CAP if budget is None else budget
@@ -140,83 +129,234 @@ def _tuple_stream(w, arity, mode, cases, rng, sample_window):
 
 
 # ---------------------------------------------------------------------------
+# the law driver
+
+
+class Law(NamedTuple):
+    """One comparison on basis tuples of a fixed arity.
+
+    `sides(kernels, *tuple)` gives (lhs, rhs) as sparse maps, both `scale`
+    times the sides the report shows; `inputs(tuple)`, when set, gives
+    the tuple a violation reports.
+    """
+
+    sides: object
+    arity: int
+    scale: int = 1
+    inputs: object = None
+
+
+class LawSpec(NamedTuple):
+    """A reported law: parts run one after another, each a group of Laws
+    evaluated on every tuple of one stream (one case per tuple)."""
+
+    name: str
+    parts: tuple
+
+
+class Kernels(NamedTuple):
+    """Memoized term functions of one check, all in one coefficient type;
+    num turns an int into that type."""
+
+    num: object
+    bracket: object = None
+    product: object = None
+    op: object = None
+    source: object = None
+
+
+def _kernels(defs, ints):
+    """Each definition's int_terms (ints) or terms, remembered for one check."""
+    memo = functools.lru_cache(maxsize=MEMO_SIZE)
+    if ints:
+        return Kernels(int, **{name: memo(d.int_terms) for name, d in defs.items()})
+    return Kernels(from_int, **{name: memo(d.terms) for name, d in defs.items()})
+
+
+def _violation(law, kernels, tup):
+    lhs, rhs = law.sides(kernels, *tup)
+    residual = dict(lhs)
+    add_terms(residual, from_int(-1), [(c, s) for s, c in rhs.items()])
+    sides = (lhs, rhs, residual)
+    if law.scale != 1:
+        unit = from_int(1) / from_int(law.scale)
+        sides = tuple({s: c * unit for s, c in side.items()} for side in sides)
+    inputs = law.inputs(tup) if law.inputs else tup
+    return Violation(inputs, *(Element(side) for side in sides))
+
+
+def run_law(
+    spec, defs, w, mode="exhaustive", budget=None, seed=0,
+    sample_window=DEFAULT_RANDOM_WINDOW, stop_at_first=False,
+):
+    """Check a law on basis tuples of a window.
+
+    `defs` maps kernel names (bracket, product, op, source) to definitions.
+    Cases run on their int_terms when every definition is `integral`, else
+    on their Scalar terms; violations always carry Scalar witnesses.  The
+    budget is checked against the exhaustive case count before anything is
+    enumerated.  With `stop_at_first` the run ends at the first violation,
+    unsorted.
+    """
+    syms_count = 2 * w.size
+    total = sum(syms_count ** laws[0].arity for laws in spec.parts)
+    cases = _check_budget(mode, total, budget)
+    rng = random.Random(seed)
+    report = CheckReport(
+        law=spec.name,
+        mode=mode,
+        cases_run=0,
+        seed=seed if mode == "randomized" else None,
+    )
+    exact = _kernels(defs, ints=False)
+    ints = all(getattr(d, "integral", False) for d in defs.values())
+    fast = _kernels(defs, ints=True) if ints else exact
+    for laws in spec.parts:
+        for tup in _tuple_stream(w, laws[0].arity, mode, cases, rng, sample_window):
+            report.cases_run += 1
+            for law in laws:
+                lhs, rhs = law.sides(fast, *tup)
+                if lhs != rhs:
+                    report.violations.append(_violation(law, exact, tup))
+                    if stop_at_first:
+                        return report
+    return report.sort_violations()
+
+
+# ---------------------------------------------------------------------------
 # ternary bracket axioms
+
+
+def _transposition(i, j):
+    def swap(xyz):
+        out = list(xyz)
+        out[i], out[j] = xyz[j], xyz[i]
+        return out
+
+    def sides(k, *xyz):
+        lhs = {}
+        add_terms(lhs, k.num(1), k.bracket(*xyz))
+        rhs = {}
+        add_terms(rhs, k.num(-1), k.bracket(*swap(xyz)))
+        return lhs, rhs
+
+    return Law(sides, 3, inputs=lambda xyz: (*xyz, *swap(xyz)))
+
+
+def _fundamental_identity(k, x, y, u, v, t):
+    br = k.bracket
+    lhs = {}
+    for c0, s0 in br(u, v, t):
+        add_terms(lhs, c0, br(x, y, s0))
+    rhs = {}
+    for c0, s0 in br(x, y, u):
+        add_terms(rhs, c0, br(s0, v, t))
+    for c0, s0 in br(x, y, v):
+        add_terms(rhs, c0, br(u, s0, t))
+    for c0, s0 in br(x, y, t):
+        add_terms(rhs, c0, br(u, v, s0))
+    return lhs, rhs
+
+
+SKEW_SYMMETRY = LawSpec(
+    "skew-symmetry", ((_transposition(0, 1), _transposition(0, 2), _transposition(1, 2)),)
+)
+FUNDAMENTAL_IDENTITY = LawSpec(
+    "fundamental-identity", ((Law(_fundamental_identity, 5),),)
+)
 
 
 def check_skew_symmetry(bdef, w):
     """Each transposition of arguments negates the bracket, on all triples."""
-    report = CheckReport(law="skew-symmetry", mode="exhaustive", cases_run=0)
-    syms = window_symbols(w)
-    for x, y, z in itertools.product(syms, repeat=3):
-        report.cases_run += 1
-        base = {}
-        _add_terms(base, from_int(1), bdef.terms(x, y, z))
-        for swapped in ((y, x, z), (z, y, x), (x, z, y)):
-            other = {}
-            _add_terms(other, from_int(1), bdef.terms(*swapped))
-            residual = dict(base)
-            for sym, coeff in other.items():
-                cur = residual.get(sym)
-                if cur is None:
-                    residual[sym] = coeff
-                else:
-                    cur = cur + coeff
-                    if cur:
-                        residual[sym] = cur
-                    else:
-                        del residual[sym]
-            if residual:
-                report.violations.append(
-                    Violation(
-                        inputs=(x, y, z, *swapped),
-                        lhs=Element(base),
-                        rhs=Element({s: -c for s, c in other.items()}),
-                        residual=Element(residual),
-                    )
-                )
-    return report.sort_violations()
+    return run_law(SKEW_SYMMETRY, {"bracket": bdef}, w)
 
 
 def check_fundamental_identity(
     bdef, w, mode="exhaustive", budget=None, seed=0, sample_window=DEFAULT_RANDOM_WINDOW
 ):
     """[x,y,[u,v,t]] = [[x,y,u],v,t] + [u,[x,y,v],t] + [u,v,[x,y,t]]."""
-    syms_count = 2 * w.size
-    cases = _check_budget(mode, syms_count**5, budget)
-    rng = random.Random(seed)
-    report = CheckReport(
-        law="fundamental-identity",
-        mode=mode,
-        cases_run=0,
-        seed=seed if mode == "randomized" else None,
+    return run_law(
+        FUNDAMENTAL_IDENTITY, {"bracket": bdef}, w, mode, budget, seed, sample_window
     )
-    for x, y, u, v, t in _tuple_stream(w, 5, mode, cases, rng, sample_window):
-        report.cases_run += 1
-        lhs = {}
-        for c0, s0 in bdef.terms(u, v, t):
-            _add_terms(lhs, c0, bdef.terms(x, y, s0))
-        rhs = {}
-        for c0, s0 in bdef.terms(x, y, u):
-            _add_terms(rhs, c0, bdef.terms(s0, v, t))
-        for c0, s0 in bdef.terms(x, y, v):
-            _add_terms(rhs, c0, bdef.terms(u, s0, t))
-        for c0, s0 in bdef.terms(x, y, t):
-            _add_terms(rhs, c0, bdef.terms(u, v, s0))
-        residual = _diff(lhs, rhs)
-        if residual:
-            report.violations.append(
-                Violation(
-                    inputs=(x, y, u, v, t),
-                    lhs=Element(lhs),
-                    rhs=Element(rhs),
-                    residual=Element(residual),
-                )
-            )
-    return report.sort_violations()
 
 
 # ---------------------------------------------------------------------------
 # operator laws
+
+
+def _one_third_derivation(k, x, y, z):
+    br, op = k.bracket, k.op
+    three = k.num(3)
+    lhs = {}
+    for c0, s0 in br(x, y, z):
+        add_terms(lhs, three * c0, op(s0))
+    rhs = {}
+    for c0, s0 in op(x):
+        add_terms(rhs, c0, br(s0, y, z))
+    for c0, s0 in op(y):
+        add_terms(rhs, c0, br(x, s0, z))
+    for c0, s0 in op(z):
+        add_terms(rhs, c0, br(x, y, s0))
+    return lhs, rhs
+
+
+def _product_derivation(k, x, y):
+    pr, op = k.product, k.op
+    lhs = {}
+    for c0, s0 in pr(x, y):
+        add_terms(lhs, c0, op(s0))
+    rhs = {}
+    for c0, s0 in op(x):
+        add_terms(rhs, c0, pr(s0, y))
+    for c0, s0 in op(y):
+        add_terms(rhs, c0, pr(x, s0))
+    return lhs, rhs
+
+
+def _involution(k, x):
+    lhs = {}
+    for c0, s0 in k.op(x):
+        add_terms(lhs, c0, k.op(s0))
+    return lhs, {x: k.num(1)}
+
+
+def _morphism(k, x, y):
+    pr, op = k.product, k.op
+    lhs = {}
+    for c0, s0 in pr(x, y):
+        add_terms(lhs, c0, op(s0))
+    rhs = {}
+    for cx, sx in op(x):
+        for cy, sy in op(y):
+            add_terms(rhs, cx * cy, pr(sx, sy))
+    return lhs, rhs
+
+
+def _intertwining(k, x, y, z):
+    op = k.op
+    lhs = {}
+    for c0, s0 in k.source(x, y, z):
+        add_terms(lhs, c0, op(s0))
+    rhs = {}
+    for cx, sx in op(x):
+        for cy, sy in op(y):
+            for cz, sz in op(z):
+                add_terms(rhs, cx * cy * cz, k.bracket(sx, sy, sz))
+    return lhs, rhs
+
+
+ONE_THIRD_DERIVATION = LawSpec(
+    "one-third-derivation", ((Law(_one_third_derivation, 3, scale=3),),)
+)
+PRODUCT_DERIVATION = LawSpec(
+    "product-derivation-rule", ((Law(_product_derivation, 2),),)
+)
+INVOLUTIVE_MORPHISM = LawSpec(
+    "involutive-morphism", ((Law(_involution, 1),), (Law(_morphism, 2),))
+)
+RELABEL_INTERTWINING = LawSpec(
+    "relabel-intertwining", ((Law(_intertwining, 3),),)
+)
 
 
 def check_one_third_derivation(
@@ -224,109 +364,20 @@ def check_one_third_derivation(
     sample_window=DEFAULT_RANDOM_WINDOW,
 ):
     """3 op([x,y,z]) = [op(x),y,z] + [x,op(y),z] + [x,y,op(z)] on basis triples."""
-    syms_count = 2 * w.size
-    cases = _check_budget(mode, syms_count**3, budget)
-    rng = random.Random(seed)
-    report = CheckReport(
-        law="one-third-derivation",
-        mode=mode,
-        cases_run=0,
-        seed=seed if mode == "randomized" else None,
+    return run_law(
+        ONE_THIRD_DERIVATION, {"bracket": bdef, "op": op}, w, mode, budget, seed,
+        sample_window,
     )
-    for x, y, z in _tuple_stream(w, 3, mode, cases, rng, sample_window):
-        report.cases_run += 1
-        lhs3 = {}
-        for c0, s0 in bdef.terms(x, y, z):
-            _add_terms(lhs3, c0.scale_int(3), op.terms(s0))
-        rhs = {}
-        for c0, s0 in op.terms(x):
-            _add_terms(rhs, c0, bdef.terms(s0, y, z))
-        for c0, s0 in op.terms(y):
-            _add_terms(rhs, c0, bdef.terms(x, s0, z))
-        for c0, s0 in op.terms(z):
-            _add_terms(rhs, c0, bdef.terms(x, y, s0))
-        residual3 = _diff(lhs3, rhs)
-        if residual3:
-            report.violations.append(
-                Violation(
-                    inputs=(x, y, z),
-                    lhs=Element({s: c * _THIRD for s, c in lhs3.items()}),
-                    rhs=Element({s: c * _THIRD for s, c in rhs.items()}),
-                    residual=Element({s: c * _THIRD for s, c in residual3.items()}),
-                )
-            )
-    return report.sort_violations()
 
 
 def check_derivation(op, w):
     """Product rule op(x*y) = op(x)*y + x*op(y) in the base algebra."""
-    prod = algebra_a()
-    report = CheckReport(law="product-derivation-rule", mode="exhaustive", cases_run=0)
-    syms = window_symbols(w)
-    for x, y in itertools.product(syms, repeat=2):
-        report.cases_run += 1
-        lhs = {}
-        for c0, s0 in prod.terms(x, y):
-            _add_terms(lhs, c0, op.terms(s0))
-        rhs = {}
-        for c0, s0 in op.terms(x):
-            _add_terms(rhs, c0, prod.terms(s0, y))
-        for c0, s0 in op.terms(y):
-            _add_terms(rhs, c0, prod.terms(x, s0))
-        residual = _diff(lhs, rhs)
-        if residual:
-            report.violations.append(
-                Violation(
-                    inputs=(x, y),
-                    lhs=Element(lhs),
-                    rhs=Element(rhs),
-                    residual=Element(residual),
-                )
-            )
-    return report.sort_violations()
+    return run_law(PRODUCT_DERIVATION, {"product": algebra_a(), "op": op}, w)
 
 
 def check_involutive_morphism(op, w):
     """op is a self-inverse algebra morphism: op(op(x)) = x, op(x*y) = op(x)*op(y)."""
-    prod = algebra_a()
-    report = CheckReport(law="involutive-morphism", mode="exhaustive", cases_run=0)
-    syms = window_symbols(w)
-    one = from_int(1)
-    for x in syms:
-        report.cases_run += 1
-        twice = {}
-        for c0, s0 in op.terms(x):
-            _add_terms(twice, c0, op.terms(s0))
-        residual = _diff(twice, {x: one})
-        if residual:
-            report.violations.append(
-                Violation(
-                    inputs=(x,),
-                    lhs=Element(twice),
-                    rhs=Element.basis(x),
-                    residual=Element(residual),
-                )
-            )
-    for x, y in itertools.product(syms, repeat=2):
-        report.cases_run += 1
-        lhs = {}
-        for c0, s0 in prod.terms(x, y):
-            _add_terms(lhs, c0, op.terms(s0))
-        rhs = {}
-        for cx, sx in op.terms(x):
-            for cy, sy in op.terms(y):
-                _add_terms(rhs, cx * cy, prod.terms(sx, sy))
-        residual = _diff(lhs, rhs)
-        if residual:
-            report.violations.append(
-                Violation(
-                    inputs=(x, y),
-                    lhs=Element(lhs),
-                    rhs=Element(rhs),
-                    residual=Element(residual),
-                )
-            )
-    return report.sort_violations()
+    return run_law(INVOLUTIVE_MORPHISM, {"product": algebra_a(), "op": op}, w)
 
 
 def check_relabel_intertwining(w):
@@ -335,31 +386,67 @@ def check_relabel_intertwining(w):
     relabel([x,y,z]_omega-form) = [relabel(x), relabel(y), relabel(z)]
     for all basis triples of the window.
     """
-    source = omega_form()
-    target = a_omega_delta()
-    report = CheckReport(law="relabel-intertwining", mode="exhaustive", cases_run=0)
-    syms = window_symbols(w)
-    for x, y, z in itertools.product(syms, repeat=3):
-        report.cases_run += 1
-        lhs = relabel_m_negation(
-            bracket_eval(source, Element.basis(x), Element.basis(y), Element.basis(z))
-        )
-        rhs = bracket_eval(
-            target,
-            relabel_m_negation(Element.basis(x)),
-            relabel_m_negation(Element.basis(y)),
-            relabel_m_negation(Element.basis(z)),
-        )
-        residual = lhs - rhs
-        if residual:
-            report.violations.append(
-                Violation(inputs=(x, y, z), lhs=lhs, rhs=rhs, residual=residual)
-            )
-    return report.sort_violations()
+    defs = {"source": omega_form(), "bracket": a_omega_delta(), "op": m_negation()}
+    return run_law(RELABEL_INTERTWINING, defs, w)
 
 
 # ---------------------------------------------------------------------------
 # bracket/product compatibility laws
+
+
+def _transposed_leibniz(k, u, x, y, z):
+    br, pr = k.bracket, k.product
+    three = k.num(3)
+    lhs = {}
+    for cb, sb in br(x, y, z):
+        add_terms(lhs, three * cb, pr(u, sb))
+    rhs = {}
+    for cp, sp in pr(x, u):
+        add_terms(rhs, cp, br(sp, y, z))
+    for cp, sp in pr(y, u):
+        add_terms(rhs, cp, br(x, sp, z))
+    for cp, sp in pr(z, u):
+        add_terms(rhs, cp, br(x, y, sp))
+    return lhs, rhs
+
+
+def _poisson_leibniz(k, x, y, u, v):
+    br, pr = k.bracket, k.product
+    lhs = {}
+    for cp, sp in pr(u, v):
+        add_terms(lhs, cp, br(x, y, sp))
+    rhs = {}
+    for cb, sb in br(x, y, v):
+        add_terms(rhs, cb, pr(u, sb))
+    for cb, sb in br(x, y, u):
+        add_terms(rhs, cb, pr(sb, v))
+    return lhs, rhs
+
+
+def _commutativity(k, x, y):
+    lhs = {}
+    add_terms(lhs, k.num(1), k.product(x, y))
+    rhs = {}
+    add_terms(rhs, k.num(1), k.product(y, x))
+    return lhs, rhs
+
+
+def _associativity(k, x, y, z):
+    pr = k.product
+    lhs = {}
+    for c0, s0 in pr(x, y):
+        add_terms(lhs, c0, pr(s0, z))
+    rhs = {}
+    for c0, s0 in pr(y, z):
+        add_terms(rhs, c0, pr(x, s0))
+    return lhs, rhs
+
+
+TRANSPOSED_LEIBNIZ = LawSpec("transposed-leibniz", ((Law(_transposed_leibniz, 4),),))
+POISSON_LEIBNIZ = LawSpec("poisson-leibniz", ((Law(_poisson_leibniz, 4),),))
+COMMUTATIVE_ASSOCIATIVE = LawSpec(
+    "commutative-associative", ((Law(_commutativity, 2),), (Law(_associativity, 3),))
+)
 
 
 def check_tp_compatibility(
@@ -367,38 +454,10 @@ def check_tp_compatibility(
     sample_window=DEFAULT_RANDOM_WINDOW,
 ):
     """3 u*[x,y,z] = [x*u,y,z] + [x,y*u,z] + [x,y,z*u] on basis 4-tuples."""
-    syms_count = 2 * w.size
-    cases = _check_budget(mode, syms_count**4, budget)
-    rng = random.Random(seed)
-    report = CheckReport(
-        law="transposed-leibniz",
-        mode=mode,
-        cases_run=0,
-        seed=seed if mode == "randomized" else None,
+    return run_law(
+        TRANSPOSED_LEIBNIZ, {"bracket": bdef, "product": pdef}, w, mode, budget, seed,
+        sample_window,
     )
-    for u, x, y, z in _tuple_stream(w, 4, mode, cases, rng, sample_window):
-        report.cases_run += 1
-        lhs = {}
-        for cb, sb in bdef.terms(x, y, z):
-            _add_terms(lhs, cb.scale_int(3), pdef.terms(u, sb))
-        rhs = {}
-        for cp, sp in pdef.terms(x, u):
-            _add_terms(rhs, cp, bdef.terms(sp, y, z))
-        for cp, sp in pdef.terms(y, u):
-            _add_terms(rhs, cp, bdef.terms(x, sp, z))
-        for cp, sp in pdef.terms(z, u):
-            _add_terms(rhs, cp, bdef.terms(x, y, sp))
-        residual = _diff(lhs, rhs)
-        if residual:
-            report.violations.append(
-                Violation(
-                    inputs=(u, x, y, z),
-                    lhs=Element(lhs),
-                    rhs=Element(rhs),
-                    residual=Element(residual),
-                )
-            )
-    return report.sort_violations()
 
 
 def check_poisson_compatibility(
@@ -406,36 +465,10 @@ def check_poisson_compatibility(
     sample_window=DEFAULT_RANDOM_WINDOW,
 ):
     """[x,y,u*v] = u*[x,y,v] + [x,y,u]*v on basis 4-tuples."""
-    syms_count = 2 * w.size
-    cases = _check_budget(mode, syms_count**4, budget)
-    rng = random.Random(seed)
-    report = CheckReport(
-        law="poisson-leibniz",
-        mode=mode,
-        cases_run=0,
-        seed=seed if mode == "randomized" else None,
+    return run_law(
+        POISSON_LEIBNIZ, {"bracket": bdef, "product": pdef}, w, mode, budget, seed,
+        sample_window,
     )
-    for x, y, u, v in _tuple_stream(w, 4, mode, cases, rng, sample_window):
-        report.cases_run += 1
-        lhs = {}
-        for cp, sp in pdef.terms(u, v):
-            _add_terms(lhs, cp, bdef.terms(x, y, sp))
-        rhs = {}
-        for cb, sb in bdef.terms(x, y, v):
-            _add_terms(rhs, cb, pdef.terms(u, sb))
-        for cb, sb in bdef.terms(x, y, u):
-            _add_terms(rhs, cb, pdef.terms(sb, v))
-        residual = _diff(lhs, rhs)
-        if residual:
-            report.violations.append(
-                Violation(
-                    inputs=(x, y, u, v),
-                    lhs=Element(lhs),
-                    rhs=Element(rhs),
-                    residual=Element(residual),
-                )
-            )
-    return report.sort_violations()
 
 
 def check_commutative_associative(
@@ -443,66 +476,9 @@ def check_commutative_associative(
     sample_window=DEFAULT_RANDOM_WINDOW,
 ):
     """x*y = y*x on pairs and (x*y)*z = x*(y*z) on triples."""
-    syms_count = 2 * w.size
-    total = syms_count**2 + syms_count**3
-    cases = _check_budget(mode, total, budget)
-    rng = random.Random(seed)
-    report = CheckReport(
-        law="commutative-associative",
-        mode=mode,
-        cases_run=0,
-        seed=seed if mode == "randomized" else None,
+    return run_law(
+        COMMUTATIVE_ASSOCIATIVE, {"product": pdef}, w, mode, budget, seed, sample_window
     )
-
-    if mode == "exhaustive":
-        syms = window_symbols(w)
-        pairs = itertools.product(syms, repeat=2)
-        triples = itertools.product(syms, repeat=3)
-    else:
-        pairs = (
-            (_random_symbol(rng, sample_window), _random_symbol(rng, sample_window))
-            for _ in range(cases)
-        )
-        triples = (
-            tuple(_random_symbol(rng, sample_window) for _ in range(3))
-            for _ in range(cases)
-        )
-
-    for x, y in pairs:
-        report.cases_run += 1
-        lhs = {}
-        _add_terms(lhs, from_int(1), pdef.terms(x, y))
-        rhs = {}
-        _add_terms(rhs, from_int(1), pdef.terms(y, x))
-        residual = _diff(lhs, rhs)
-        if residual:
-            report.violations.append(
-                Violation(
-                    inputs=(x, y),
-                    lhs=Element(lhs),
-                    rhs=Element(rhs),
-                    residual=Element(residual),
-                )
-            )
-    for x, y, z in triples:
-        report.cases_run += 1
-        lhs = {}
-        for c0, s0 in pdef.terms(x, y):
-            _add_terms(lhs, c0, pdef.terms(s0, z))
-        rhs = {}
-        for c0, s0 in pdef.terms(y, z):
-            _add_terms(rhs, c0, pdef.terms(x, s0))
-        residual = _diff(lhs, rhs)
-        if residual:
-            report.violations.append(
-                Violation(
-                    inputs=(x, y, z),
-                    lhs=Element(lhs),
-                    rhs=Element(rhs),
-                    residual=Element(residual),
-                )
-            )
-    return report.sort_violations()
 
 
 # ---------------------------------------------------------------------------

@@ -163,6 +163,23 @@ def _accumulate(acc, sym, coeff):
             del acc[sym]
 
 
+def add_terms(acc, scale, terms):
+    """acc += scale * terms for a list of (coefficient, symbol) terms, in
+    place; zero coefficients are never stored."""
+    for base, sym in terms:
+        val = scale * base
+        cur = acc.get(sym)
+        if cur is None:
+            if val:
+                acc[sym] = val
+        else:
+            cur = cur + val
+            if cur:
+                acc[sym] = cur
+            else:
+                del acc[sym]
+
+
 def combine(a, x, b, y):
     """a*x + b*y with zero terms pruned."""
     acc = {}

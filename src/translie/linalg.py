@@ -114,13 +114,6 @@ class SolutionSpace:
     def dimension(self):
         return len(self.basis)
 
-    def coefficient(self, vector_index, uid):
-        try:
-            col = self.unknowns.index(uid)
-        except ValueError:
-            raise UnknownNotFoundError(f"unknown {uid} not in solution space") from None
-        return self.basis[vector_index][col]
-
     def vector_as_dict(self, vector_index, skip_zero=True):
         vec = self.basis[vector_index]
         return {

@@ -60,9 +60,6 @@ class Scalar:
         a, b = self.re, self.im
         return Scalar((a * c + b * d) / norm, (b * c - a * d) / norm)
 
-    def conjugate(self):
-        return Scalar(self.re, -self.im)
-
     def scale_int(self, n):
         if n == 1:
             return self

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebras import AFK, A_OMEGA_DELTA, custom_operator
-from .checks import Window, check_one_third_derivation
+from .checks import Window
 from .elements import BasisSymbol, Element, L, M
 from .errors import EmptySystemError
 from .linalg import (
@@ -107,7 +107,7 @@ def assemble_system(bdef, ansatz, eq_window):
     system = ConstraintSystem()
     for uid in ansatz.unknown_ids():
         system.register(uid)
-    if bdef.int_f is not None:
+    if bdef.integral:
         bracket, three = bdef.int_terms, 3
     else:
         bracket, three = bdef.terms, from_int(3)
@@ -329,13 +329,6 @@ def _classify_full_window(core_space, core, f, full_dim):
 
 def _vector_strings(space, idx):
     return {str(uid): str(val) for uid, val in space.vector_as_dict(idx).items()}
-
-
-def forward_check_family(bdef, family, w, mode="exhaustive", budget=None, seed=0):
-    """Confirm a closed-form family member really satisfies the derivation law."""
-    return check_one_third_derivation(
-        bdef, family, w, mode=mode, budget=budget, seed=seed
-    )
 
 
 # ---------------------------------------------------------------------------

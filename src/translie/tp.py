@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .algebras import ProductDef, TP_FAMILY, custom_operator, product_eval
-from .checks import window
+from .checks import POISSON_LEIBNIZ, run_law, window
 from .elements import Element, L, M
 from .errors import InvalidParamsError
 from .scalars import Scalar, ZERO
@@ -32,10 +32,15 @@ def _scalar(v):
     return v if isinstance(v, Scalar) else Scalar(v)
 
 
+def _int(v):
+    """An integral Scalar as an int."""
+    return v.re.numerator
+
+
 class TPParams:
     """Product family parameters; immutable after construction."""
 
-    __slots__ = ("alpha", "c", "d", "f", "k", "_pairs")
+    __slots__ = ("alpha", "c", "d", "f", "k", "_exact", "_ints")
 
     def __init__(self, alpha, c, d, f, k):
         object.__setattr__(self, "alpha", _scalar(alpha))
@@ -51,12 +56,31 @@ class TPParams:
                 clean[key] = v
                 pairs.setdefault(key[:2], {})[key[2]] = v
         object.__setattr__(self, "d", clean)
-        object.__setattr__(self, "_pairs", pairs)
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "k", int(k))
+        # the constants product_terms reads, as Scalars and, when every one
+        # is an integer as given, as ints
+        f_values = dict(f.values)
+        exact = (self.alpha, self.c, pairs, f_values)
+        ints = None
+        values = [self.alpha, *self.c.values(), *clean.values(), *f_values.values()]
+        if all(not v.im and v.re.denominator == 1 for v in values):
+            ints = (
+                _int(self.alpha),
+                {p: _int(v) for p, v in self.c.items()},
+                {ij: {q: _int(v) for q, v in row.items()} for ij, row in pairs.items()},
+                {i: _int(v) for i, v in f_values.items()},
+            )
+        object.__setattr__(self, "_exact", exact)
+        object.__setattr__(self, "_ints", ints)
 
     def __setattr__(self, name, value):
         raise AttributeError("TPParams is immutable")
+
+    @property
+    def integral(self):
+        """True when every product constant is an integer as given."""
+        return self._ints is not None
 
     def d_value(self, i, j, q):
         return self.d.get((i, j, q), ZERO)
@@ -68,29 +92,28 @@ class TPParams:
             idx.update((i, j, q))
         return sorted(idx) if idx else [0]
 
-    def product_terms(self, x, y):
-        """Product of two basis symbols as (Scalar, symbol) terms."""
+    def product_terms(self, x, y, ints=False):
+        """Product of two basis symbols as (Scalar, symbol) terms, or as
+        (int, symbol) terms when `ints` (integral params only)."""
+        alpha, c, pairs, f_values = self._ints if ints else self._exact
         if x.family == "L" and y.family == "L":
             return []
         if x.family == "M" and y.family == "M":
             out = []
-            cf = self.f.m_value(x.index) * self.f.m_value(y.index)
-            if cf:
-                for p, cp in self.c.items():
-                    val = cf * cp
-                    if val:
-                        out.append((val, L(p)))
-            row = self._pairs.get((x.index, y.index))
+            fx, fy = f_values.get(x.index), f_values.get(y.index)
+            if fx and fy:
+                cf = fx * fy
+                out.extend((cf * cp, L(p)) for p, cp in c.items())
+            row = pairs.get((x.index, y.index))
             if row:
-                for q, dv in row.items():
-                    out.append((dv, M(q)))
+                out.extend((dv, M(q)) for q, dv in row.items())
             return out
         if x.family == "M":
             x, y = y, x
-        coeff = self.alpha * self.f.m_value(y.index)
-        if not coeff:
+        fy = f_values.get(y.index)
+        if not fy or not alpha:
             return []
-        return [(coeff, x)]
+        return [(alpha * fy, x)]
 
 
 @dataclass
@@ -216,32 +239,5 @@ def poisson_violation_witness(bdef, pdef, w):
     Scans 4-tuples in canonical order and stops at the first violation, so
     products that are far from the classical law stay cheap to refute.
     """
-    import itertools
-
-    from .checks import Violation, window_symbols
-
-    syms = window_symbols(w)
-    for x, y, u, v in itertools.product(syms, repeat=4):
-        lhs = {}
-        for cp, sp in pdef.terms(u, v):
-            for cb, sb in bdef.terms(x, y, sp):
-                val = cp * cb
-                if val:
-                    lhs[sb] = lhs.get(sb, ZERO) + val
-        rhs = {}
-        for cb, sb in bdef.terms(x, y, v):
-            for cp, sp in pdef.terms(u, sb):
-                val = cb * cp
-                if val:
-                    rhs[sp] = rhs.get(sp, ZERO) + val
-        for cb, sb in bdef.terms(x, y, u):
-            for cp, sp in pdef.terms(sb, v):
-                val = cb * cp
-                if val:
-                    rhs[sp] = rhs.get(sp, ZERO) + val
-        lhs_el = Element(lhs)
-        rhs_el = Element(rhs)
-        residual = lhs_el - rhs_el
-        if residual:
-            return Violation(inputs=(x, y, u, v), lhs=lhs_el, rhs=rhs_el, residual=residual)
-    return None
+    report = run_law(POISSON_LEIBNIZ, {"bracket": bdef, "product": pdef}, w, stop_at_first=True)
+    return report.violations[0] if report.violations else None

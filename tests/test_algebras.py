@@ -8,7 +8,6 @@ from translie.algebras import (
     algebra_a,
     bracket_eval,
     custom_operator,
-    derived_lie_bracket,
     family_swap,
     functional,
     index_scaling,
@@ -210,32 +209,3 @@ def test_functional_prunes_zero_values():
     f = functional({0: 1, 5: 0})
     assert f.support == [0]
     assert functional({}).is_zero()
-
-
-# ---------------------------------------------------------------------------
-# auxiliary binary bracket
-
-
-def test_derived_lie_bracket_l_family_action():
-    # [L_r, L_s] = (r - s) L_{r+s+k}
-    out = derived_lie_bracket(2, B(L(3)), B(L(1)))
-    assert out == Element.from_terms((L(6), 2))
-
-
-def test_derived_lie_bracket_antisymmetric_and_jacobi():
-    k = 1
-    syms = [L(i) for i in range(-3, 4)] + [M(i) for i in range(-2, 3)]
-    for x, y in itertools.product(syms, repeat=2):
-        assert derived_lie_bracket(k, B(x), B(y)) == -derived_lie_bracket(k, B(y), B(x))
-    for x, y, z in itertools.product([L(i) for i in range(-2, 3)], repeat=3):
-        jac = (
-            derived_lie_bracket(k, derived_lie_bracket(k, B(x), B(y)), B(z))
-            + derived_lie_bracket(k, derived_lie_bracket(k, B(y), B(z)), B(x))
-            + derived_lie_bracket(k, derived_lie_bracket(k, B(z), B(x)), B(y))
-        )
-        assert jac.is_zero()
-
-
-def test_derived_lie_bracket_kills_m_family():
-    assert derived_lie_bracket(0, B(M(2)), B(M(3))).is_zero()
-    assert derived_lie_bracket(0, B(L(2)), B(M(3))).is_zero()

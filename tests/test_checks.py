@@ -30,6 +30,7 @@ from translie.checks import (
 from translie.elements import Element, L, M
 from translie.errors import BudgetExceededError
 from translie.scalars import from_int
+from translie.tp import poisson_violation_witness
 
 
 class CorruptedLLM:
@@ -87,6 +88,23 @@ def test_fundamental_identity_catches_corruption():
 def test_fundamental_identity_budget_guard():
     with pytest.raises(BudgetExceededError):
         check_fundamental_identity(a_omega_delta(), window(-2, 2), budget=99)
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda w: check_skew_symmetry(a_omega_delta(), w),
+        lambda w: check_relabel_intertwining(w),
+        lambda w: check_derivation(index_scaling(), w),
+        lambda w: check_involutive_morphism(family_swap(), w),
+        lambda w: poisson_violation_witness(afk(0, functional({0: 1})), algebra_a(), w),
+    ],
+    ids=["skew-symmetry", "relabel-intertwining", "derivation", "involutive-morphism",
+         "poisson-witness"],
+)
+def test_every_enumeration_is_budgeted(check):
+    with pytest.raises(BudgetExceededError, match="budget is 2000000"):
+        check(window(-2000, 2000))
 
 
 def test_randomized_mode_reproducible():

@@ -312,3 +312,60 @@ def test_run_solve_derivations_gaussian_functional():
     assert report.verdict == "pass"
     details = report.entries[0]["details"]
     assert details["core_dimension"] == details["expected_core_dimension"] == 10
+
+
+def test_check_laws_domain_over_budget_exits_2_before_enumerating(tmp_path, capsys, monkeypatch):
+    from translie import checks
+
+    def no_enumeration(*args):
+        raise AssertionError("enumerated a window over budget")
+
+    monkeypatch.setattr(checks, "_tuple_stream", no_enumeration)
+    path = tmp_path / "wide.json"
+    path.write_text(
+        cfg_text(command="check-laws", algebra={"kind": "a-omega-delta"}, windows={"domain": [-200, 200]})
+    )
+    assert main(["check-laws", "--config", str(path), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err == "error: exhaustive run needs 515849608 cases, budget is 2000000\n"
+
+
+@pytest.mark.parametrize(
+    "side, family, classification, poisson_cases",
+    [
+        ("poisson", {"d_seq": {"1": "3"}}, "poisson-and-transposed", 12**4),
+        ("transposed-only", {"d_seq": {"0": "3"}, "c": {"1": "2"}}, "transposed-only", None),
+    ],
+)
+def test_verify_tp_gaussian_functional_end_to_end(tmp_path, side, family, classification, poisson_cases):
+    path = tmp_path / f"{side}.json"
+    path.write_text(
+        cfg_text(
+            command="verify-tp",
+            algebra={"kind": "a-f-k", "k": 1, "f": {"0": "1+i"}},
+            tp_params={"example_family": family},
+        )
+    )
+    out = tmp_path / "report.json"
+    assert main(["verify-tp", "--config", str(path), "--out", str(out), "--quiet"]) == 0
+    report = json.loads(out.read_text())
+    assert report["verdict"] == "pass"
+    n = 12  # symbols of the support closure window [-1, 4]
+    assert [(e["law"], e.get("mode"), e.get("cases_run"), e["passed"]) for e in report["entries"]] == [
+        ("tp-params-valid", None, None, True),
+        ("commutative-associative", "exhaustive", n**2 + n**3, True),
+        ("transposed-leibniz", "exhaustive", n**4, True),
+        ("poisson-dichotomy", "exhaustive", poisson_cases, True),
+    ]
+    assert report["entries"][1]["details"] == {"window": [-1, 4]}
+    params = report["entries"][0]["details"]["params"]
+    dichotomy = report["entries"][3]["details"]
+    assert dichotomy["classification"] == classification
+    if classification == "poisson-and-transposed":
+        assert params["alpha"] == "0"
+        assert dichotomy["poisson_law_passed"] and dichotomy["witness"] is None
+    else:
+        assert params["alpha"] == "3+3i"
+        assert not dichotomy["poisson_law_passed"]
+        assert dichotomy["witness"]["residual"]

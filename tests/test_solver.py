@@ -11,7 +11,6 @@ from translie.scalars import ONE, Scalar
 from translie.solver import (
     afk_family_operator,
     assemble_system,
-    forward_check_family,
     full_window_ansatz,
     full_window_family_assignment,
     graded_ansatz,
@@ -109,8 +108,8 @@ def test_truncated_shift_satisfies_every_assembled_row():
 
 
 def test_forward_check_family_uniform_shifts():
-    assert forward_check_family(a_omega_delta(), uniform_shift(0), window(-3, 3)).passed
-    assert forward_check_family(a_omega_delta(), uniform_shift(-3), window(-3, 3)).passed
+    assert check_one_third_derivation(a_omega_delta(), uniform_shift(0), window(-3, 3)).passed
+    assert check_one_third_derivation(a_omega_delta(), uniform_shift(-3), window(-3, 3)).passed
 
 
 def test_eq_window_monotonicity():
@@ -163,7 +162,7 @@ def test_afk_family_operator_identity_default():
 
     assert op.apply(Element.basis(L(2))) == Element.basis(L(2))
     assert op.apply(Element.basis(M(-1))) == Element.basis(M(-1))
-    assert forward_check_family(afk(0, f), op, window(-1, 1)).passed
+    assert check_one_third_derivation(afk(0, f), op, window(-1, 1)).passed
 
 
 def test_afk_family_operator_rejects_bad_rows():
