@@ -8,10 +8,14 @@ homogeneous row (scaled by 3 to stay fraction-free):
 
     3 phi([x,y,z]) - [phi(x),y,z] - [x,phi(y),z] - [x,y,phi(z)] = 0.
 
+Only canonically ordered triples x < y < z are assembled.  Every bracket
+is totally antisymmetric, so the law's defect is too: a permuted triple
+gives the same rows times the permutation sign, which have the same
+normal forms, and a triple with a repeated symbol gives the zero row.
 Triples that would reference an image of a symbol outside the source
 window are skipped entirely rather than truncated.  Solving happens over
 the full window; the classification is asserted only on the projection to
-a core window kept away from the boundary, where the finite system caries
+a core window kept away from the boundary, where the finite system carries
 the same information as the infinite one.
 """
 
@@ -19,11 +23,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb
 
 from .algebras import AFK, A_OMEGA_DELTA, custom_operator
-from .checks import Window
+from .checks import DEFAULT_EXHAUSTIVE_CAP, Window
 from .elements import BasisSymbol, Element, L, M
-from .errors import EmptySystemError
+from .errors import BudgetExceededError, EmptySystemError
 from .linalg import (
     ConstraintSystem,
     SolutionSpace,
@@ -97,6 +102,12 @@ def full_window_ansatz(domain, image):
 def assemble_system(bdef, ansatz, eq_window):
     """Impose the one-third-derivation law on all representable triples.
 
+    Only canonically ordered triples are enumerated: r < s in LLM, s < t in
+    LMM, r < s < t in LLL and MMM.  The law's defect is totally
+    antisymmetric like the bracket, so any other triple repeats one of
+    these rows up to sign or gives none.  The triple count is checked
+    against the budget before anything is enumerated.
+
     Each basis-symbol coordinate of each qualifying relation instance
     contributes one homogeneous row, with provenance (pattern, r, s, t,
     coordinate symbol).  A bracket with integer structure constants gives
@@ -104,6 +115,12 @@ def assemble_system(bdef, ansatz, eq_window):
     which leaves each row's constraint unchanged); a Gaussian functional
     keeps Scalar coefficients.
     """
+    n = eq_window.size
+    triples = 2 * comb(n, 2) * n + 2 * comb(n, 3)
+    if triples > DEFAULT_EXHAUSTIVE_CAP:
+        raise BudgetExceededError(
+            f"assembly needs {triples} equation triples, budget is {DEFAULT_EXHAUSTIVE_CAP}"
+        )
     system = ConstraintSystem()
     for uid in ansatz.unknown_ids():
         system.register(uid)
@@ -122,20 +139,20 @@ def assemble_system(bdef, ansatz, eq_window):
         return hit
 
     qualifying = 0
-    indices = list(eq_window.indices())
-    for pattern_name, families in _PATTERNS:
-        for r in indices:
-            x = BasisSymbol(families[0], r)
+    lo, hi = eq_window.lo, eq_window.hi + 1
+    for pattern_name, (fx, fy, fz) in _PATTERNS:
+        for r in range(lo, hi):
+            x = BasisSymbol(fx, r)
             img_x = images_of(x)
             if img_x is None:
                 continue
-            for s in indices:
-                y = BasisSymbol(families[1], s)
+            for s in range(r + 1 if fy == fx else lo, hi):
+                y = BasisSymbol(fy, s)
                 img_y = images_of(y)
                 if img_y is None:
                     continue
-                for t in indices:
-                    z = BasisSymbol(families[2], t)
+                for t in range(s + 1 if fz == fy else lo, hi):
+                    z = BasisSymbol(fz, t)
                     img_z = images_of(z)
                     if img_z is None:
                         continue
@@ -167,7 +184,7 @@ def assemble_system(bdef, ansatz, eq_window):
                     for out_sym in sorted(form):
                         system.add_row(form[out_sym], (pattern_name, r, s, t, out_sym))
     if qualifying == 0:
-        raise EmptySystemError("no equation triple is representable in the ansatz")
+        raise EmptySystemError("no triple of distinct symbols is representable in the ansatz")
     return system
 
 
@@ -484,6 +501,11 @@ def tp_triviality_system(w_index, w_basis, include_m_rows=True):
     (include_m_rows=False) leaves the alpha block unconstrained, which is
     the sanity variant showing the rows do the work.
     """
+    rows = (1 + include_m_rows) * w_basis.size ** 2 * w_index.size
+    if rows > DEFAULT_EXHAUSTIVE_CAP:
+        raise BudgetExceededError(
+            f"tp-triviality system needs {rows} rows, budget is {DEFAULT_EXHAUSTIVE_CAP}"
+        )
     system = ConstraintSystem()
     for i in w_basis.indices():
         for k in w_index.indices():

@@ -1,10 +1,16 @@
+import io
 import json
+import os
 import re
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from translie import linalg
-from translie.cli import main, parse_config, run
+from translie import linalg, solver
+from translie.cli import COMMANDS, main, parse_config, run
 from translie.errors import ConfigParseError, ConfigSchemaError
 from translie.scalars import Scalar
 
@@ -329,6 +335,169 @@ def test_check_laws_domain_over_budget_exits_2_before_enumerating(tmp_path, caps
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err == "error: exhaustive run needs 515849608 cases, budget is 2000000\n"
+
+
+@pytest.mark.parametrize(
+    "command, doc, message",
+    [
+        (
+            "solve-derivations",
+            dict(algebra={"kind": "a-omega-delta"}, windows={"domain": [-200, 200]}),
+            "error: assembly needs 85653600 equation triples, budget is 2000000\n",
+        ),
+        (
+            "tp-triviality",
+            dict(windows={"index": [-200, 200], "basis": [-200, 200]}),
+            "error: tp-triviality system needs 128962402 rows, budget is 2000000\n",
+        ),
+    ],
+)
+def test_solver_window_over_budget_exits_2_before_building(command, doc, message, tmp_path, capsys, monkeypatch):
+    def no_system(*args, **kwargs):
+        raise AssertionError("built a system over budget")
+
+    monkeypatch.setattr(solver, "ConstraintSystem", no_system)
+    path = tmp_path / "wide.json"
+    path.write_text(cfg_text(command=command, **doc))
+    assert main([command, "--config", str(path), "--quiet"]) == 2
+    assert capsys.readouterr().err == message
+
+
+def _main_on(command, doc):
+    """Exit code and stderr of the CLI on one config document."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main([command, "--config", path, "--quiet"])
+    return code, err.getvalue()
+
+
+FUZZ_ALGEBRAS = [
+    {"kind": "a-omega-delta"},
+    {"kind": "a-omega-delta-omega-form"},
+    {"kind": "a-f-k", "k": 1, "f": {"0": "1/2", "1": "-2"}},
+    {"kind": "a-f-k", "k": -1, "f": {"0": "1+i", "1": "2"}},
+]
+FUZZ_TP_PARAMS = [
+    {"example_family": {"d_seq": {"1": "3"}}},
+    {"example_family": {"d_seq": {"0": "3"}, "c": {"1": "2"}}},
+    {"alpha": "0", "d": [[0, 0, 0, "5"]]},
+    {"alpha": "1", "c": {"0": "1"}, "d": [[0, 1, 0, "1/2"]]},
+]
+# (field, value) pairs outside the schema, and one degree out of index range
+FUZZ_CORRUPTIONS = [
+    ("command", "other"),
+    ("windows", {"domain": [2, -2]}),
+    ("windows", {"core": [1, 0]}),
+    ("windows", {"index": [True, 1]}),
+    ("windows", {"equation": [0, False]}),
+    ("windows", {"basis": [-1]}),
+    ("windows", {"image": "[0,1]"}),
+    ("windows", {"domain": [0.5, 1]}),
+    ("budget", -1),
+    ("budget", 0),
+    ("budget", True),
+    ("seed", False),
+    ("degree", True),
+    ("degree", 10**30),
+    ("max_rounds", -1),
+    ("max_rounds", True),
+    ("algebra", {"kind": "a-f-k", "k": True, "f": {"0": "1"}}),
+    ("algebra", {"kind": "a-f-k", "k": 0, "f": {}}),
+    ("algebra", {"kind": "a-f-k", "k": 0, "f": {"x": "1"}}),
+    ("algebra", {"kind": "nope"}),
+    ("generators", [["N", 0]]),
+    ("generators", []),
+    ("tp_params", {"alpha": True}),
+    ("tp_params", {"d": [[0, -1, 0]]}),
+    ("mode", "both"),
+]
+def small_windows(size):
+    def from_lo(lo):
+        return st.integers(lo, lo + size - 1).map(lambda hi: [lo, hi])
+
+    return st.one_of(st.just([0, 0]), st.integers(-2, 2).flatmap(from_lo))
+
+
+SMALL_WINDOW = small_windows(3)
+
+
+@st.composite
+def config_docs(draw, command):
+    """A config document for command on small windows ([0,0] included),
+    with up to two fields then replaced from FUZZ_CORRUPTIONS."""
+    doc = {}
+    if draw(st.booleans()):
+        doc["command"] = command
+    afk_only = command in ("build-tp", "verify-tp")
+    doc["algebra"] = draw(st.sampled_from(FUZZ_ALGEBRAS[2:] if afk_only else FUZZ_ALGEBRAS))
+    # domain and equation are always set: the defaults, [-10,10] for a
+    # solve and [-2,2] for the fundamental identity, take seconds
+    doc["windows"] = draw(
+        st.fixed_dictionaries(
+            {"domain": small_windows(5), "equation": SMALL_WINDOW},
+            optional={name: SMALL_WINDOW for name in ("core", "image", "index", "basis")},
+        )
+    )
+    optional = {
+        "mode": st.sampled_from(["exhaustive", "randomized"]),
+        "budget": st.integers(1, 50),
+        "seed": st.integers(-(2**70), 2**70),
+        "degree": st.integers(-3, 3),
+        "generators": st.lists(
+            st.tuples(st.sampled_from(["L", "M"]), st.integers(-3, 3)).map(list),
+            min_size=1,
+            max_size=3,
+        ),
+        "max_rounds": st.integers(0, 3),
+    }
+    if afk_only:
+        doc["tp_params"] = draw(st.sampled_from(FUZZ_TP_PARAMS))
+    for key, values in optional.items():
+        if draw(st.booleans()):
+            doc[key] = draw(values)
+    for key, value in draw(st.lists(st.sampled_from(FUZZ_CORRUPTIONS), max_size=2)):
+        doc[key] = value
+    return doc
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), command=st.sampled_from(COMMANDS))
+def test_cli_fuzz_exits_0_1_or_2_without_traceback(data, command):
+    doc = data.draw(config_docs(command))
+    code, err = _main_on(command, doc)
+    assert code in (0, 1, 2), (command, doc, err)
+    assert "Traceback" not in err
+    assert (code == 2) == err.startswith("error: "), err
+
+
+OVERSIZED = [-200, 200]
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    case=st.sampled_from(
+        [
+            ("check-laws", {"domain": OVERSIZED}),
+            ("check-laws", {"equation": OVERSIZED}),
+            ("solve-derivations", {"domain": OVERSIZED}),
+            ("solve-derivations", {"domain": OVERSIZED, "equation": OVERSIZED}),
+            ("tp-triviality", {"index": OVERSIZED, "basis": OVERSIZED}),
+            ("tp-triviality", {"domain": OVERSIZED}),
+        ]
+    ),
+    # the solver takes no omega-form algebra
+    algebra=st.sampled_from([FUZZ_ALGEBRAS[0], *FUZZ_ALGEBRAS[2:]]),
+    degree=st.integers(-3, 3),
+)
+def test_cli_fuzz_oversized_windows_hit_the_budget(case, algebra, degree):
+    command, windows = case
+    code, err = _main_on(command, {"algebra": algebra, "windows": windows, "degree": degree})
+    assert code == 2
+    assert re.fullmatch(r"error: .* needs \d+ .*, budget is 2000000\n", err), err
 
 
 @pytest.mark.parametrize(

@@ -1,12 +1,20 @@
+import itertools
 import random
 
 import pytest
 
-from translie.algebras import a_omega_delta, afk, functional, uniform_shift
-from translie.checks import check_one_third_derivation, window
-from translie.elements import L, M
-from translie.errors import EmptySystemError
-from translie.linalg import nullspace, residual_rows, unknown
+from translie.algebras import (
+    a_omega_delta,
+    afk,
+    bracket_eval,
+    functional,
+    omega_form,
+    uniform_shift,
+)
+from translie.checks import DEFAULT_EXHAUSTIVE_CAP, check_one_third_derivation, window
+from translie.elements import BasisSymbol, Element, L, M
+from translie.errors import BudgetExceededError, EmptySystemError
+from translie.linalg import ConstraintSystem, nullspace, residual_rows, unknown
 from translie.scalars import ONE, Scalar
 from translie.solver import (
     afk_family_operator,
@@ -87,6 +95,106 @@ def test_core_must_respect_boundary_margin():
 def test_empty_system():
     with pytest.raises(EmptySystemError):
         assemble_system(a_omega_delta(), graded_ansatz(0, window(5, 6)), window(-1, 1))
+
+
+def test_single_index_equation_window_gives_no_equation():
+    """Every triple over one index repeats a symbol, so none is an equation."""
+    with pytest.raises(EmptySystemError, match="no triple of distinct symbols"):
+        assemble_system(a_omega_delta(), graded_ansatz(0, window(-2, 2)), window(0, 0))
+
+
+def _oracle_system(bdef, ansatz, eq_window):
+    """The law on every ordered triple of all eight family orders, evaluated
+    on Elements through bracket_eval, one Element per unknown."""
+    system = ConstraintSystem()
+    for uid in ansatz.unknown_ids():
+        system.register(uid)
+    symbols = [BasisSymbol(fam, i) for fam in "LM" for i in eq_window.indices()]
+    for x, y, z in itertools.product(symbols, repeat=3):
+        if any(ansatz.images(sym) is None for sym in (x, y, z)):
+            continue
+        ex, ey, ez = Element.basis(x), Element.basis(y), Element.basis(z)
+        bracket = bracket_eval(bdef, ex, ey, ez)
+        if any(ansatz.images(sym) is None for sym in bracket.support()):
+            continue
+        defect = {}
+
+        def add(uid, element):
+            defect[uid] = defect.get(uid, Element()) + element
+
+        for out, coeff in bracket.terms.items():
+            for uid, img in ansatz.images(out):
+                add(uid, Element({img: Scalar(3) * coeff}))
+        for uid, img in ansatz.images(x):
+            add(uid, -bracket_eval(bdef, Element.basis(img), ey, ez))
+        for uid, img in ansatz.images(y):
+            add(uid, -bracket_eval(bdef, ex, Element.basis(img), ez))
+        for uid, img in ansatz.images(z):
+            add(uid, -bracket_eval(bdef, ex, ey, Element.basis(img)))
+        for out in {sym for element in defect.values() for sym in element.terms}:
+            system.add_row({uid: element.coefficient(out) for uid, element in defect.items()})
+    return system
+
+
+ORACLE_CASES = {
+    **{
+        f"a-omega-delta-degree{g}": (a_omega_delta(), graded_ansatz(g, window(-3, 3)), window(-3, 3))
+        for g in range(-2, 3)
+    },
+    "omega-form": (omega_form(), graded_ansatz(1, window(-3, 3)), window(-3, 3)),
+    "a-f-k-fractional": (
+        afk(1, functional({0: Scalar.parse("1/2"), 1: Scalar.parse("-2/3")})),
+        full_window_ansatz(window(-2, 2), window(-2, 2)),
+        window(-2, 2),
+    ),
+    "a-f-k-gaussian": (
+        afk(1, functional({0: Scalar.parse("1+i"), 1: 2})),
+        full_window_ansatz(window(-2, 2), window(-2, 2)),
+        window(-2, 2),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_canonical_triples_match_every_ordered_triple(case):
+    """Assembling canonical triples only loses no constraint."""
+    bdef, ansatz, eq_window = ORACLE_CASES[case]
+    canonical = assemble_system(bdef, ansatz, eq_window)
+    oracle = _oracle_system(bdef, ansatz, eq_window)
+    assert canonical.unknowns == oracle.unknowns
+    assert set(canonical.distinct) == set(oracle.distinct)
+    assert nullspace(canonical).basis == nullspace(oracle).basis
+    assert len(canonical.rows) < len(oracle.rows)
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_provenance_indices_increase_within_a_family(case):
+    system = assemble_system(*ORACLE_CASES[case])
+    for pattern, *indices, _ in system.provenance:
+        for a in (0, 1):
+            if pattern[a] == pattern[a + 1]:
+                assert indices[a] < indices[a + 1], (pattern, indices)
+
+
+def test_assembly_over_budget_raises_before_enumerating():
+    """2*C(n,2)*n + 2*C(n,3) triples for n equation indices: 1,949,476 at
+    n = 114 is inside the budget, 2,001,460 at n = 115 is not."""
+    ansatz = graded_ansatz(0, window(-3, 3))
+    with pytest.raises(EmptySystemError):
+        assemble_system(a_omega_delta(), ansatz, window(100, 213))
+    with pytest.raises(BudgetExceededError) as exc:
+        assemble_system(a_omega_delta(), ansatz, window(100, 214))
+    assert str(exc.value) == (
+        f"assembly needs 2001460 equation triples, budget is {DEFAULT_EXHAUSTIVE_CAP}"
+    )
+
+
+def test_triviality_over_budget_raises():
+    """2*|basis|^2*|index| rows, half of that without the M-family rows."""
+    with pytest.raises(BudgetExceededError, match="needs 4000000 rows"):
+        tp_triviality_system(window(0, 1), window(0, 999))
+    with pytest.raises(BudgetExceededError, match="needs 3000000 rows"):
+        tp_triviality_system(window(0, 2), window(0, 999), include_m_rows=False)
 
 
 def test_solver_solution_passes_forward_check():
