@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import lcm
 
-from .elements import BasisSymbol, Element, L, M, add_terms, check_index
+from .elements import BasisSymbol, Element, L, M, check_index, extend
 from .errors import DomainError
 from .scalars import Scalar, ZERO, ONE, from_int
 
@@ -74,9 +74,6 @@ class FiniteFunctional:
                 if fv:
                     total = total + coeff * fv
         return total
-
-    def as_dict(self):
-        return dict(self.values)
 
 
 def functional(mapping):
@@ -193,17 +190,7 @@ def afk(k, f):
 
 def bracket_eval(bdef, x, y, z):
     """Trilinear extension of the bracket to arbitrary Elements."""
-    acc = {}
-    for sx, cx in x.terms.items():
-        for sy, cy in y.terms.items():
-            cxy = cx * cy
-            if not cxy:
-                continue
-            for sz, cz in z.terms.items():
-                coeff = cxy * cz
-                if coeff:
-                    add_terms(acc, coeff, bdef.terms(sx, sy, sz))
-    return Element(acc)
+    return Element(extend(bdef.terms, x.terms, y.terms, z.terms))
 
 
 ALGEBRA_A = "algebra-a"
@@ -253,13 +240,7 @@ def zero_product():
 
 def product_eval(pdef, x, y):
     """Bilinear extension of the product to arbitrary Elements."""
-    acc = {}
-    for sx, cx in x.terms.items():
-        for sy, cy in y.terms.items():
-            coeff = cx * cy
-            if coeff:
-                add_terms(acc, coeff, pdef.terms(sx, sy))
-    return Element(acc)
+    return Element(extend(pdef.terms, x.terms, y.terms))
 
 
 INDEX_SCALING = "index-scaling"
@@ -321,10 +302,7 @@ class LinearOperator:
         raise ValueError(f"unknown operator kind {kind!r}")
 
     def apply(self, element):
-        acc = {}
-        for sym, coeff in element.terms.items():
-            add_terms(acc, coeff, self.terms(sym))
-        return Element(acc)
+        return Element(extend(self.terms, element.terms))
 
 
 def index_scaling():

@@ -28,14 +28,15 @@ import functools
 import itertools
 import random
 from dataclasses import dataclass, field
+from math import comb
 from typing import NamedTuple
 
-from .algebras import a_omega_delta, algebra_a, bracket_eval, m_negation, omega_form
-from .elements import BasisSymbol, Element, L, M, add_terms
-from .errors import BudgetExceededError
+from .algebras import a_omega_delta, algebra_a, m_negation, omega_form
+from .elements import BasisSymbol, Element, L, M, add_terms, extend
+from .errors import DEFAULT_EXHAUSTIVE_CAP, BudgetExceededError
+from .linalg import _clear, _monic, _normal_form
 from .scalars import from_int
 
-DEFAULT_EXHAUSTIVE_CAP = 2_000_000
 DEFAULT_SAMPLES = 10_000
 # entries each kernel memo keeps: more than the ~12,000 distinct calls of
 # the largest exhaustive check the CLI and the benchmark run (the
@@ -502,8 +503,17 @@ def generator_closure(bdef, gens, w, max_rounds=16, margin=None):
     true once every basis symbol of the window reduces to zero against the
     span, tested by exact row reduction.
 
-    Raises BudgetExceededError when max_rounds elapse while the span is
-    still growing short of the target.
+    The span basis holds one row per leading symbol in linalg's normal
+    form and reduces by leading symbol only, with linalg's _clear.  Rows
+    are bracketed through int_terms when the bracket is integral and every
+    generator is real, else in Scalars with the integer forms made monic.
+    Each row is a nonzero multiple of the monic row, so supports, spans and
+    the result do not depend on the coefficient type.  A round brackets
+    the rows it started with only, so each result is inserted as it comes.
+
+    Raises BudgetExceededError before a round that would bracket more
+    triples than the exhaustive budget, and when max_rounds elapse while
+    the span is still growing short of the target.
     """
     if not gens:
         raise ValueError("generator_closure requires at least one generator")
@@ -511,77 +521,61 @@ def generator_closure(bdef, gens, w, max_rounds=16, margin=None):
         margin = w.size
     extended = Window(w.lo - margin, w.hi + margin)
     targets = window_symbols(w)
+    integer = getattr(bdef, "integral", False) and not any(
+        c.im for g in gens for c in g.terms.values()
+    )
+    one = 1 if integer else from_int(1)
+    kernel = bdef.int_terms if integer else bdef.terms
+    rows = {}  # leading symbol -> pivot row, a map symbol -> coefficient
 
-    rows = {}  # leading symbol -> monic Element
+    def reduce(row):
+        while row and min(row) in rows:
+            lead = min(row)
+            _clear(row, lead, rows[lead], integer)
+        return row
 
-    def reduce(elem):
-        cur = dict(elem.terms)
-        while cur:
-            lead = min(cur)
-            row = rows.get(lead)
-            if row is None:
-                return cur
-            factor = cur[lead]
-            for sym, coeff in row.terms.items():
-                val = factor * coeff
-                have = cur.get(sym)
-                if have is None:
-                    cur[sym] = -val
-                else:
-                    have = have - val
-                    if have:
-                        cur[sym] = have
-                    else:
-                        del cur[sym]
-        return cur
+    def typed(row):
+        """The row's normal form in this closure's coefficient type."""
+        form = _normal_form(row)
+        return dict(form if integer else _monic(form))
 
-    def insert(elem):
-        rem = reduce(elem)
-        if not rem:
+    def insert(row):
+        if not reduce(row):
             return False
-        lead = min(rem)
-        inv = rem[lead]
-        rows[lead] = Element({s: c / inv for s, c in rem.items()})
+        rows[min(row)] = typed(row)
         return True
 
-    def in_extended(elem):
-        return all(extended.contains(sym.index) for sym in elem.terms)
-
-    def spanned_now():
-        return all(not reduce(Element.basis(t)) for t in targets)
+    def missing():
+        return [t for t in targets if reduce({t: one})]
 
     for g in gens:
-        insert(g)
-    added = list(rows.values())
-
-    if spanned_now():
+        if g:
+            insert(typed(g.terms))
+    if not missing():
         return ClosureResult(True, 0, [])
 
     old_start = 0
-    rounds_used = 0
     for round_no in range(1, max_rounds + 1):
-        rounds_used = round_no
-        snapshot = added
+        snapshot = list(rows.values())
         n = len(snapshot)
-        candidates = []
-        for i, j, k in itertools.combinations(range(n), 3):
-            if k < old_start:
-                continue
-            br = bracket_eval(bdef, snapshot[i], snapshot[j], snapshot[k])
-            if br and in_extended(br):
-                candidates.append(br)
-        old_start = n
-        grew = False
-        for cand in candidates:
-            if insert(cand):
-                grew = True
-        added = list(rows.values())
-        if spanned_now():
-            return ClosureResult(True, rounds_used, [])
-        if not grew:
-            return ClosureResult(
-                False, rounds_used, [t for t in targets if reduce(Element.basis(t))]
+        triples = comb(n, 3) - comb(old_start, 3)
+        if triples > DEFAULT_EXHAUSTIVE_CAP:
+            raise BudgetExceededError(
+                f"closure round {round_no} needs {triples} bracket triples, "
+                f"budget is {DEFAULT_EXHAUSTIVE_CAP}"
             )
+        grew = False
+        for i, j in itertools.combinations(range(n), 2):
+            for k in range(max(j + 1, old_start), n):
+                br = extend(kernel, snapshot[i], snapshot[j], snapshot[k])
+                if br and all(extended.contains(sym.index) for sym in br):
+                    grew = insert(br) or grew
+        old_start = n
+        left = missing()
+        if not left:
+            return ClosureResult(True, round_no, [])
+        if not grew:
+            return ClosureResult(False, round_no, left)
     raise BudgetExceededError(
         f"generator closure still growing after {max_rounds} rounds"
     )

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import IndexOverflowError
-from .scalars import Scalar, ZERO, ONE
+from .scalars import Scalar, ZERO, ONE, MINUS_ONE
 
 # Indices are kept within the signed 64-bit range so that index sums in
 # structure constants stay machine-checked rather than silently huge.
@@ -78,10 +78,8 @@ class Element:
     @staticmethod
     def from_terms(*pairs):
         acc = {}
-        for sym, coeff in pairs:
-            if not isinstance(coeff, Scalar):
-                coeff = Scalar(coeff)
-            _accumulate(acc, sym, coeff)
+        terms = [(c if isinstance(c, Scalar) else Scalar(c), s) for s, c in pairs]
+        add_terms(acc, ONE, terms)
         return Element(acc)
 
     # -- queries ------------------------------------------------------------
@@ -108,16 +106,10 @@ class Element:
     # -- arithmetic -----------------------------------------------------------
 
     def __add__(self, other):
-        acc = dict(self.terms)
-        for sym, coeff in other.terms.items():
-            _accumulate(acc, sym, coeff)
-        return Element(acc)
+        return combine(ONE, self, ONE, other)
 
     def __sub__(self, other):
-        acc = dict(self.terms)
-        for sym, coeff in other.terms.items():
-            _accumulate(acc, sym, -coeff)
-        return Element(acc)
+        return combine(ONE, self, MINUS_ONE, other)
 
     def __neg__(self):
         return Element({sym: -coeff for sym, coeff in self.terms.items()})
@@ -150,19 +142,6 @@ class Element:
 _ZERO_ELEMENT = Element()
 
 
-def _accumulate(acc, sym, coeff):
-    cur = acc.get(sym)
-    if cur is None:
-        if coeff:
-            acc[sym] = coeff
-    else:
-        cur = cur + coeff
-        if cur:
-            acc[sym] = cur
-        else:
-            del acc[sym]
-
-
 def add_terms(acc, scale, terms):
     """acc += scale * terms for a list of (coefficient, symbol) terms, in
     place; zero coefficients are never stored."""
@@ -180,13 +159,31 @@ def add_terms(acc, scale, terms):
                 del acc[sym]
 
 
+def extend(kernel, *maps):
+    """The multilinear extension of a basis-level kernel to sparse maps.
+
+    kernel(*symbols) gives a list of (coefficient, symbol) terms; each map
+    is symbol -> coefficient.  Returns the sparse map of the sum, over one
+    symbol from each map, of the product of their coefficients times the
+    kernel's terms.  Coefficients may be ints or Scalars, not mixed.
+    """
+    first, *rest = maps
+    prefixes = [((sym,), coeff) for sym, coeff in first.items()]
+    for m in rest:
+        prefixes = [
+            (syms + (sym,), scale * coeff)
+            for syms, scale in prefixes
+            for sym, coeff in m.items()
+        ]
+    acc = {}
+    for syms, scale in prefixes:
+        add_terms(acc, scale, kernel(*syms))
+    return acc
+
+
 def combine(a, x, b, y):
     """a*x + b*y with zero terms pruned."""
     acc = {}
-    if a:
-        for sym, coeff in x.terms.items():
-            _accumulate(acc, sym, a * coeff)
-    if b:
-        for sym, coeff in y.terms.items():
-            _accumulate(acc, sym, b * coeff)
+    add_terms(acc, a, [(c, s) for s, c in x.terms.items()])
+    add_terms(acc, b, [(c, s) for s, c in y.terms.items()])
     return Element(acc)

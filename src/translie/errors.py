@@ -1,7 +1,11 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the default budget.
 
 Division by zero scalars raises the builtin ZeroDivisionError.
 """
+
+# cases, triples, rows or dense entries an exhaustive enumeration may need
+# before it raises BudgetExceededError instead of starting
+DEFAULT_EXHAUSTIVE_CAP = 2_000_000
 
 
 class TransLieError(Exception):

@@ -24,7 +24,12 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import NamedTuple
 
-from .errors import UnknownNotFoundError, VerificationError
+from .errors import (
+    DEFAULT_EXHAUSTIVE_CAP,
+    BudgetExceededError,
+    UnknownNotFoundError,
+    VerificationError,
+)
 from .scalars import Scalar, ZERO, ONE, from_int
 
 
@@ -205,13 +210,15 @@ def _lifted(forms):
     """
     if all(type(form[0][1]) is int for form in forms):
         return forms, True
-    out = {}
-    for form in forms:
-        lead = form[0][1]
-        if type(lead) is int:
-            form = tuple((col, Scalar(Fraction(v, lead))) for col, v in form)
-        out[form] = None
-    return list(out), False
+    return list(dict.fromkeys(_monic(form) for form in forms)), False
+
+
+def _monic(form):
+    """A normal form as a monic Scalar form."""
+    lead = form[0][1]
+    if type(lead) is not int:
+        return form
+    return tuple((col, Scalar(Fraction(v, lead))) for col, v in form)
 
 
 def _rref(forms, integer):
@@ -294,11 +301,19 @@ def nullspace(system, verify=True):
 
     dimension = num_unknowns - rank(A) by construction; when verify is
     set, every basis vector is substituted back into every row, and a
-    residual raises VerificationError naming the row's provenance.
+    residual raises VerificationError naming the row's provenance.  The
+    dense basis (dimension × num_unknowns entries) is checked against the
+    budget before it is built.
     """
     n = system.num_unknowns
     forms, integer = _lifted(list(system.distinct))
     pivots = _rref(forms, integer)
+    entries = (n - len(pivots)) * n
+    if entries > DEFAULT_EXHAUSTIVE_CAP:
+        raise BudgetExceededError(
+            f"nullspace basis needs {entries} entries ({n - len(pivots)} vectors of "
+            f"{n} unknowns), budget is {DEFAULT_EXHAUSTIVE_CAP}"
+        )
     one = 1 if integer else ONE
     free = {j: {j: one} for j in range(n) if j not in pivots}
     for lead, prow in pivots.items():

@@ -230,13 +230,23 @@ def solve_and_classify(bdef, ansatz, eq_window, core, boundary_margin=None):
     the functional-bracket algebra with a full-window ansatz (expected:
     diagonal-constant action on L, none of M in the L image, the M-to-L
     block proportional to the functional, and weighted M-block row sums
-    matching the diagonal constant).
+    matching the diagonal constant).  The windows are checked before
+    anything is assembled: the core keeps the margin from the domain
+    boundary, lies inside a full-window ansatz's image and contains the
+    functional's support.
     """
     domain = ansatz.domain
     margin = default_boundary_margin(domain) if boundary_margin is None else boundary_margin
     if core.lo < domain.lo + margin or core.hi > domain.hi - margin:
         raise ValueError(
             f"core {core} too close to the domain boundary {domain} (margin {margin})"
+        )
+    image = ansatz.image
+    if image is not None and (core.lo < image.lo or core.hi > image.hi):
+        raise ValueError(f"core {core} is not inside the image window {image}")
+    if bdef.kind == AFK and any(not core.contains(j) for j in bdef.f.support):
+        raise ValueError(
+            f"the functional's support {bdef.f.support} is not inside the core {core}"
         )
 
     system = assemble_system(bdef, ansatz, eq_window)
@@ -301,9 +311,6 @@ def _classify_full_window(core_space, core, f, full_dim):
         f"functional value; core dimension {expected_dim}"
     )
     support = f.support
-    if any(not core.contains(j) for j in support):
-        raise ValueError("the functional's support must lie inside the core window")
-
     offending = []
     for idx in range(core_space.dimension):
         vec = core_space.vector_as_dict(idx, skip_zero=False)

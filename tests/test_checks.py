@@ -9,6 +9,7 @@ from translie.algebras import (
     family_swap,
     functional,
     index_scaling,
+    omega_form,
     scalar_multiple,
     scaled_l_shift,
     uniform_shift,
@@ -27,9 +28,9 @@ from translie.checks import (
     generator_closure,
     window,
 )
-from translie.elements import Element, L, M
+from translie.elements import Element, L, M, parse_symbol
 from translie.errors import BudgetExceededError
-from translie.scalars import from_int
+from translie.scalars import Scalar, from_int
 from translie.tp import poisson_violation_witness
 
 
@@ -252,3 +253,243 @@ def test_generator_closure_monotone_in_generators():
 def test_generator_closure_budget():
     with pytest.raises(BudgetExceededError):
         generator_closure(a_omega_delta(), STANDARD_GENS, window(-6, 6), max_rounds=1)
+
+
+def test_generator_closure_round_budget():
+    """A round that would bracket more triples than the budget raises
+    before it brackets any: 230 rows give C(230,3) = 2,001,460 triples."""
+    gens = [Element.basis(s) for i in range(115) for s in (L(i), M(i))]
+    counting = CountingBracket(a_omega_delta())
+    with pytest.raises(
+        BudgetExceededError,
+        match="closure round 1 needs 2001460 bracket triples, budget is 2000000",
+    ):
+        generator_closure(counting, gens, window(-1, 1))
+    assert counting.calls == {"terms": 0, "int_terms": 0}
+
+
+# Closure results recorded with the Element-row closure this one replaced,
+# which reduced monic Fraction rows: (spanned, rounds_used, missing).
+CLOSURE_BRACKETS = {
+    "a-omega-delta": a_omega_delta(),
+    "omega-form": omega_form(),
+    "afk-int": afk(1, functional({0: 2, 1: -3})),
+    "afk-half": afk(1, functional({0: Scalar.parse("1/2")})),
+    "afk-gauss": afk(1, functional({0: Scalar.parse("1+i"), 1: 2})),
+}
+FRACTIONAL_GEN = Element({L(0): Scalar(1), M(1): Scalar.parse("1/2")})
+GAUSSIAN_GEN = Element({M(0): Scalar(1), L(1): Scalar.parse("1+i")})
+CLOSURE_GENS = {
+    "standard": STANDARD_GENS,
+    "fractional": [STANDARD_GENS[0], FRACTIONAL_GEN, *STANDARD_GENS[2:]],
+    "gaussian": [*STANDARD_GENS[:4], GAUSSIAN_GEN, STANDARD_GENS[5]],
+    "sparse-fractional": [FRACTIONAL_GEN, Element.basis(L(1)), Element.basis(M(-1))],
+    "sparse-gaussian": [GAUSSIAN_GEN, Element.basis(L(-1)), Element.basis(M(1))],
+}
+CLOSURE_WINDOWS = {"[-3,3]": window(-3, 3), "[-6,6]": window(-6, 6)}
+CLOSURE_EXPECTED = {
+    ("a-omega-delta", "standard", "[-3,3]"): (True, 2, ""),
+    ("a-omega-delta", "standard", "[-6,6]"): (True, 3, ""),
+    ("a-omega-delta", "fractional", "[-3,3]"): (True, 2, ""),
+    ("a-omega-delta", "fractional", "[-6,6]"): (True, 3, ""),
+    ("a-omega-delta", "gaussian", "[-3,3]"): (True, 2, ""),
+    ("a-omega-delta", "gaussian", "[-6,6]"): (True, 3, ""),
+    ("a-omega-delta", "sparse-fractional", "[-3,3]"): (False, 6,
+        "L_-3 L_-2 L_-1 M_-3 M_-2"
+    ),
+    ("a-omega-delta", "sparse-fractional", "[-6,6]"): (False, 6,
+        "L_-6 L_-5 L_-4 L_-3 L_-2 L_-1 M_-6 M_-5 M_-4 M_-3 M_-2"
+    ),
+    ("a-omega-delta", "sparse-gaussian", "[-3,3]"): (False, 6, "L_-3 L_-2 M_-3 M_-2 M_-1"),
+    ("a-omega-delta", "sparse-gaussian", "[-6,6]"): (False, 6,
+        "L_-6 L_-5 L_-4 L_-3 L_-2 M_-6 M_-5 M_-4 M_-3 M_-2 M_-1"
+    ),
+    ("omega-form", "standard", "[-3,3]"): (True, 2, ""),
+    ("omega-form", "standard", "[-6,6]"): (True, 3, ""),
+    ("omega-form", "fractional", "[-3,3]"): (True, 2, ""),
+    ("omega-form", "fractional", "[-6,6]"): (True, 3, ""),
+    ("omega-form", "gaussian", "[-3,3]"): (True, 2, ""),
+    ("omega-form", "gaussian", "[-6,6]"): (True, 3, ""),
+    ("omega-form", "sparse-fractional", "[-3,3]"): (False, 5,
+        "L_-3 L_-2 L_-1 L_0 L_3 M_-2 M_0 M_1 M_2 M_3"
+    ),
+    ("omega-form", "sparse-fractional", "[-6,6]"): (False, 5,
+        "L_-6 L_-5 L_-4 L_-3 L_-2 L_-1 L_0 L_3 M_-2 M_0 M_1 M_2 M_3 M_4 M_5 M_6"
+    ),
+    ("omega-form", "sparse-gaussian", "[-3,3]"): (False, 5,
+        "L_-2 L_0 L_1 L_2 L_3 M_-3 M_-2 M_-1 M_0 M_3"
+    ),
+    ("omega-form", "sparse-gaussian", "[-6,6]"): (False, 5,
+        "L_-2 L_0 L_1 L_2 L_3 L_4 L_5 L_6 M_-6 M_-5 M_-4 M_-3 M_-2 M_-1 M_0 M_3"
+    ),
+    ("afk-int", "standard", "[-3,3]"): (False, 5, "L_-3 L_-2 M_-3 M_-2 M_2 M_3"),
+    ("afk-int", "standard", "[-6,6]"): (False, 6,
+        "L_-6 L_-5 L_-4 L_-3 L_-2 M_-6 M_-5 M_-4 M_-3 M_-2 M_2 M_3 M_4 M_5 M_6"
+    ),
+    ("afk-int", "fractional", "[-3,3]"): (False, 5, "L_-3 L_-2 M_-3 M_-2 M_2 M_3"),
+    ("afk-int", "fractional", "[-6,6]"): (False, 6,
+        "L_-6 L_-5 L_-4 L_-3 L_-2 M_-6 M_-5 M_-4 M_-3 M_-2 M_2 M_3 M_4 M_5 M_6"
+    ),
+    ("afk-int", "gaussian", "[-3,3]"): (False, 5, "L_-3 L_-2 M_-3 M_-2 M_2 M_3"),
+    ("afk-int", "gaussian", "[-6,6]"): (False, 6,
+        "L_-6 L_-5 L_-4 L_-3 L_-2 M_-6 M_-5 M_-4 M_-3 M_-2 M_2 M_3 M_4 M_5 M_6"
+    ),
+    ("afk-int", "sparse-fractional", "[-3,3]"): (False, 1,
+        "L_-3 L_-2 L_-1 L_0 L_2 L_3 M_-3 M_-2 M_0 M_1 M_2 M_3"
+    ),
+    ("afk-int", "sparse-fractional", "[-6,6]"): (False, 1,
+        "L_-6 L_-5 L_-4 L_-3 L_-2 L_-1 L_0 L_2 L_3 L_4 L_5 L_6 M_-6 M_-5 M_-4 "
+        "M_-3 M_-2 M_0 M_1 M_2 M_3 M_4 M_5 M_6"
+    ),
+    ("afk-int", "sparse-gaussian", "[-3,3]"): (False, 2,
+        "L_-3 L_-2 L_0 L_2 L_3 M_-3 M_-2 M_-1 M_2 M_3"
+    ),
+    ("afk-int", "sparse-gaussian", "[-6,6]"): (False, 2,
+        "L_-6 L_-5 L_-4 L_-3 L_-2 L_0 L_2 L_3 L_4 L_5 L_6 M_-6 M_-5 M_-4 M_-3 "
+        "M_-2 M_-1 M_2 M_3 M_4 M_5 M_6"
+    ),
+    ("afk-half", "standard", "[-3,3]"): (False, 5, "L_-3 L_-2 M_-3 M_-2 M_2 M_3"),
+    ("afk-half", "standard", "[-6,6]"): (False, 6,
+        "L_-6 L_-5 L_-4 L_-3 L_-2 M_-6 M_-5 M_-4 M_-3 M_-2 M_2 M_3 M_4 M_5 M_6"
+    ),
+    ("afk-half", "fractional", "[-3,3]"): (False, 5, "L_-3 L_-2 M_-3 M_-2 M_2 M_3"),
+    ("afk-half", "fractional", "[-6,6]"): (False, 6,
+        "L_-6 L_-5 L_-4 L_-3 L_-2 M_-6 M_-5 M_-4 M_-3 M_-2 M_2 M_3 M_4 M_5 M_6"
+    ),
+    ("afk-half", "gaussian", "[-3,3]"): (False, 5, "L_-3 L_-2 M_-3 M_-2 M_2 M_3"),
+    ("afk-half", "gaussian", "[-6,6]"): (False, 6,
+        "L_-6 L_-5 L_-4 L_-3 L_-2 M_-6 M_-5 M_-4 M_-3 M_-2 M_2 M_3 M_4 M_5 M_6"
+    ),
+    ("afk-half", "sparse-fractional", "[-3,3]"): (False, 1,
+        "L_-3 L_-2 L_-1 L_0 L_2 L_3 M_-3 M_-2 M_0 M_1 M_2 M_3"
+    ),
+    ("afk-half", "sparse-fractional", "[-6,6]"): (False, 1,
+        "L_-6 L_-5 L_-4 L_-3 L_-2 L_-1 L_0 L_2 L_3 L_4 L_5 L_6 M_-6 M_-5 M_-4 "
+        "M_-3 M_-2 M_0 M_1 M_2 M_3 M_4 M_5 M_6"
+    ),
+    ("afk-half", "sparse-gaussian", "[-3,3]"): (False, 1,
+        "L_-3 L_-2 L_0 L_1 L_2 L_3 M_-3 M_-2 M_-1 M_0 M_2 M_3"
+    ),
+    ("afk-half", "sparse-gaussian", "[-6,6]"): (False, 1,
+        "L_-6 L_-5 L_-4 L_-3 L_-2 L_0 L_1 L_2 L_3 L_4 L_5 L_6 M_-6 M_-5 M_-4 M_-3 "
+        "M_-2 M_-1 M_0 M_2 M_3 M_4 M_5 M_6"
+    ),
+    ("afk-gauss", "standard", "[-3,3]"): (False, 5, "L_-3 L_-2 M_-3 M_-2 M_2 M_3"),
+    ("afk-gauss", "standard", "[-6,6]"): (False, 6,
+        "L_-6 L_-5 L_-4 L_-3 L_-2 M_-6 M_-5 M_-4 M_-3 M_-2 M_2 M_3 M_4 M_5 M_6"
+    ),
+    ("afk-gauss", "fractional", "[-3,3]"): (False, 5, "L_-3 L_-2 M_-3 M_-2 M_2 M_3"),
+    ("afk-gauss", "fractional", "[-6,6]"): (False, 6,
+        "L_-6 L_-5 L_-4 L_-3 L_-2 M_-6 M_-5 M_-4 M_-3 M_-2 M_2 M_3 M_4 M_5 M_6"
+    ),
+    ("afk-gauss", "gaussian", "[-3,3]"): (False, 5, "L_-3 L_-2 M_-3 M_-2 M_2 M_3"),
+    ("afk-gauss", "gaussian", "[-6,6]"): (False, 6,
+        "L_-6 L_-5 L_-4 L_-3 L_-2 M_-6 M_-5 M_-4 M_-3 M_-2 M_2 M_3 M_4 M_5 M_6"
+    ),
+    ("afk-gauss", "sparse-fractional", "[-3,3]"): (False, 1,
+        "L_-3 L_-2 L_-1 L_0 L_2 L_3 M_-3 M_-2 M_0 M_1 M_2 M_3"
+    ),
+    ("afk-gauss", "sparse-fractional", "[-6,6]"): (False, 1,
+        "L_-6 L_-5 L_-4 L_-3 L_-2 L_-1 L_0 L_2 L_3 L_4 L_5 L_6 M_-6 M_-5 M_-4 "
+        "M_-3 M_-2 M_0 M_1 M_2 M_3 M_4 M_5 M_6"
+    ),
+    ("afk-gauss", "sparse-gaussian", "[-3,3]"): (False, 2,
+        "L_-3 L_-2 L_0 L_2 L_3 M_-3 M_-2 M_-1 M_2 M_3"
+    ),
+    ("afk-gauss", "sparse-gaussian", "[-6,6]"): (False, 2,
+        "L_-6 L_-5 L_-4 L_-3 L_-2 L_0 L_2 L_3 L_4 L_5 L_6 M_-6 M_-5 M_-4 M_-3 "
+        "M_-2 M_-1 M_2 M_3 M_4 M_5 M_6"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(CLOSURE_EXPECTED), ids="|".join)
+def test_generator_closure_matches_recorded_results(case):
+    bracket, gens, w = case
+    result = generator_closure(
+        CLOSURE_BRACKETS[bracket], CLOSURE_GENS[gens], CLOSURE_WINDOWS[w], max_rounds=6
+    )
+    spanned, rounds_used, missing = CLOSURE_EXPECTED[case]
+    assert result == (spanned, rounds_used, [parse_symbol(t) for t in missing.split()])
+
+
+class CountingBracket:
+    """A bracket that counts which of its two kernels the closure calls."""
+
+    def __init__(self, bdef):
+        self.bdef = bdef
+        self.integral = bdef.integral
+        self.calls = {"terms": 0, "int_terms": 0}
+
+    def terms(self, x, y, z):
+        self.calls["terms"] += 1
+        return self.bdef.terms(x, y, z)
+
+    def int_terms(self, x, y, z):
+        self.calls["int_terms"] += 1
+        return self.bdef.int_terms(x, y, z)
+
+
+@pytest.mark.parametrize(
+    "bracket, gens, kernel",
+    [
+        ("a-omega-delta", "fractional", "int_terms"),
+        ("afk-half", "sparse-fractional", "int_terms"),
+        ("a-omega-delta", "gaussian", "terms"),
+        ("afk-gauss", "standard", "terms"),
+    ],
+)
+def test_generator_closure_kernel_follows_the_coefficients(bracket, gens, kernel):
+    """Integer structure constants serve only real generators on an
+    integral bracket; a Gaussian generator or functional needs Scalars."""
+    counting = CountingBracket(CLOSURE_BRACKETS[bracket])
+    generator_closure(counting, CLOSURE_GENS[gens], window(-3, 3), max_rounds=6)
+    assert counting.calls[kernel] > 0
+    assert sum(counting.calls.values()) == counting.calls[kernel]
+
+
+def _element(terms):
+    return Element({parse_symbol(s): Scalar.parse(c) for s, c in terms.items()})
+
+
+# Narrow margins and mixed generators, where the rows kept (not only their
+# span) decide which brackets stay inside the extended window: reducing
+# earlier rows against each new pivot changes all four results.  Recorded
+# with the Element-row closure: (bracket, generators, window, max_rounds,
+# margin) -> (spanned, rounds_used, missing).
+BASIS_DEPENDENT_CASES = [
+    (
+        (omega_form(), [{"L_-2": "1"}, {"M_0": "1/2", "L_-1": "-2"}, {"M_-1": "1"},
+                        {"M_0": "-2", "M_2": "-2"}], (-3, 1), 3, 0),
+        (False, 2, "L_-3 L_-1 L_0 L_1 M_-3 M_-2 M_0"),
+    ),
+    (
+        (a_omega_delta(), [{"M_1": "1", "M_-2": "1"}, {"M_-2": "-2", "L_-2": "-2", "L_2": "1/2"},
+                           {"M_1": "1", "L_2": "-2"}, {"L_1": "-3/4", "M_2": "-2", "M_-2": "1/2"},
+                           {"L_2": "2i", "M_-2": "1"}], (-3, 2), 4, 0),
+        (False, 3, "L_-3 L_-1 L_0"),
+    ),
+    (
+        (afk(1, functional({-1: Scalar.parse("1/2")})),
+         [{"L_-1": "1/2"}, {"M_0": "1"}, {"L_1": "1/2", "L_0": "1/2", "M_0": "1"},
+          {"L_1": "1", "L_-2": "1/2", "L_2": "-3/4"}, {"M_2": "1/2", "M_0": "1", "M_-1": "1/2"}],
+         (-1, 2), 2, 1),
+        (False, 2, "M_-1 M_1 M_2"),
+    ),
+    (
+        (afk(2, functional({-1: -2})),
+         [{"M_-1": "1+i"}, {"L_0": "2i", "L_-1": "-2", "M_1": "1"},
+          {"L_-1": "1/2", "L_0": "1+i", "M_-2": "-2"}], (-1, 3), 3, 1),
+        (False, 3, "L_-1 L_0 M_0 M_1 M_2 M_3"),
+    ),
+]
+
+
+@pytest.mark.parametrize("case, expected", BASIS_DEPENDENT_CASES)
+def test_generator_closure_basis_dependent_cases(case, expected):
+    bdef, gens, (lo, hi), max_rounds, margin = case
+    result = generator_closure(
+        bdef, [_element(g) for g in gens], window(lo, hi), max_rounds=max_rounds, margin=margin
+    )
+    spanned, rounds_used, missing = expected
+    assert result == (spanned, rounds_used, [parse_symbol(t) for t in missing.split()])

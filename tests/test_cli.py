@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -538,3 +539,101 @@ def test_verify_tp_gaussian_functional_end_to_end(tmp_path, side, family, classi
         assert params["alpha"] == "3+3i"
         assert not dichotomy["poisson_law_passed"]
         assert dichotomy["witness"]["residual"]
+
+
+def test_generators_round_over_budget_exits_2_before_bracketing(tmp_path, capsys, monkeypatch):
+    """Every symbol of [-120,120] as a generator: 482 rows, so round 1
+    would bracket C(482,3) triples."""
+    from translie import checks
+
+    def no_bracket(*args):
+        raise AssertionError("bracketed a round over budget")
+
+    monkeypatch.setattr(checks, "extend", no_bracket)
+    path = tmp_path / "wide.json"
+    path.write_text(
+        cfg_text(
+            command="generators",
+            algebra={"kind": "a-omega-delta"},
+            windows={"domain": [-130, 130]},
+            generators=[[fam, i] for fam in ("L", "M") for i in range(-120, 121)],
+        )
+    )
+    assert main(["generators", "--config", str(path), "--quiet"]) == 2
+    assert capsys.readouterr().err == (
+        "error: closure round 1 needs 18547360 bracket triples, budget is 2000000\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "algebra, windows, message",
+    [
+        (
+            {"kind": "a-f-k", "k": 1, "f": {"0": "1"}},
+            {"domain": [-6, 6], "core": [-3, 3], "image": [4, 6]},
+            "error: core [-3,3] is not inside the image window [4,6]\n",
+        ),
+        (
+            {"kind": "a-f-k", "k": 1, "f": {"0": "1", "5": "2"}},
+            {"domain": [-6, 6], "core": [-3, 3]},
+            "error: the functional's support [0, 5] is not inside the core [-3,3]\n",
+        ),
+    ],
+)
+def test_solve_windows_checked_before_assembly(
+    algebra, windows, message, tmp_path, capsys, monkeypatch
+):
+    def no_system(*args, **kwargs):
+        raise AssertionError("built a system for unusable windows")
+
+    monkeypatch.setattr(solver, "ConstraintSystem", no_system)
+    path = tmp_path / "cfg.json"
+    path.write_text(cfg_text(command="solve-derivations", algebra=algebra, windows=windows))
+    assert main(["solve-derivations", "--config", str(path), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err == message
+    assert len(err) < 200
+
+
+NARROW_EQUATION = dict(
+    command="solve-derivations",
+    algebra={"kind": "a-f-k", "k": 1, "f": {"0": "1"}},
+    windows={"domain": [-2, 2], "equation": [-1, 1], "core": [-1, 1]},
+)
+
+
+def test_dense_nullspace_basis_over_budget_exits_2(tmp_path, capsys):
+    """A wide image and a narrow equation window leave 1,446 free columns
+    over 2,420 unknowns; the dense basis would hold 3,499,320 entries."""
+    doc = dict(NARROW_EQUATION, windows=dict(NARROW_EQUATION["windows"], image=[-60, 60]))
+    path = tmp_path / "cfg.json"
+    path.write_text(cfg_text(**doc))
+    assert main(["solve-derivations", "--config", str(path), "--quiet"]) == 2
+    assert capsys.readouterr().err == (
+        "error: nullspace basis needs 3499320 entries (1446 vectors of 2420 unknowns), "
+        "budget is 2000000\n"
+    )
+
+
+def test_dense_nullspace_basis_under_budget_runs(tmp_path):
+    """966 free columns over 1,620 unknowns (1,564,920 entries) stay within
+    the budget; the report is the one recorded before the budget existed."""
+    doc = dict(NARROW_EQUATION, windows=dict(NARROW_EQUATION["windows"], image=[-40, 40]))
+    path = tmp_path / "cfg.json"
+    path.write_text(cfg_text(**doc))
+    out = tmp_path / "report.json"
+    assert main(["solve-derivations", "--config", str(path), "--out", str(out), "--quiet"]) == 1
+    assert json.loads(out.read_text())["entries"][0]["details"]["full_dimension"] == 966
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "9d05b7e3ac1123929b843373b16efc52bf3105c3a711cd8ec10e81247843efc7"
+    )
+
+
+@pytest.mark.parametrize("timing", [False, True])
+def test_console_summary_shows_elapsed_only_with_timing(timing, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(cfg_text(command="tp-triviality", windows={"domain": [-1, 1]}))
+    assert main(["tp-triviality", "--config", str(path)] + ["--timing"] * timing) == 0
+    out = capsys.readouterr().out
+    assert "[pass] tp-triviality" in out
+    assert ("elapsed:" in out) == timing

@@ -1,6 +1,6 @@
 import pytest
 
-from translie.elements import Element, L, M, combine, parse_symbol
+from translie.elements import Element, L, M, combine, extend, parse_symbol
 from translie.errors import IndexOverflowError
 from translie.scalars import Scalar, from_int
 
@@ -68,3 +68,40 @@ def test_element_immutable():
     e = Element.basis(L(0))
     with pytest.raises(AttributeError):
         e.terms = {}
+
+
+def _sum_kernel(*syms):
+    """Basis-level kernel: the tuple goes to the L symbol at its index sum
+    with coefficient 2, and to M_0 with coefficient -1 when it has an M."""
+    out = [(2, L(sum(s.index for s in syms)))]
+    if any(s.family == "M" for s in syms):
+        out.append((-1, M(0)))
+    return out
+
+
+def test_extend_is_the_multilinear_sum():
+    x = {L(1): 3, M(2): -1}
+    y = {L(0): 2, L(-1): 5}
+    expected = {}
+    for sx, cx in x.items():
+        for sy, cy in y.items():
+            for coeff, sym in _sum_kernel(sx, sy):
+                expected[sym] = expected.get(sym, 0) + cx * cy * coeff
+    assert extend(_sum_kernel, x, y) == {s: c for s, c in expected.items() if c}
+    # only the pairs with M_2 reach M_0: (-1) * (2 + 5) * (-1)
+    assert extend(_sum_kernel, x, y)[M(0)] == 7
+
+
+def test_extend_scalars_cancellation_and_empty_maps():
+    def kernel(x, y, z):
+        return [(from_int(1), L(0))] if x.family == y.family == z.family == "L" else []
+
+    half = Scalar.parse("1/2")
+    x = {L(0): half, M(0): Scalar.parse("1+i")}
+    assert extend(kernel, x, x, x) == {L(0): half * half * half}
+    assert extend(kernel, {L(0): from_int(1)}, {L(0): from_int(2)}, {}) == {}
+
+    def opposite(sym):
+        return [(from_int(1), L(0))] if sym.family == "L" else [(from_int(-1), L(0))]
+
+    assert extend(opposite, {L(3): from_int(2), M(3): from_int(2)}) == {}
