@@ -119,20 +119,25 @@ class SolutionSpace:
     def dimension(self):
         return len(self.basis)
 
-    def vector_as_dict(self, vector_index, skip_zero=True):
+    def vector_as_dict(self, vector_index):
+        """The nonzero coordinates of one basis vector, by unknown."""
         vec = self.basis[vector_index]
-        return {
-            uid: coeff
-            for uid, coeff in zip(self.unknowns, vec)
-            if coeff or not skip_zero
-        }
+        return {uid: coeff for uid, coeff in zip(self.unknowns, vec) if coeff}
 
     def verify_against(self, system):
         """Substitute every basis vector into every row; exact zero required."""
         return self.first_residual(system) is None
 
     def first_residual(self, system):
-        """(basis vector index, row index) of the first row left nonzero, or None.
+        """(basis vector index, row index) of the first row left nonzero, or None."""
+        for idx, row in enumerate(self.residuals(system)):
+            if row is not None:
+                return idx, row
+        return None
+
+    def residuals(self, system):
+        """For each basis vector in turn, the index of the first row it
+        leaves nonzero, or None; the system must register every unknown.
 
         Only the distinct normal forms are substituted: every row is a
         nonzero multiple of one of them, so this checks every row.  Integer
@@ -140,17 +145,19 @@ class SolutionSpace:
         part of the vector, each scaled to integers.
         """
         col_map = [system.column_of(uid) for uid in self.unknowns]
-        for idx, vec in enumerate(self.basis):
+        for vec in self.basis:
             sparse = {col_map[i]: coeff for i, coeff in enumerate(vec) if coeff}
             parts = [p for p in (_int_part(sparse, "re"), _int_part(sparse, "im")) if p]
             for form, row in system.distinct.items():
                 if type(form[0][1]) is int:
-                    bad = any(_dot(form, part, 0) for part in parts)
+                    nonzero = any(_dot(form, part, 0) for part in parts)
                 else:
-                    bad = _dot(form, sparse, ZERO)
-                if bad:
-                    return idx, row
-        return None
+                    nonzero = _dot(form, sparse, ZERO)
+                if nonzero:
+                    yield row
+                    break
+            else:
+                yield None
 
 
 def _int_part(vec, attr):
@@ -296,14 +303,14 @@ def rank(rows):
     return len(_rref(*_lifted([_normal_form(row) for row in rows if row])))
 
 
-def nullspace(system, verify=True):
+def nullspace(system):
     """Exact basis of {v : Av = 0} for a homogeneous ConstraintSystem.
 
-    dimension = num_unknowns - rank(A) by construction; when verify is
-    set, every basis vector is substituted back into every row, and a
-    residual raises VerificationError naming the row's provenance.  The
-    dense basis (dimension × num_unknowns entries) is checked against the
-    budget before it is built.
+    dimension = num_unknowns - rank(A) by construction; every basis vector
+    is substituted back into every row, and a residual raises
+    VerificationError naming the row's provenance.  The dense basis
+    (dimension × num_unknowns entries) is checked against the budget
+    before it is built.
     """
     n = system.num_unknowns
     forms, integer = _lifted(list(system.distinct))
@@ -325,7 +332,7 @@ def nullspace(system, verify=True):
         unknowns=list(system.unknowns),
         basis=[_monic_dense(n, vec, integer) for vec in free.values()],
     )
-    if verify and not space.verify_against(system):
+    if not space.verify_against(system):
         idx, row = space.first_residual(system)
         raise VerificationError(
             f"nullspace verification failed: basis vector {idx} leaves row "

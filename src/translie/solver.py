@@ -34,6 +34,7 @@ from .linalg import (
     SolutionSpace,
     nullspace,
     project_solution,
+    rank,
     unknown,
 )
 from .scalars import Scalar, ZERO, ONE, from_int
@@ -217,26 +218,33 @@ class ClassificationVerdict:
     core_space: SolutionSpace | None = None
 
 
-def default_boundary_margin(domain):
-    """Half the domain radius, rounded down."""
-    return (domain.hi - domain.lo) // 4
+# what the core space is expected to be, given the family's dimension and
+# the ansatz degree
+_DESCRIPTIONS = {
+    GRADED: (
+        "core dimension {dim}; basis vector is the uniform shift by {degree}: "
+        "a and d constant and equal, b and c zero"
+    ),
+    FULL_WINDOW: (
+        "b block zero; a block h*identity; c columns proportional to the "
+        "functional values; weighted d-row sums equal to h times the "
+        "functional value; core dimension {dim}"
+    ),
+}
 
 
-def solve_and_classify(bdef, ansatz, eq_window, core, boundary_margin=None):
-    """Assemble, solve exactly, project to the core, and pattern-match.
+def solve_and_classify(bdef, ansatz, eq_window, core):
+    """Assemble, solve exactly, project to the core, and classify.
 
     Supported pairs: the shifted-bracket algebra with a graded ansatz
-    (expected: a one-dimensional space spanned by the uniform shift) and
-    the functional-bracket algebra with a full-window ansatz (expected:
-    diagonal-constant action on L, none of M in the L image, the M-to-L
-    block proportional to the functional, and weighted M-block row sums
-    matching the diagonal constant).  The windows are checked before
-    anything is assembled: the core keeps the margin from the domain
-    boundary, lies inside a full-window ansatz's image and contains the
-    functional's support.
+    (expected: the uniform shift) and the functional-bracket algebra with a
+    full-window ansatz (expected: the family of _family_relations).  The
+    windows are checked before anything is assembled: the core keeps the
+    margin from the domain boundary, lies inside a full-window ansatz's
+    image and contains the functional's support.
     """
     domain = ansatz.domain
-    margin = default_boundary_margin(domain) if boundary_margin is None else boundary_margin
+    margin = (domain.hi - domain.lo) // 4  # half the domain radius, rounded down
     if core.lo < domain.lo + margin or core.hi > domain.hi - margin:
         raise ValueError(
             f"core {core} too close to the domain boundary {domain} (margin {margin})"
@@ -248,111 +256,82 @@ def solve_and_classify(bdef, ansatz, eq_window, core, boundary_margin=None):
         raise ValueError(
             f"the functional's support {bdef.f.support} is not inside the core {core}"
         )
-
-    system = assemble_system(bdef, ansatz, eq_window)
-    space = nullspace(system)
-
     if ansatz.kind == GRADED and bdef.kind == A_OMEGA_DELTA:
-        keep = [
-            unknown(name, r) for name in "abcd" for r in core.indices()
-        ]
-        core_space = project_solution(space, keep)
-        return _classify_graded(core_space, core, ansatz.degree, space.dimension)
-    if ansatz.kind == FULL_WINDOW and bdef.kind == AFK:
-        keep = [
-            unknown(name, r, i)
-            for name in "abcd"
-            for r in core.indices()
-            for i in core.indices()
-        ]
-        core_space = project_solution(space, keep)
-        return _classify_full_window(core_space, core, bdef.f, space.dimension)
-    raise ValueError(
-        f"no classification defined for bracket {bdef.kind!r} with ansatz {ansatz.kind!r}"
-    )
-
-
-def _classify_graded(core_space, core, degree, full_dim):
-    expected = (
-        f"core dimension 1; basis vector is the uniform shift by {degree}: "
-        "a and d constant and equal, b and c zero"
-    )
-    offending = []
-    for idx in range(core_space.dimension):
-        vec = core_space.vector_as_dict(idx, skip_zero=False)
-        const = vec[unknown("a", core.lo)]
-        good = all(
-            vec[unknown("a", r)] == const
-            and vec[unknown("d", r)] == const
-            and not vec[unknown("b", r)]
-            and not vec[unknown("c", r)]
-            for r in core.indices()
+        core_ansatz = graded_ansatz(ansatz.degree, core)
+    elif ansatz.kind == FULL_WINDOW and bdef.kind == AFK:
+        core_ansatz = full_window_ansatz(core, core)
+    else:
+        raise ValueError(
+            f"no classification defined for bracket {bdef.kind!r} with ansatz {ansatz.kind!r}"
         )
-        if not good or not const:
-            offending.append(_vector_strings(core_space, idx))
-    matches = core_space.dimension == 1 and not offending
-    return ClassificationVerdict(
-        matches=matches,
-        expected_description=expected,
-        core_dimension=core_space.dimension,
-        offending_vectors=offending,
-        expected_core_dimension=1,
-        full_dimension=full_dim,
-        core_space=core_space,
-    )
+
+    space = nullspace(assemble_system(bdef, ansatz, eq_window))
+    core_space = project_solution(space, core_ansatz.unknown_ids())
+    return _classify(core_space, bdef, core_ansatz, space.dimension)
 
 
-def _classify_full_window(core_space, core, f, full_dim):
-    size = core.size
-    expected_dim = 1 + size * size
-    expected = (
-        "b block zero; a block h*identity; c columns proportional to the "
-        "functional values; weighted d-row sums equal to h times the "
-        f"functional value; core dimension {expected_dim}"
-    )
-    support = f.support
-    offending = []
-    for idx in range(core_space.dimension):
-        vec = core_space.vector_as_dict(idx, skip_zero=False)
-        h = vec[unknown("a", core.lo, core.lo)]
-        good = True
+def _family_relations(bdef, core_ansatz):
+    """The expected core family as the nullspace of its defining relations,
+    registered on the core ansatz's unknowns.
+
+    Graded: a[r] = a[lo] and d[r] = a[lo], b = c = 0.  Full window, with h =
+    a[lo,lo]: a[r,i] = h when r = i and 0 otherwise, b = 0, each c column
+    proportional to f (f(t0) c[r,i] = f(r) c[t0,i] for one support index t0,
+    which is enough because f(t0) is nonzero and the support lies in the
+    core), and sum_j f(j) d[r,j] = h f(r).
+    """
+    relations = ConstraintSystem()
+    for uid in core_ansatz.unknown_ids():
+        relations.register(uid)
+    core = core_ansatz.domain
+    lo = core.lo
+    if core_ansatz.kind == GRADED:
+        a0 = unknown("a", lo)
         for r in core.indices():
-            for i in core.indices():
-                a_val = vec[unknown("a", r, i)]
-                if a_val != (h if r == i else ZERO):
-                    good = False
-                if vec[unknown("b", r, i)]:
-                    good = False
+            if r != lo:
+                relations.add_row({unknown("a", r): 1, a0: -1})
+            relations.add_row({unknown("d", r): 1, a0: -1})
+            relations.add_row({unknown("b", r): 1})
+            relations.add_row({unknown("c", r): 1})
+        return relations
+    f = bdef.f
+    h = unknown("a", lo, lo)
+    t0 = f.support[0]
+    for r in core.indices():
         for i in core.indices():
-            for r in core.indices():
-                for s in core.indices():
-                    if (
-                        vec[unknown("c", r, i)] * f.m_value(s)
-                        != vec[unknown("c", s, i)] * f.m_value(r)
-                    ):
-                        good = False
-        for r in core.indices():
-            total = ZERO
-            for j in support:
-                total = total + f.m_value(j) * vec[unknown("d", r, j)]
-            if total != h * f.m_value(r):
-                good = False
-        if not good:
-            offending.append(_vector_strings(core_space, idx))
-    matches = core_space.dimension == expected_dim and not offending
+            if (r, i) != (lo, lo):
+                relations.add_row({unknown("a", r, i): 1, h: -1 if r == i else 0})
+            relations.add_row({unknown("b", r, i): 1})
+            if r != t0:
+                relations.add_row(
+                    {unknown("c", r, i): f.m_value(t0), unknown("c", t0, i): -f.m_value(r)}
+                )
+        weighted = {unknown("d", r, j): f.m_value(j) for j in f.support}
+        relations.add_row({**weighted, h: -f.m_value(r)})
+    return relations
+
+
+def _classify(core_space, bdef, core_ansatz, full_dim):
+    """The core space matches the family when no basis vector leaves a
+    defining relation nonzero (containment) and the dimensions agree."""
+    relations = _family_relations(bdef, core_ansatz)
+    expected_dim = relations.num_unknowns - rank(relations.rows)
+    offending = [
+        {str(uid): str(val) for uid, val in core_space.vector_as_dict(idx).items()}
+        for idx, row in enumerate(core_space.residuals(relations))
+        if row is not None
+    ]
     return ClassificationVerdict(
-        matches=matches,
-        expected_description=expected,
+        matches=not offending and core_space.dimension == expected_dim,
+        expected_description=_DESCRIPTIONS[core_ansatz.kind].format(
+            dim=expected_dim, degree=core_ansatz.degree
+        ),
         core_dimension=core_space.dimension,
         offending_vectors=offending,
         expected_core_dimension=expected_dim,
         full_dimension=full_dim,
         core_space=core_space,
     )
-
-
-def _vector_strings(space, idx):
-    return {str(uid): str(val) for uid, val in space.vector_as_dict(idx).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +390,7 @@ def solution_operator(space, vector_index, ansatz, window_):
     present in the (possibly projected) solution space.
     """
     have = set(space.unknowns)
-    vec = space.vector_as_dict(vector_index, skip_zero=False)
+    vec = space.vector_as_dict(vector_index)
     table = {}
     for r in window_.indices():
         for sym in (L(r), M(r)):
@@ -420,7 +399,7 @@ def solution_operator(space, vector_index, ansatz, window_):
                 continue
             terms = {}
             for uid, img in images:
-                val = vec[uid]
+                val = vec.get(uid)
                 if val:
                     terms[img] = terms.get(img, ZERO) + val
             table[sym] = Element(terms)

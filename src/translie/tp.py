@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from .algebras import ProductDef, TP_FAMILY, custom_operator, product_eval
 from .checks import POISSON_LEIBNIZ, run_law, window
 from .elements import Element, L, M
-from .errors import InvalidParamsError
+from .errors import DEFAULT_EXHAUSTIVE_CAP, BudgetExceededError, InvalidParamsError
 from .scalars import Scalar, ZERO
 
 POISSON_AND_TRANSPOSED = "poisson-and-transposed"
@@ -134,9 +134,19 @@ class TPValidationReport:
 
 
 def validate_params(params):
-    """Check symmetry, weighted-sum, and exchange laws over the support closure."""
-    report = TPValidationReport()
+    """Check symmetry, weighted-sum, and exchange laws over the support closure.
+
+    The exchange identity sums over |S|^5 index tuples of the support
+    closure S; that count is checked against the budget before any loop.
+    """
     idx = params.support_indices()
+    cases = len(idx) ** 5
+    if cases > DEFAULT_EXHAUSTIVE_CAP:
+        raise BudgetExceededError(
+            f"exchange identity needs {cases} index tuples over a support closure of "
+            f"{len(idx)} indices, budget is {DEFAULT_EXHAUSTIVE_CAP}"
+        )
+    report = TPValidationReport()
     f = params.f
 
     for i in idx:

@@ -4,6 +4,7 @@ import json
 import os
 import re
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -637,3 +638,63 @@ def test_console_summary_shows_elapsed_only_with_timing(timing, tmp_path, capsys
     out = capsys.readouterr().out
     assert "[pass] tp-triviality" in out
     assert ("elapsed:" in out) == timing
+
+
+MISMATCH_WINDOWS = {"domain": [-4, 4], "image": [-4, 4], "equation": [-1, 1], "core": [-2, 2]}
+
+
+@pytest.mark.parametrize(
+    "doc, offending, digest",
+    [
+        (
+            dict(
+                algebra={"kind": "a-omega-delta"},
+                windows={"domain": [-6, 6], "equation": [-1, 1], "core": [-3, 3]},
+                degree=0,
+            ),
+            9,
+            "687c5257b5923b28e46a5a78f76427f0478fea50381884080987cfbb689a0365",
+        ),
+        (
+            dict(algebra={"kind": "a-f-k", "k": 1, "f": {"0": "1"}}, windows=MISMATCH_WINDOWS),
+            33,
+            "e631a0de5b2f5b124e40ac0aa95f8fd14e597f9ee8f281f3a22704d6d6c517ac",
+        ),
+        (
+            dict(
+                algebra={"kind": "a-f-k", "k": 1, "f": {"0": "1+i", "1": "2"}},
+                windows=MISMATCH_WINDOWS,
+            ),
+            35,
+            "c4cf7e29f41316ad4a9cf9b78e54a6923fef325a663c35449fb11977e5590368",
+        ),
+    ],
+)
+def test_mismatching_classification_reports_match_recorded_digests(doc, offending, digest):
+    """A narrow equation window leaves vectors outside the expected family;
+    the reports, offending vectors included, are pinned byte for byte."""
+    doc = dict(command="solve-derivations", **doc)
+    text = run(parse_config(json.dumps(doc))).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert len(json.loads(text)["entries"][0]["details"]["offending_vectors"]) == offending
+    assert _main_on("solve-derivations", doc) == (1, "")
+
+
+@pytest.mark.parametrize("command", ["verify-tp", "build-tp"])
+def test_tp_validation_over_budget_exits_2_before_looping(command):
+    """c on 1..20 with f = M_0^* gives a support closure of 21 indices, so
+    the exchange identity would need 21^5 index tuples."""
+    doc = dict(
+        command=command,
+        algebra={"kind": "a-f-k", "k": 1, "f": {"0": "1"}},
+        tp_params={"c": {str(p): "1" for p in range(1, 21)}, "d": []},
+    )
+    start = time.monotonic()
+    code, err = _main_on(command, doc)
+    assert time.monotonic() - start < 10
+    assert code == 2
+    assert "Traceback" not in err
+    assert err == (
+        "error: exchange identity needs 4084101 index tuples over a support closure "
+        "of 21 indices, budget is 2000000\n"
+    )

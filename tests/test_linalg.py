@@ -103,6 +103,24 @@ def test_verification_catches_bad_vector():
     assert SolutionSpace(uids, [[Scalar(0, 1), Scalar(0, -1)]]).verify_against(sys_)
 
 
+def test_residuals_name_the_first_row_each_vector_misses():
+    # rows: x + y, 2x + 2y (same form as row 0), z, iy + z
+    sys_, uids = _system("xyz", [{0: 1, 1: 1}, {0: 2, 1: 2}, {2: 1}])
+    sys_.add_row({uids[1]: Scalar(0, 1), uids[2]: ONE})
+    space = SolutionSpace(
+        uids,
+        [
+            [ONE, -ONE, ZERO],  # misses the Gaussian row only
+            [ZERO, ZERO, ZERO],
+            [ONE, ONE, ZERO],  # misses row 0 first
+            [ZERO, ZERO, Scalar(0, 1)],  # misses z = 0 in its imaginary part
+        ],
+    )
+    assert list(space.residuals(sys_)) == [3, None, 0, 2]
+    assert space.first_residual(sys_) == (0, 3)
+    assert SolutionSpace(uids, [[ZERO] * 3]).first_residual(sys_) is None
+
+
 def test_row_referencing_unregistered_unknown():
     sys_ = ConstraintSystem()
     sys_.register(unknown("x", 0))

@@ -228,7 +228,7 @@ def test_eq_window_monotonicity():
     for eq in (window(-4, 4), window(-6, 6), window(-8, 8)):
         ansatz = graded_ansatz(0, window(-8, 8))
         sys_ = assemble_system(a_omega_delta(), ansatz, eq)
-        space = nullspace(sys_, verify=False)
+        space = nullspace(sys_)
         keep = [unknown(n, r) for n in "abcd" for r in window(-2, 2).indices()]
         dims.append(project_solution(space, keep).dimension)
     assert dims[0] >= dims[1] >= dims[2]

@@ -11,7 +11,8 @@ from translie.checks import (
     window,
 )
 from translie.elements import Element, L, M
-from translie.errors import InvalidParamsError
+from translie import tp
+from translie.errors import BudgetExceededError, InvalidParamsError
 from translie.scalars import Scalar
 from translie.tp import (
     POISSON_AND_TRANSPOSED,
@@ -53,6 +54,17 @@ def test_example_family_instance_valid():
     assert p.alpha == Scalar(5)
     assert p.d_value(0, 0, 0) == Scalar(5)
     assert validate_params(p).is_valid
+
+
+def test_validation_budget_is_the_exchange_tuple_count(monkeypatch):
+    """|S|^5 exchange tuples over a support closure S: |S| = 4 is within a
+    budget of 4^5, |S| = 5 is refused before any loop."""
+    monkeypatch.setattr(tp, "DEFAULT_EXHAUSTIVE_CAP", 4**5)
+    within = TPParams(alpha=0, c={1: 1, 2: 1, 3: 1}, d={}, f=functional({0: 1}), k=0)
+    assert validate_params(within).is_valid
+    over = TPParams(alpha=0, c={1: 1, 2: 1, 3: 1, 4: 1}, d={}, f=functional({0: 1}), k=0)
+    with pytest.raises(BudgetExceededError, match="needs 3125 index tuples .* of 5 indices"):
+        validate_params(over)
 
 
 def test_perturbed_alpha_breaks_weighted_sum():
