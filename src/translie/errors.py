@@ -3,7 +3,7 @@
 Division by zero scalars raises the builtin ZeroDivisionError.
 """
 
-# cases, triples, rows or dense entries an exhaustive enumeration may need
+# cases, triples, rows or basis entries an exhaustive enumeration may need
 # before it raises BudgetExceededError instead of starting
 DEFAULT_EXHAUSTIVE_CAP = 2_000_000
 

@@ -13,8 +13,8 @@ is cleared out of the earlier pivots, so the pivots stay fully reduced as
 rows arrive.  Integer rows stay fraction-free (every pivot is a primitive
 integer row); when any row is Gaussian, all rows are lifted to monic rows
 over the Gaussian rationals.  The RREF is unique, so the output does not
-depend on row order: the nullspace basis has one vector per free column,
-normalized so its first nonzero coordinate is 1.
+depend on row order: the nullspace basis has one sparse vector per free
+column, normalized so its first nonzero coordinate is 1.
 """
 
 from __future__ import annotations
@@ -110,19 +110,21 @@ class ConstraintSystem:
 
 @dataclass
 class SolutionSpace:
-    """Exact basis of a nullspace, indexed by the system's unknowns."""
+    """Exact basis of a nullspace: sparse maps column -> Scalar, a column
+    being a position in unknowns, storing no zeros; nullspace and
+    project_solution return vectors that are 1 at their smallest column."""
 
     unknowns: list
-    basis: list  # list[list[Scalar]], dense vectors
+    basis: list  # list[dict[int, Scalar]]
 
     @property
     def dimension(self):
         return len(self.basis)
 
     def vector_as_dict(self, vector_index):
-        """The nonzero coordinates of one basis vector, by unknown."""
+        """One basis vector by unknown, in column order."""
         vec = self.basis[vector_index]
-        return {uid: coeff for uid, coeff in zip(self.unknowns, vec) if coeff}
+        return {self.unknowns[col]: vec[col] for col in sorted(vec)}
 
     def verify_against(self, system):
         """Substitute every basis vector into every row; exact zero required."""
@@ -146,7 +148,7 @@ class SolutionSpace:
         """
         col_map = [system.column_of(uid) for uid in self.unknowns]
         for vec in self.basis:
-            sparse = {col_map[i]: coeff for i, coeff in enumerate(vec) if coeff}
+            sparse = {col_map[col]: coeff for col, coeff in vec.items()}
             parts = [p for p in (_int_part(sparse, "re"), _int_part(sparse, "im")) if p]
             for form, row in system.distinct.items():
                 if type(form[0][1]) is int:
@@ -175,15 +177,6 @@ def _dot(items, vec, zero):
         if v is not None:
             total = total + coeff * v
     return total
-
-
-def residual_rows(system, assignment):
-    """Row indices not exactly annihilated by an assignment.
-
-    assignment: map UnknownId -> Scalar; unknowns not mentioned are zero.
-    """
-    vec = {system.column_of(uid): val for uid, val in assignment.items() if val}
-    return [idx for idx, row in enumerate(system.rows) if _dot(row.items(), vec, ZERO)]
 
 
 # ---------------------------------------------------------------------------
@@ -289,13 +282,13 @@ def _clear(row, col, pivot, integer):
                 row[c] //= g
 
 
-def _monic_dense(n, vec, integer):
-    """Dense Scalar vector of a sparse one divided by its first nonzero value."""
+def _monic_vector(vec, integer):
+    """A sparse vector of ints, Fractions or Scalars as Scalars, divided by
+    its value at its smallest column."""
     first = vec[min(vec)]
-    out = [ZERO] * n
-    for col, v in vec.items():
-        out[col] = Scalar(Fraction(v, first)) if integer else v / first
-    return out
+    if integer:
+        return {col: Scalar(Fraction(v, first)) for col, v in vec.items()}
+    return {col: v / first for col, v in vec.items()}
 
 
 def rank(rows):
@@ -308,9 +301,9 @@ def nullspace(system):
 
     dimension = num_unknowns - rank(A) by construction; every basis vector
     is substituted back into every row, and a residual raises
-    VerificationError naming the row's provenance.  The dense basis
-    (dimension × num_unknowns entries) is checked against the budget
-    before it is built.
+    VerificationError naming the row's provenance.  The budget bounds
+    dimension × num_unknowns, the size of the basis that is verified and
+    reported, and is checked before any vector is built.
     """
     n = system.num_unknowns
     forms, integer = _lifted(list(system.distinct))
@@ -330,7 +323,7 @@ def nullspace(system):
                 free[col][lead] = Fraction(-v, b) if integer else -v
     space = SolutionSpace(
         unknowns=list(system.unknowns),
-        basis=[_monic_dense(n, vec, integer) for vec in free.values()],
+        basis=[_monic_vector(vec, integer) for vec in free.values()],
     )
     if not space.verify_against(system):
         idx, row = space.first_residual(system)
@@ -345,17 +338,19 @@ def project_solution(space, keep):
     """Coordinate projection of a solution space, re-reduced to a basis.
 
     keep: iterable of UnknownId; must be a subset of space.unknowns.  The
-    kept coordinates stay in their original order.
+    kept coordinates stay in their original order, and each vector is
+    restricted to them before the re-reduction.
     """
     keep = set(keep)
     missing = keep.difference(space.unknowns)
     if missing:
         raise UnknownNotFoundError(f"unknowns not in space: {sorted(map(str, missing))}")
     cols = [i for i, uid in enumerate(space.unknowns) if uid in keep]
-    kept_unknowns = [space.unknowns[i] for i in cols]
-
-    rows = [{j: vec[col] for j, col in enumerate(cols) if vec[col]} for vec in space.basis]
+    position = {col: j for j, col in enumerate(cols)}
+    rows = [{position[c]: v for c, v in vec.items() if c in position} for vec in space.basis]
     forms, integer = _lifted([_normal_form(row) for row in rows if row])
     pivots = _rref(forms, integer)
-    basis = [_monic_dense(len(cols), pivots[lead], integer) for lead in sorted(pivots)]
-    return SolutionSpace(unknowns=kept_unknowns, basis=basis)
+    return SolutionSpace(
+        unknowns=[space.unknowns[i] for i in cols],
+        basis=[_monic_vector(pivots[lead], integer) for lead in sorted(pivots)],
+    )

@@ -136,8 +136,10 @@ class TPValidationReport:
 def validate_params(params):
     """Check symmetry, weighted-sum, and exchange laws over the support closure.
 
-    The exchange identity sums over |S|^5 index tuples of the support
-    closure S; that count is checked against the budget before any loop.
+    Every term of the laws has a factor of d, or of alpha f(M_i) f(M_j), so
+    each law is checked only where d's entries and f's support reach, by
+    sparse joins listing witnesses in sorted index order.  The |S|^5 exchange
+    tuples of the support closure S are checked against the budget first.
     """
     idx = params.support_indices()
     cases = len(idx) ** 5
@@ -148,37 +150,37 @@ def validate_params(params):
         )
     report = TPValidationReport()
     f = params.f
+    _, _, pairs, _ = params._exact  # d as {(i, j): {q: value}}
 
-    for i in idx:
-        for j in idx:
-            if i > j:
-                continue
-            for q in idx:
-                residual = params.d_value(i, j, q) - params.d_value(j, i, q)
-                if residual:
-                    report.eq_symmetry_violations.append(((i, j, q), residual))
+    for i, j, q in sorted({(min(i, j), max(i, j), q) for i, j, q in params.d}):
+        residual = params.d_value(i, j, q) - params.d_value(j, i, q)
+        if residual:
+            report.eq_symmetry_violations.append(((i, j, q), residual))
 
-    for i in idx:
-        for j in idx:
-            total = ZERO
-            for q in idx:
-                fq = f.m_value(q)
-                if fq:
-                    total = total + fq * params.d_value(i, j, q)
-            residual = total - params.alpha * f.m_value(i) * f.m_value(j)
-            if residual:
-                report.eq_weighted_sum_violations.append(((i, j), residual))
+    candidates = set(pairs)
+    if params.alpha:
+        candidates.update((i, j) for i in f.support for j in f.support)
+    for i, j in sorted(candidates):
+        total = ZERO
+        for q, v in pairs.get((i, j), {}).items():
+            total = total + f.m_value(q) * v
+        residual = total - params.alpha * f.m_value(i) * f.m_value(j)
+        if residual:
+            report.eq_weighted_sum_violations.append(((i, j), residual))
 
-    for r in idx:
-        for s in idx:
-            for t in idx:
-                for p in idx:
-                    total = ZERO
-                    for q in idx:
-                        total = total + params.d_value(r, s, q) * params.d_value(q, t, p)
-                        total = total - params.d_value(s, t, q) * params.d_value(q, r, p)
-                    if total:
-                        report.eq_exchange_violations.append(((r, s, t, p), total))
+    # each product d(a,b,q) d(q,c,p) is the term + d(r,s,q) d(q,t,p) of the
+    # tuple (r,s,t,p) = (a,b,c,p) and the term - d(s,t,q) d(q,r,p) of (c,a,b,p)
+    by_first = {}
+    for (q, c), row in pairs.items():
+        by_first.setdefault(q, []).append((c, row))
+    sums = {}
+    for (a, b), row in pairs.items():
+        for q, v in row.items():
+            for c, out in by_first.get(q, ()):
+                for p, w in out.items():
+                    sums[a, b, c, p] = sums.get((a, b, c, p), ZERO) + v * w
+                    sums[c, a, b, p] = sums.get((c, a, b, p), ZERO) - v * w
+    report.eq_exchange_violations = [(key, sums[key]) for key in sorted(sums) if sums[key]]
     return report
 
 

@@ -22,12 +22,14 @@ from translie.solver import (
     solve_and_classify,
 )
 
+from spaces import dense
+
 # ---------------------------------------------------------------------------
 # reference matchers
 
 
 def _dense(space, idx):
-    return dict(zip(space.unknowns, space.basis[idx]))
+    return dict(zip(space.unknowns, dense(space, idx)))
 
 
 def _strings(space, idx):
@@ -111,7 +113,9 @@ def reference_full_window(core_space, core, f, full_dim):
 
 def _space(ansatz, vectors):
     uids = ansatz.unknown_ids()
-    return SolutionSpace(uids, [[vec.get(uid, ZERO) for uid in uids] for vec in vectors])
+    return SolutionSpace(
+        uids, [{j: vec[uid] for j, uid in enumerate(uids) if vec.get(uid)} for vec in vectors]
+    )
 
 
 def graded_family(core):

@@ -605,7 +605,7 @@ NARROW_EQUATION = dict(
 
 def test_dense_nullspace_basis_over_budget_exits_2(tmp_path, capsys):
     """A wide image and a narrow equation window leave 1,446 free columns
-    over 2,420 unknowns; the dense basis would hold 3,499,320 entries."""
+    over 2,420 unknowns: 3,499,320 entries counted against the budget."""
     doc = dict(NARROW_EQUATION, windows=dict(NARROW_EQUATION["windows"], image=[-60, 60]))
     path = tmp_path / "cfg.json"
     path.write_text(cfg_text(**doc))

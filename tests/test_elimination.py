@@ -1,5 +1,6 @@
 """Differential tests of exact elimination: the integer path, the Gaussian
-path and sympy must agree on the nullspace of the same system."""
+path and sympy must agree on the nullspace of the same system and on its
+coordinate projections."""
 
 from fractions import Fraction
 
@@ -7,8 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from translie.linalg import ConstraintSystem, nullspace, rank, unknown
+from translie.linalg import (
+    ConstraintSystem,
+    SolutionSpace,
+    nullspace,
+    project_solution,
+    rank,
+    unknown,
+)
 from translie.scalars import I, Scalar
+
+from spaces import assert_sparse_basis, dense
 
 sympy = pytest.importorskip("sympy")
 
@@ -59,14 +69,38 @@ def _sympy_basis(n, rows):
     return basis
 
 
-@given(systems())
+def _sympy_projection(vectors, cols):
+    """The nonzero rows of sympy's RREF of the vectors restricted to cols."""
+    if not vectors or not cols:
+        return []
+    matrix = sympy.Matrix([[sympy.Rational(str(vec[c])) for c in cols] for vec in vectors])
+    reduced, pivots = matrix.rref()
+    return [[Fraction(str(v)) for v in reduced.row(i)] for i in range(len(pivots))]
+
+
+def _real(space):
+    return [[v.re for v in dense(space, idx)] for idx in range(space.dimension)]
+
+
+@given(systems(), st.lists(st.booleans(), min_size=7, max_size=7))
 @settings(max_examples=150, deadline=None)
-def test_integer_gaussian_and_sympy_nullspaces_agree(case):
+def test_integer_gaussian_and_sympy_nullspaces_agree(case, kept):
     n, rows = case
     real = nullspace(_system(n, rows))
     gaussian = nullspace(_system(n, rows, scale=I))
     assert gaussian.basis == real.basis
-    assert [[v.re for v in vec] for vec in real.basis] == _sympy_basis(n, rows)
+    assert _real(real) == _sympy_basis(n, rows)
+
+    keep = [uid for uid, k in zip(real.unknowns, kept) if k]
+    projected = project_solution(real, keep)
+    turned = SolutionSpace(
+        real.unknowns, [{c: I * v for c, v in vec.items()} for vec in real.basis]
+    )
+    assert project_solution(turned, keep).basis == projected.basis
+    cols = [j for j in range(n) if kept[j]]
+    assert _real(projected) == _sympy_projection(_real(real), cols)
+    for space in (real, gaussian, projected):
+        assert_sparse_basis(space)
     scalar_rows = [{c: _scalar(v) for c, v in row.items()} for row in rows]
     assert rank(scalar_rows) == rank([{c: I * v for c, v in row.items()} for row in scalar_rows])
     assert rank(scalar_rows) + real.dimension == n

@@ -14,6 +14,8 @@ from translie.linalg import (
 )
 from translie.scalars import ONE, Scalar, ZERO
 
+from spaces import assert_sparse_basis, dense
+
 
 def _system(unknown_names, rows):
     sys_ = ConstraintSystem()
@@ -30,7 +32,8 @@ def test_rank_one_system():
     space = nullspace(sys_)
     assert space.dimension == 1
     # (-2, 1) up to scale; normalized so the first nonzero coordinate is 1
-    vec = space.basis[0]
+    assert_sparse_basis(space)
+    vec = dense(space, 0)
     assert vec[0] == ONE
     assert vec[1] == Scalar(Fraction(-1, 2))
 
@@ -50,18 +53,20 @@ def test_project_drops_vanishing_vector():
     uids = [unknown(n, 0) for n in "xyz"]
     space = SolutionSpace(
         unknowns=uids,
-        basis=[[ONE, ZERO, ZERO], [ZERO, ONE, ZERO]],
+        basis=[{0: ONE}, {1: ONE}],
     )
     projected = project_solution(space, {uids[0], uids[2]})
+    assert_sparse_basis(projected)
     assert projected.dimension == 1
     assert projected.unknowns == [uids[0], uids[2]]
-    assert projected.basis[0] == [ONE, ZERO]
+    assert dense(projected, 0) == [ONE, ZERO]
 
 
 def test_project_identity():
     sys_, uids = _system("xyz", [{0: 1, 1: 1, 2: 1}])
     space = nullspace(sys_)
     projected = project_solution(space, set(uids))
+    assert_sparse_basis(projected)
     assert projected.dimension == space.dimension
     assert projected.unknowns == space.unknowns
 
@@ -90,17 +95,18 @@ def test_rank_nullity_on_random_systems():
             rows.append({sys_.column_of(u): c for u, c in row.items() if c})
             sys_.add_row(row)
         space = nullspace(sys_)
+        assert_sparse_basis(space)
         assert rank(rows) + space.dimension == n
         assert space.verify_against(sys_)
 
 
 def test_verification_catches_bad_vector():
     sys_, uids = _system("xy", [{0: 1, 1: 1}])
-    bad = SolutionSpace(unknowns=uids, basis=[[ONE, ONE]])
+    bad = SolutionSpace(unknowns=uids, basis=[{0: ONE, 1: ONE}])
     assert not bad.verify_against(sys_)
     # an integer row is checked against both parts of a Gaussian vector
-    assert not SolutionSpace(uids, [[ONE, Scalar(-1, 1)]]).verify_against(sys_)
-    assert SolutionSpace(uids, [[Scalar(0, 1), Scalar(0, -1)]]).verify_against(sys_)
+    assert not SolutionSpace(uids, [{0: ONE, 1: Scalar(-1, 1)}]).verify_against(sys_)
+    assert SolutionSpace(uids, [{0: Scalar(0, 1), 1: Scalar(0, -1)}]).verify_against(sys_)
 
 
 def test_residuals_name_the_first_row_each_vector_misses():
@@ -110,15 +116,15 @@ def test_residuals_name_the_first_row_each_vector_misses():
     space = SolutionSpace(
         uids,
         [
-            [ONE, -ONE, ZERO],  # misses the Gaussian row only
-            [ZERO, ZERO, ZERO],
-            [ONE, ONE, ZERO],  # misses row 0 first
-            [ZERO, ZERO, Scalar(0, 1)],  # misses z = 0 in its imaginary part
+            {0: ONE, 1: -ONE},  # misses the Gaussian row only
+            {},
+            {0: ONE, 1: ONE},  # misses row 0 first
+            {2: Scalar(0, 1)},  # misses z = 0 in its imaginary part
         ],
     )
     assert list(space.residuals(sys_)) == [3, None, 0, 2]
     assert space.first_residual(sys_) == (0, 3)
-    assert SolutionSpace(uids, [[ZERO] * 3]).first_residual(sys_) is None
+    assert SolutionSpace(uids, [{}]).first_residual(sys_) is None
 
 
 def test_row_referencing_unregistered_unknown():
@@ -136,5 +142,6 @@ def test_gaussian_rational_rows():
     sys_.add_row({u: Scalar(0, 1), v: Scalar(1)})  # i*x + y = 0
     space = nullspace(sys_)
     assert space.dimension == 1
-    x, y = space.basis[0]
+    assert_sparse_basis(space)
+    x, y = dense(space, 0)
     assert x == ONE and y == Scalar(0, -1)
