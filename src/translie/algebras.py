@@ -95,13 +95,37 @@ def _sort3(a, b, c):
     return a, b, c, sign
 
 
+def _bracket_terms(kind, k, f_values, num, x, y, z):
+    """The bracket table: [x,y,z] as (coefficient, symbol) terms, f's values
+    found in f_values and every other structure constant made by num."""
+    if x == y or y == z or x == z:
+        return []
+    a, b, c, sign = _sort3(x, y, z)
+    if a.family != "L" or c.family != "M":
+        return []
+    r, s, t = a.index, b.index, c.index
+    if kind == A_OMEGA_DELTA:
+        if b.family == "L":
+            return [(num(sign * (s - r)), L(r + s + t))]
+        return [(num(sign * (s - t)), M(r + s + t))]
+    if kind == OMEGA_FORM:
+        if b.family == "L":
+            return [(num(sign * (s - r)), L(r + s - t))]
+        return [(num(sign * (t - s)), M(s + t - r))]
+    if kind == AFK:
+        fv = f_values.get(t) if b.family == "L" else None
+        return [(fv * num(sign * (r - s)), L(r + s + k))] if fv else []
+    raise ValueError(f"unknown bracket kind {kind!r}")
+
+
 @dataclass(frozen=True)
 class BracketDef:
     kind: str
     k: int = 0
     f: FiniteFunctional | None = None
-    # f's values times the lcm of their denominators, bound once; None when
-    # f has an imaginary value, so that the bracket has no integer form
+    # f's values by index, and times the lcm of their denominators (None when
+    # f has an imaginary value: the bracket has no integer form), bound once
+    f_values: dict = field(default=None, init=False, repr=False, compare=False)
     int_f: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -110,6 +134,7 @@ class BracketDef:
         if not any(v.im for _, v in values):
             den = lcm(*[v.re.denominator for _, v in values])
             int_f = {i: v.re.numerator * (den // v.re.denominator) for i, v in values}
+        object.__setattr__(self, "f_values", dict(values))
         object.__setattr__(self, "int_f", int_f)
 
     @property
@@ -119,59 +144,12 @@ class BracketDef:
 
     def terms(self, x, y, z):
         """Bracket of three basis symbols as a list of (Scalar, symbol) terms."""
-        if x == y or y == z or x == z:
-            return []
-        a, b, c, sign = _sort3(x, y, z)
-        fa, fb, fc = a.family, b.family, c.family
-        kind = self.kind
-        if kind == A_OMEGA_DELTA:
-            if fa == "L" and fb == "L" and fc == "M":
-                return [(from_int(sign * (b.index - a.index)),
-                         L(a.index + b.index + c.index))]
-            if fa == "L" and fb == "M":
-                return [(from_int(sign * (b.index - c.index)),
-                         M(a.index + b.index + c.index))]
-            return []
-        if kind == OMEGA_FORM:
-            if fa == "L" and fb == "L" and fc == "M":
-                return [(from_int(sign * (b.index - a.index)),
-                         L(a.index + b.index - c.index))]
-            if fa == "L" and fb == "M":
-                return [(from_int(sign * (c.index - b.index)),
-                         M(b.index + c.index - a.index))]
-            return []
-        if kind == AFK:
-            if fa == "L" and fb == "L" and fc == "M":
-                fv = self.f.m_value(c.index)
-                if not fv:
-                    return []
-                coeff = fv.scale_int(sign * (a.index - b.index))
-                return [(coeff, L(a.index + b.index + self.k))]
-            return []
-        raise ValueError(f"unknown bracket kind {kind!r}")
+        return _bracket_terms(self.kind, self.k, self.f_values, from_int, x, y, z)
 
     def int_terms(self, x, y, z):
         """terms() with int structure constants, the a-f-k ones scaled by
         the lcm of f's denominators; only for integral brackets."""
-        if x == y or y == z or x == z:
-            return []
-        a, b, c, sign = _sort3(x, y, z)
-        if a.family != "L" or c.family != "M":
-            return []
-        r, s, t = a.index, b.index, c.index
-        kind = self.kind
-        if kind == A_OMEGA_DELTA:
-            if b.family == "L":
-                return [(sign * (s - r), L(r + s + t))]
-            return [(sign * (s - t), M(r + s + t))]
-        if kind == OMEGA_FORM:
-            if b.family == "L":
-                return [(sign * (s - r), L(r + s - t))]
-            return [(sign * (t - s), M(s + t - r))]
-        if kind == AFK:
-            fv = self.int_f.get(t) if b.family == "L" else None
-            return [(fv * sign * (r - s), L(r + s + self.k))] if fv else []
-        raise ValueError(f"unknown bracket kind {kind!r}")
+        return _bracket_terms(self.kind, self.k, self.int_f, int, x, y, z)
 
 
 def a_omega_delta():

@@ -148,10 +148,12 @@ class Law(NamedTuple):
 
 
 class LawSpec(NamedTuple):
-    """A reported law: parts run one after another, each a group of Laws
-    evaluated on every tuple of one stream (one case per tuple)."""
+    """A reported law: its name, the anchor a report shows for it (the law
+    as one line of text), and parts run one after another, each a group of
+    Laws evaluated on every tuple of one stream (one case per tuple)."""
 
     name: str
+    anchor: str
     parts: tuple
 
 
@@ -260,10 +262,14 @@ def _fundamental_identity(k, x, y, u, v, t):
 
 
 SKEW_SYMMETRY = LawSpec(
-    "skew-symmetry", ((_transposition(0, 1), _transposition(0, 2), _transposition(1, 2)),)
+    "skew-symmetry",
+    "bracket changes sign under every transposition of its arguments",
+    ((_transposition(0, 1), _transposition(0, 2), _transposition(1, 2)),),
 )
 FUNDAMENTAL_IDENTITY = LawSpec(
-    "fundamental-identity", ((Law(_fundamental_identity, 5),),)
+    "fundamental-identity",
+    "[x,y,[u,v,w]] = [[x,y,u],v,w] + [u,[x,y,v],w] + [u,v,[x,y,w]]",
+    ((Law(_fundamental_identity, 5),),),
 )
 
 
@@ -347,28 +353,30 @@ def _intertwining(k, x, y, z):
 
 
 ONE_THIRD_DERIVATION = LawSpec(
-    "one-third-derivation", ((Law(_one_third_derivation, 3, scale=3),),)
+    "one-third-derivation",
+    "3 D([x,y,z]) = [D(x),y,z] + [x,D(y),z] + [x,y,D(z)]",
+    ((Law(_one_third_derivation, 3, scale=3),),),
 )
 PRODUCT_DERIVATION = LawSpec(
-    "product-derivation-rule", ((Law(_product_derivation, 2),),)
+    "product-derivation-rule",
+    "D(x*y) = D(x)*y + x*D(y)",
+    ((Law(_product_derivation, 2),),),
 )
 INVOLUTIVE_MORPHISM = LawSpec(
-    "involutive-morphism", ((Law(_involution, 1),), (Law(_morphism, 2),))
+    "involutive-morphism",
+    "W(W(x)) = x and W(x*y) = W(x)*W(y)",
+    ((Law(_involution, 1),), (Law(_morphism, 2),)),
 )
 RELABEL_INTERTWINING = LawSpec(
-    "relabel-intertwining", ((Law(_intertwining, 3),),)
+    "relabel-intertwining",
+    "relabel([x,y,z]) = [relabel(x),relabel(y),relabel(z)]",
+    ((Law(_intertwining, 3),),),
 )
 
 
-def check_one_third_derivation(
-    bdef, op, w, mode="exhaustive", budget=None, seed=0,
-    sample_window=DEFAULT_RANDOM_WINDOW,
-):
+def check_one_third_derivation(bdef, op, w):
     """3 op([x,y,z]) = [op(x),y,z] + [x,op(y),z] + [x,y,op(z)] on basis triples."""
-    return run_law(
-        ONE_THIRD_DERIVATION, {"bracket": bdef, "op": op}, w, mode, budget, seed,
-        sample_window,
-    )
+    return run_law(ONE_THIRD_DERIVATION, {"bracket": bdef, "op": op}, w)
 
 
 def check_derivation(op, w):
@@ -443,11 +451,31 @@ def _associativity(k, x, y, z):
     return lhs, rhs
 
 
-TRANSPOSED_LEIBNIZ = LawSpec("transposed-leibniz", ((Law(_transposed_leibniz, 4),),))
-POISSON_LEIBNIZ = LawSpec("poisson-leibniz", ((Law(_poisson_leibniz, 4),),))
-COMMUTATIVE_ASSOCIATIVE = LawSpec(
-    "commutative-associative", ((Law(_commutativity, 2),), (Law(_associativity, 3),))
+TRANSPOSED_LEIBNIZ = LawSpec(
+    "transposed-leibniz",
+    "3 u*[x,y,z] = [x*u,y,z] + [x,y*u,z] + [x,y,z*u]",
+    ((Law(_transposed_leibniz, 4),),),
 )
+POISSON_LEIBNIZ = LawSpec(
+    "poisson-leibniz",
+    "[x,y,u*v] = u*[x,y,v] + [x,y,u]*v",
+    ((Law(_poisson_leibniz, 4),),),
+)
+COMMUTATIVE_ASSOCIATIVE = LawSpec(
+    "commutative-associative",
+    "x*y = y*x and (x*y)*z = x*(y*z)",
+    ((Law(_commutativity, 2),), (Law(_associativity, 3),)),
+)
+
+# every reported law, by name
+LAWS = {
+    spec.name: spec
+    for spec in (
+        SKEW_SYMMETRY, FUNDAMENTAL_IDENTITY, ONE_THIRD_DERIVATION, PRODUCT_DERIVATION,
+        INVOLUTIVE_MORPHISM, RELABEL_INTERTWINING, TRANSPOSED_LEIBNIZ, POISSON_LEIBNIZ,
+        COMMUTATIVE_ASSOCIATIVE,
+    )
+}
 
 
 def check_tp_compatibility(
@@ -461,25 +489,14 @@ def check_tp_compatibility(
     )
 
 
-def check_poisson_compatibility(
-    bdef, pdef, w, mode="exhaustive", budget=None, seed=0,
-    sample_window=DEFAULT_RANDOM_WINDOW,
-):
+def check_poisson_compatibility(bdef, pdef, w):
     """[x,y,u*v] = u*[x,y,v] + [x,y,u]*v on basis 4-tuples."""
-    return run_law(
-        POISSON_LEIBNIZ, {"bracket": bdef, "product": pdef}, w, mode, budget, seed,
-        sample_window,
-    )
+    return run_law(POISSON_LEIBNIZ, {"bracket": bdef, "product": pdef}, w)
 
 
-def check_commutative_associative(
-    pdef, w, mode="exhaustive", budget=None, seed=0,
-    sample_window=DEFAULT_RANDOM_WINDOW,
-):
+def check_commutative_associative(pdef, w):
     """x*y = y*x on pairs and (x*y)*z = x*(y*z) on triples."""
-    return run_law(
-        COMMUTATIVE_ASSOCIATIVE, {"product": pdef}, w, mode, budget, seed, sample_window
-    )
+    return run_law(COMMUTATIVE_ASSOCIATIVE, {"product": pdef}, w)
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,8 @@ from .algebras import (
     scaled_l_shift,
 )
 from .checks import (
+    LAWS,
+    CheckReport,
     check_commutative_associative,
     check_derivation,
     check_fundamental_identity,
@@ -65,25 +67,9 @@ from .tp import (
     validate_params,
 )
 
-COMMANDS = (
-    "check-laws",
-    "solve-derivations",
-    "tp-triviality",
-    "build-tp",
-    "verify-tp",
-    "generators",
-)
-
-LAW_ANCHORS = {
-    "skew-symmetry": "bracket changes sign under every transposition of its arguments",
-    "fundamental-identity": "[x,y,[u,v,w]] = [[x,y,u],v,w] + [u,[x,y,v],w] + [u,v,[x,y,w]]",
-    "one-third-derivation": "3 D([x,y,z]) = [D(x),y,z] + [x,D(y),z] + [x,y,D(z)]",
-    "product-derivation-rule": "D(x*y) = D(x)*y + x*D(y)",
-    "involutive-morphism": "W(W(x)) = x and W(x*y) = W(x)*W(y)",
-    "relabel-intertwining": "relabel([x,y,z]) = [relabel(x),relabel(y),relabel(z)]",
-    "transposed-leibniz": "3 u*[x,y,z] = [x*u,y,z] + [x,y*u,z] + [x,y,z*u]",
-    "poisson-leibniz": "[x,y,u*v] = u*[x,y,v] + [x,y,u]*v",
-    "commutative-associative": "x*y = y*x and (x*y)*z = x*(y*z)",
+# anchors of the report entries that are not law checks; a law's anchor
+# is on its LawSpec in checks.LAWS
+ANCHORS = {
     "derivation-classification": "core solution space matches the closed-form derivation family",
     "tp-triviality": "commutativity forces every induced-product coefficient to vanish",
     "tp-params-valid": "symmetry, weighted-sum, and exchange constraints all hold",
@@ -120,8 +106,8 @@ class RunReport:
     def verdict(self):
         return "pass" if all(e["passed"] for e in self.entries) else "fail"
 
-    def to_dict(self, include_timing=False):
-        return {
+    def to_json(self, include_timing=False):
+        doc = {
             "command": self.command,
             "config": self.config,
             "entries": self.entries,
@@ -129,9 +115,7 @@ class RunReport:
             "verdict": self.verdict,
             "version": self.version,
         }
-
-    def to_json(self, include_timing=False):
-        return json.dumps(self.to_dict(include_timing), indent=2, sort_keys=True) + "\n"
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +125,12 @@ class RunReport:
 def _require(cond, message):
     if not cond:
         raise ConfigSchemaError(message)
+
+
+def _check_keys(obj, allowed, where):
+    """Reject every key of a config object outside allowed, naming its path."""
+    for key in obj:
+        _require(key in allowed, f"{where}: unknown key {key!r}")
 
 
 def _is_int(value):
@@ -188,6 +178,7 @@ def _parse_algebra(obj):
         kind in (A_OMEGA_DELTA, OMEGA_FORM, AFK),
         f"algebra.kind must be one of '{A_OMEGA_DELTA}', '{OMEGA_FORM}', '{AFK}'",
     )
+    _check_keys(obj, ("kind", "k", "f") if kind == AFK else ("kind",), "algebra")
     if kind == A_OMEGA_DELTA:
         return a_omega_delta()
     if kind == OMEGA_FORM:
@@ -203,11 +194,14 @@ def _parse_tp_params(obj, bdef):
     _require(isinstance(obj, dict), "tp_params: expected an object")
     _require(bdef is not None and bdef.kind == AFK, "tp_params requires an a-f-k algebra")
     if "example_family" in obj:
+        _check_keys(obj, ("example_family",), "tp_params with example_family")
         fam = obj["example_family"]
         _require(isinstance(fam, dict), "tp_params.example_family: expected an object")
+        _check_keys(fam, ("d_seq", "c"), "tp_params.example_family")
         d_seq = _parse_scalar_map(fam.get("d_seq", {}), "tp_params.example_family.d_seq")
         c = _parse_scalar_map(fam.get("c", {}), "tp_params.example_family.c")
         return build_example_family(bdef.f, d_seq, c, bdef.k)
+    _check_keys(obj, ("alpha", "c", "d"), "tp_params")
     alpha = _parse_scalar(obj.get("alpha", "0"), "tp_params.alpha")
     c = _parse_scalar_map(obj.get("c", {}), "tp_params.c")
     d_list = obj.get("d", [])
@@ -247,12 +241,10 @@ def parse_config(text, command=None):
         f"config command {doc_command!r} does not match requested {command!r}",
     )
 
-    known = {
+    _check_keys(data, (
         "command", "algebra", "windows", "mode", "budget", "seed",
         "degree", "tp_params", "generators", "max_rounds",
-    }
-    for key in data:
-        _require(key in known, f"unknown config key {key!r}")
+    ), "config")
 
     cfg = RunConfig(command=command)
 
@@ -364,34 +356,27 @@ def _violation_json(v):
     }
 
 
-def _entry(report, law=None, details=None):
-    law = law or report.law
+def _entry(outcome, details=None, passed=None, mode=None, cases_run=None):
+    """One report entry: a name, its anchor, the verdict and its witnesses,
+    the counts that are set (mode, cases_run, seed), and details when there
+    are any.  `outcome` is a law's CheckReport, which gives all but the
+    details, or the name of an entry that is not a law check, given its
+    verdict and counts, with no witnesses and no seed."""
+    if isinstance(outcome, CheckReport):
+        name, passed, violations = outcome.law, outcome.passed, outcome.violations
+        anchor, mode, cases_run = LAWS[name].anchor, outcome.mode, outcome.cases_run
+        seed = outcome.seed
+    else:
+        name, anchor, violations, seed = outcome, ANCHORS[outcome], (), None
     out = {
-        "law": law,
-        "anchor": LAW_ANCHORS[law],
-        "mode": report.mode,
-        "cases_run": report.cases_run,
-        "passed": report.passed,
-        "violations": [_violation_json(v) for v in report.violations],
-    }
-    if report.seed is not None:
-        out["seed"] = report.seed
-    if details:
-        out["details"] = details
-    return out
-
-
-def _plain_entry(law, passed, details=None, mode=None, cases_run=None):
-    out = {
-        "law": law,
-        "anchor": LAW_ANCHORS[law],
+        "law": name,
+        "anchor": anchor,
         "passed": passed,
-        "violations": [],
+        "violations": [_violation_json(v) for v in violations],
     }
-    if mode is not None:
-        out["mode"] = mode
-    if cases_run is not None:
-        out["cases_run"] = cases_run
+    for key, value in (("mode", mode), ("cases_run", cases_run), ("seed", seed)):
+        if value is not None:
+            out[key] = value
     if details:
         out["details"] = details
     return out
@@ -457,7 +442,7 @@ def _run_solve_derivations(cfg):
         "full_dimension": verdict.full_dimension,
         "offending_vectors": verdict.offending_vectors,
     }
-    return [_plain_entry("derivation-classification", verdict.matches, details)]
+    return [_entry("derivation-classification", details, verdict.matches)]
 
 
 def _run_tp_triviality(cfg):
@@ -474,7 +459,7 @@ def _run_tp_triviality(cfg):
             for i in range(space.dimension)
         ],
     }
-    return [_plain_entry("tp-triviality", space.dimension == 0, details)]
+    return [_entry("tp-triviality", details, space.dimension == 0)]
 
 
 def _run_build_tp(cfg):
@@ -483,7 +468,7 @@ def _run_build_tp(cfg):
         "params": _tp_params_json(cfg.tp_params),
         "classification": classify_poisson(cfg.tp_params) if report.is_valid else None,
     }
-    return [_plain_entry("tp-params-built", report.is_valid, details)]
+    return [_entry("tp-params-built", details, report.is_valid)]
 
 
 def _run_verify_tp(cfg):
@@ -497,7 +482,7 @@ def _run_verify_tp(cfg):
         ],
         "exchange_violations": [[list(t), str(r)] for t, r in report.eq_exchange_violations],
     }
-    entries = [_plain_entry("tp-params-valid", report.is_valid, details)]
+    entries = [_entry("tp-params-valid", details, report.is_valid)]
     if not report.is_valid:
         return entries
 
@@ -529,14 +514,14 @@ def _run_verify_tp(cfg):
     if classification == POISSON_AND_TRANSPOSED:
         poisson = check_poisson_compatibility(bdef, prod, closure)
         entries.append(
-            _plain_entry(
+            _entry(
                 "poisson-dichotomy",
-                poisson.passed,
                 details={
                     "classification": classification,
                     "poisson_law_passed": poisson.passed,
                     "witness": None,
                 },
+                passed=poisson.passed,
                 mode="exhaustive",
                 cases_run=poisson.cases_run,
             )
@@ -544,14 +529,14 @@ def _run_verify_tp(cfg):
     else:
         witness = poisson_violation_witness(bdef, prod, closure)
         entries.append(
-            _plain_entry(
+            _entry(
                 "poisson-dichotomy",
-                witness is not None,
                 details={
                     "classification": classification,
                     "poisson_law_passed": witness is None,
                     "witness": _violation_json(witness) if witness else None,
                 },
+                passed=witness is not None,
                 mode="exhaustive",
             )
         )
@@ -575,7 +560,7 @@ def _run_generators(cfg):
         "missing": [str(s) for s in result.missing],
         "generators": [str(s) for s in gens],
     }
-    return [_plain_entry("generator-closure", result.spanned, details)]
+    return [_entry("generator-closure", details, result.spanned)]
 
 
 _RUNNERS = {
@@ -586,6 +571,7 @@ _RUNNERS = {
     "verify-tp": _run_verify_tp,
     "generators": _run_generators,
 }
+COMMANDS = tuple(_RUNNERS)
 
 
 def run(config):

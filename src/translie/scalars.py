@@ -49,6 +49,8 @@ class Scalar:
         a, b, c, d = self.re, self.im, other.re, other.im
         if not b and not d:
             return Scalar(a * c, _ZERO_FRACTION)
+        if not d:  # a real factor scales both parts, as the bracket's f(M_t)*n
+            return Scalar(a * c, b * c)
         return Scalar(a * c - b * d, a * d + b * c)
 
     def __truediv__(self, other):

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algebras import ProductDef, TP_FAMILY, custom_operator, product_eval
+from .algebras import ProductDef, TP_FAMILY
 from .checks import POISSON_LEIBNIZ, run_law, window
-from .elements import Element, L, M
+from .elements import L, M
 from .errors import DEFAULT_EXHAUSTIVE_CAP, BudgetExceededError, InvalidParamsError
 from .scalars import Scalar, ZERO
 
@@ -234,15 +234,6 @@ def support_closure_window(params):
     closure = base | sums | shifted
     pad = abs(params.k)
     return window(min(closure) - pad, max(closure) + pad)
-
-
-def left_multiplication_operator(pdef, element, index_window):
-    """Multiplication by a fixed element, tabulated over a symbol window."""
-    table = {}
-    for i in index_window.indices():
-        for sym in (L(i), M(i)):
-            table[sym] = product_eval(pdef, element, Element.basis(sym))
-    return custom_operator(table)
 
 
 def poisson_violation_witness(bdef, pdef, w):

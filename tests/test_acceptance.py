@@ -35,27 +35,30 @@ from translie.checks import (
 from translie.cli import parse_config, run
 from translie.elements import Element, L, M
 from translie.scalars import Scalar
+from translie.linalg import nullspace
 from translie.solver import (
     assemble_system,
     full_window_ansatz,
-    full_window_family_assignment,
     graded_ansatz,
-    random_family_params,
     solve_and_classify,
-    tp_triviality_solver,
+    tp_triviality_system,
 )
 from translie.tp import (
     POISSON_AND_TRANSPOSED,
     TRANSPOSED_ONLY,
     build_example_family,
     classify_poisson,
-    left_multiplication_operator,
     poisson_violation_witness,
     support_closure_window,
     tp_product,
     validate_params,
 )
 
+from families import (
+    full_window_family_assignment,
+    left_multiplication_operator,
+    random_family_params,
+)
 from spaces import assignment_space
 
 SEED = 20240811
@@ -139,7 +142,7 @@ def test_c06_graded_solver_classification():
 
 
 def test_c07_induced_product_triviality():
-    space = tp_triviality_solver(window(-3, 3), window(-3, 3))
+    space = nullspace(tp_triviality_system(window(-3, 3), window(-3, 3)))
     _line(7, "induced-product solver returns only the zero product", space.dimension == 0)
 
 

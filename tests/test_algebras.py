@@ -21,7 +21,7 @@ from translie.algebras import (
 from translie.checks import window, window_symbols
 from translie.elements import Element, L, M
 from translie.errors import DomainError
-from translie.scalars import Scalar
+from translie.scalars import Scalar, from_int
 
 
 def B(sym):
@@ -86,6 +86,96 @@ def test_int_terms_are_scaled_terms(bdef, scale):
     for x, y, z in itertools.product(symbols, repeat=3):
         expected = [(c.scale_int(scale), sym) for c, sym in bdef.terms(x, y, z)]
         assert [(Scalar(c), sym) for c, sym in bdef.int_terms(x, y, z)] == expected
+
+
+# The bracket written out twice, once per coefficient type, with its own
+# dispatch in each: the oracle for the one table behind terms() and
+# int_terms().
+
+
+def _sort3(a, b, c):
+    sign = 1
+    if b < a:
+        a, b = b, a
+        sign = -sign
+    if c < b:
+        b, c = c, b
+        sign = -sign
+    if b < a:
+        a, b = b, a
+        sign = -sign
+    return a, b, c, sign
+
+
+def reference_terms(bdef, x, y, z):
+    if x == y or y == z or x == z:
+        return []
+    a, b, c, sign = _sort3(x, y, z)
+    fa, fb, fc = a.family, b.family, c.family
+    kind = bdef.kind
+    if kind == "a-omega-delta":
+        if fa == "L" and fb == "L" and fc == "M":
+            return [(from_int(sign * (b.index - a.index)), L(a.index + b.index + c.index))]
+        if fa == "L" and fb == "M":
+            return [(from_int(sign * (b.index - c.index)), M(a.index + b.index + c.index))]
+        return []
+    if kind == "a-omega-delta-omega-form":
+        if fa == "L" and fb == "L" and fc == "M":
+            return [(from_int(sign * (b.index - a.index)), L(a.index + b.index - c.index))]
+        if fa == "L" and fb == "M":
+            return [(from_int(sign * (c.index - b.index)), M(b.index + c.index - a.index))]
+        return []
+    if fa == "L" and fb == "L" and fc == "M":
+        fv = bdef.f.m_value(c.index)
+        if not fv:
+            return []
+        return [(fv.scale_int(sign * (a.index - b.index)), L(a.index + b.index + bdef.k))]
+    return []
+
+
+def reference_int_terms(bdef, x, y, z):
+    if x == y or y == z or x == z:
+        return []
+    a, b, c, sign = _sort3(x, y, z)
+    if a.family != "L" or c.family != "M":
+        return []
+    r, s, t = a.index, b.index, c.index
+    if bdef.kind == "a-omega-delta":
+        if b.family == "L":
+            return [(sign * (s - r), L(r + s + t))]
+        return [(sign * (s - t), M(r + s + t))]
+    if bdef.kind == "a-omega-delta-omega-form":
+        if b.family == "L":
+            return [(sign * (s - r), L(r + s - t))]
+        return [(sign * (t - s), M(s + t - r))]
+    fv = bdef.int_f.get(t) if b.family == "L" else None
+    return [(fv * sign * (r - s), L(r + s + bdef.k))] if fv else []
+
+
+def typed(terms):
+    return [(type(c), c, sym) for c, sym in terms]
+
+
+@pytest.mark.parametrize(
+    "bdef",
+    [a_omega_delta(), omega_form()]
+    + [
+        afk(k, functional(f))
+        for k in (-2, 0, 3)
+        for f in ({0: 1}, {0: "1/2", 1: "-2/3", -3: 5}, {0: Scalar(1, 1), 1: 2})
+    ],
+    ids=["a-omega-delta", "omega-form"]
+    + [f"a-f-k-{k}-{f}" for k in (-2, 0, 3) for f in ("one", "fractional", "gaussian")],
+)
+def test_bracket_table_matches_the_hand_written_tables(bdef):
+    """terms() and int_terms() give the lists, coefficient types included,
+    of the two tables they replace, on every ordered triple of [-4,4]."""
+    symbols = window_symbols(window(-4, 4))
+    for x, y, z in itertools.product(symbols, repeat=3):
+        assert typed(bdef.terms(x, y, z)) == typed(reference_terms(bdef, x, y, z))
+        if bdef.integral:
+            assert typed(bdef.int_terms(x, y, z)) == typed(reference_int_terms(bdef, x, y, z))
+    assert bdef.integral == (bdef.f is None or not any(v.im for _, v in bdef.f.values))
 
 
 def test_gaussian_functional_has_no_int_terms():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from translie import linalg, solver
+from translie import checks, cli, linalg, solver
 from translie.cli import COMMANDS, main, parse_config, run
 from translie.errors import ConfigParseError, ConfigSchemaError
 from translie.scalars import Scalar
@@ -57,9 +57,111 @@ def test_parse_rejects_bad_window():
         )
 
 
-def test_parse_rejects_unknown_key():
-    with pytest.raises(ConfigSchemaError):
-        parse_config(cfg_text(command="check-laws", algebra={"kind": "a-omega-delta"}, zap=1))
+AFK_F0 = {"kind": "a-f-k", "f": {"0": "1"}}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (
+            dict(command="check-laws", algebra={"kind": "a-omega-delta"}, zap=1),
+            "config: unknown key 'zap'",
+        ),
+        (
+            dict(command="check-laws", algebra={"kind": "a-f-k", "K": 3, "f": {"0": "1"}}),
+            "algebra: unknown key 'K'",
+        ),
+        (
+            dict(command="check-laws", algebra={"kind": "a-omega-delta", "k": 1}),
+            "algebra: unknown key 'k'",
+        ),
+        (
+            dict(command="check-laws", algebra={"kind": "a-omega-delta", "f": {"0": "1"}}),
+            "algebra: unknown key 'f'",
+        ),
+        (
+            dict(command="generators", algebra={"kind": "a-omega-delta-omega-form", "k": 0}),
+            "algebra: unknown key 'k'",
+        ),
+        (
+            dict(
+                command="build-tp",
+                algebra=AFK_F0,
+                tp_params={"example_family": {"d_seq": {"0": "1"}, "C": {"1": "2"}}},
+            ),
+            "tp_params.example_family: unknown key 'C'",
+        ),
+        (
+            dict(
+                command="verify-tp",
+                algebra=AFK_F0,
+                tp_params={"example_family": {"d_seq": {"0": "1"}}, "alpha": "1"},
+            ),
+            "tp_params with example_family: unknown key 'alpha'",
+        ),
+        (
+            dict(
+                command="verify-tp",
+                algebra=AFK_F0,
+                tp_params={"example_family": {}, "c": {"1": "2"}},
+            ),
+            "tp_params with example_family: unknown key 'c'",
+        ),
+        (
+            dict(
+                command="build-tp",
+                algebra=AFK_F0,
+                tp_params={"d": [[0, 0, 0, "1"]], "example_family": {}},
+            ),
+            "tp_params with example_family: unknown key 'd'",
+        ),
+        (
+            dict(command="build-tp", algebra=AFK_F0, tp_params={"alpha": "0", "D": []}),
+            "tp_params: unknown key 'D'",
+        ),
+    ],
+    ids=[
+        "root", "afk-K", "aod-k", "aod-f", "omega-form-k", "example-C",
+        "alpha-beside-example", "c-beside-example", "d-beside-example", "tp-D",
+    ],
+)
+def test_parse_rejects_unknown_key(doc, message):
+    """Unknown keys are rejected at every level, with the key's path."""
+    with pytest.raises(ConfigSchemaError) as exc:
+        parse_config(json.dumps(doc))
+    assert str(exc.value) == message
+    assert _main_on(doc["command"], doc) == (2, f"error: {message}\n")
+
+
+# every anchor text as the reports have shown it
+RECORDED_ANCHORS = {
+    "skew-symmetry": "bracket changes sign under every transposition of its arguments",
+    "fundamental-identity": "[x,y,[u,v,w]] = [[x,y,u],v,w] + [u,[x,y,v],w] + [u,v,[x,y,w]]",
+    "one-third-derivation": "3 D([x,y,z]) = [D(x),y,z] + [x,D(y),z] + [x,y,D(z)]",
+    "product-derivation-rule": "D(x*y) = D(x)*y + x*D(y)",
+    "involutive-morphism": "W(W(x)) = x and W(x*y) = W(x)*W(y)",
+    "relabel-intertwining": "relabel([x,y,z]) = [relabel(x),relabel(y),relabel(z)]",
+    "transposed-leibniz": "3 u*[x,y,z] = [x*u,y,z] + [x,y*u,z] + [x,y,z*u]",
+    "poisson-leibniz": "[x,y,u*v] = u*[x,y,v] + [x,y,u]*v",
+    "commutative-associative": "x*y = y*x and (x*y)*z = x*(y*z)",
+    "derivation-classification": "core solution space matches the closed-form derivation family",
+    "tp-triviality": "commutativity forces every induced-product coefficient to vanish",
+    "tp-params-valid": "symmetry, weighted-sum, and exchange constraints all hold",
+    "tp-params-built": "rank-one array construction satisfies its constraints",
+    "poisson-dichotomy": "classical Leibniz law holds exactly when alpha = 0 and c = 0",
+    "generator-closure": "every window basis symbol lies in the bracket closure of the generators",
+}
+
+
+def test_every_anchor_is_the_recorded_text():
+    """Each LawSpec's anchor and each anchor of an entry that is not a law
+    check equal the recorded text, and together they are all of it, once."""
+    specs = [v for v in vars(checks).values() if isinstance(v, checks.LawSpec)]
+    assert sorted(specs) == sorted(checks.LAWS.values())
+    assert all(name == spec.name for name, spec in checks.LAWS.items())
+    anchors = {spec.name: spec.anchor for spec in specs}
+    assert not anchors.keys() & cli.ANCHORS.keys()
+    assert {**anchors, **cli.ANCHORS} == RECORDED_ANCHORS
 
 
 def test_parse_rejects_command_mismatch():
@@ -415,6 +517,8 @@ FUZZ_CORRUPTIONS = [
     ("generators", []),
     ("tp_params", {"alpha": True}),
     ("tp_params", {"d": [[0, -1, 0]]}),
+    ("tp_params", {"example_family": {"d_seq": {"0": "1"}}, "alpha": "1"}),
+    ("algebra", {"kind": "a-f-k", "K": 3, "f": {"0": "1"}}),
     ("mode", "both"),
 ]
 def small_windows(size):

@@ -17,19 +17,20 @@ from translie.errors import BudgetExceededError, EmptySystemError
 from translie.linalg import ConstraintSystem, nullspace, unknown
 from translie.scalars import ONE, Scalar
 from translie.solver import (
-    afk_family_operator,
     assemble_system,
     full_window_ansatz,
-    full_window_family_assignment,
     graded_ansatz,
-    graded_family_assignment,
-    random_family_params,
-    solution_operator,
     solve_and_classify,
-    tp_triviality_solver,
     tp_triviality_system,
 )
 
+from families import (
+    afk_family_operator,
+    full_window_family_assignment,
+    graded_family_assignment,
+    random_family_params,
+    solution_operator,
+)
 from spaces import assignment_space, dense
 
 
@@ -193,11 +194,9 @@ def test_assembly_over_budget_raises_before_enumerating():
 
 
 def test_triviality_over_budget_raises():
-    """2*|basis|^2*|index| rows, half of that without the M-family rows."""
+    """2*|basis|^2*|index| rows."""
     with pytest.raises(BudgetExceededError, match="needs 4000000 rows"):
         tp_triviality_system(window(0, 1), window(0, 999))
-    with pytest.raises(BudgetExceededError, match="needs 3000000 rows"):
-        tp_triviality_system(window(0, 2), window(0, 999), include_m_rows=False)
 
 
 def test_solver_solution_passes_forward_check():
@@ -295,15 +294,23 @@ def test_afk_family_operator_passes_check():
 
 
 def test_triviality_solver_returns_zero_dimension():
-    assert tp_triviality_solver(window(-3, 3), window(-3, 3)).dimension == 0
+    assert nullspace(tp_triviality_system(window(-3, 3), window(-3, 3))).dimension == 0
 
 
 def test_triviality_single_index_pair():
-    assert tp_triviality_solver(window(0, 0), window(0, 0)).dimension == 0
+    assert nullspace(tp_triviality_system(window(0, 0), window(0, 0))).dimension == 0
 
 
 def test_triviality_weakened_system_has_solutions():
-    sys_ = tp_triviality_system(window(-2, 2), window(-2, 2), include_m_rows=False)
+    """Without the M-family comparison rows the alpha block is unconstrained,
+    which shows that those rows do the work."""
+    full = tp_triviality_system(window(-2, 2), window(-2, 2))
+    sys_ = ConstraintSystem()
+    for uid in full.unknowns:
+        sys_.register(uid)
+    for row, prov in zip(full.rows, full.provenance):
+        if prov[-1].family == "L":
+            sys_.add_row({full.unknowns[col]: v for col, v in row.items()}, prov)
     space = nullspace(sys_)
     assert space.dimension == 25  # the whole unconstrained alpha block
     for idx in range(space.dimension):
@@ -313,4 +320,4 @@ def test_triviality_weakened_system_has_solutions():
 
 def test_triviality_dimension_zero_up_to_five():
     for b in range(1, 6):
-        assert tp_triviality_solver(window(-b, b), window(-b, b)).dimension == 0
+        assert nullspace(tp_triviality_system(window(-b, b), window(-b, b))).dimension == 0

@@ -21,12 +21,13 @@ from translie.tp import (
     TPParams,
     build_example_family,
     classify_poisson,
-    left_multiplication_operator,
     poisson_violation_witness,
     support_closure_window,
     tp_product,
     validate_params,
 )
+
+from families import left_multiplication_operator
 
 F01 = functional({0: 1})
 
