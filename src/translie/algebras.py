@@ -65,16 +65,6 @@ class FiniteFunctional:
     def is_zero(self):
         return not self.values
 
-    def evaluate(self, element):
-        """Sum of coefficient * f(M_index) over the element's M terms."""
-        total = ZERO
-        for sym, coeff in element.terms.items():
-            if sym.family == "M":
-                fv = self.m_value(sym.index)
-                if fv:
-                    total = total + coeff * fv
-        return total
-
 
 def functional(mapping):
     return FiniteFunctional.from_map(mapping)

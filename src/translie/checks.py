@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 from .algebras import a_omega_delta, algebra_a, m_negation, omega_form
 from .elements import BasisSymbol, Element, L, M, add_terms, extend
-from .errors import DEFAULT_EXHAUSTIVE_CAP, BudgetExceededError
+from .errors import BudgetExceededError, require_budget
 from .linalg import _clear, _monic, _normal_form
 from .scalars import from_int
 
@@ -104,11 +104,7 @@ class CheckReport:
 
 def _check_budget(mode, total, budget):
     if mode == "exhaustive":
-        cap = DEFAULT_EXHAUSTIVE_CAP if budget is None else budget
-        if total > cap:
-            raise BudgetExceededError(
-                f"exhaustive run needs {total} cases, budget is {cap}"
-            )
+        require_budget(total, f"exhaustive run needs {total} cases", budget)
         return total
     if mode == "randomized":
         return DEFAULT_SAMPLES if budget is None else budget
@@ -576,11 +572,7 @@ def generator_closure(bdef, gens, w, max_rounds=16, margin=None):
         snapshot = list(rows.values())
         n = len(snapshot)
         triples = comb(n, 3) - comb(old_start, 3)
-        if triples > DEFAULT_EXHAUSTIVE_CAP:
-            raise BudgetExceededError(
-                f"closure round {round_no} needs {triples} bracket triples, "
-                f"budget is {DEFAULT_EXHAUSTIVE_CAP}"
-            )
+        require_budget(triples, f"closure round {round_no} needs {triples} bracket triples")
         grew = False
         for i, j in itertools.combinations(range(n), 2):
             for k in range(max(j + 1, old_start), n):

@@ -122,6 +122,16 @@ class RunReport:
 # config parsing
 
 
+# integer config fields: the least value allowed (None: no bound) and the
+# message for any other value
+_INT_FIELDS = {
+    "budget": (1, "budget must be a positive integer"),
+    "seed": (None, "seed must be an integer"),
+    "degree": (None, "degree must be an integer"),
+    "max_rounds": (0, "max_rounds must be a non-negative integer"),
+}
+
+
 def _require(cond, message):
     if not cond:
         raise ConfigSchemaError(message)
@@ -131,6 +141,17 @@ def _check_keys(obj, allowed, where):
     """Reject every key of a config object outside allowed, naming its path."""
     for key in obj:
         _require(key in allowed, f"{where}: unknown key {key!r}")
+
+
+def _unique_keys(pairs):
+    """A JSON object, refused when it repeats a key: json would keep only
+    the last value, so {"0": "1", "0": "2"} would drop f(M_0) = 1."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigParseError(f"config repeats the key {key!r} in one object")
+        obj[key] = value
+    return obj
 
 
 def _is_int(value):
@@ -153,11 +174,13 @@ def _parse_scalar_map(obj, where):
     _require(isinstance(obj, dict), f"{where}: expected an object of index -> scalar")
     out = {}
     for key, val in obj.items():
+        # only canonical decimals: int() would read "01", " 1" and "0_1" as 1
         try:
-            idx = int(key)
+            canonical = str(int(key)) == key
         except ValueError:
-            raise ConfigSchemaError(f"{where}: bad integer index {key!r}") from None
-        out[idx] = _parse_scalar(val, f"{where}[{key}]")
+            canonical = False
+        _require(canonical, f"{where}: bad integer index {key!r}")
+        out[int(key)] = _parse_scalar(val, f"{where}[{key}]")
     return out
 
 
@@ -214,7 +237,9 @@ def _parse_tp_params(obj, bdef):
             and all(_is_int(v) for v in item[:3]),
             f"tp_params.d[{pos}]: expected [i, j, q, scalar]",
         )
-        d[(item[0], item[1], item[2])] = _parse_scalar(item[3], f"tp_params.d[{pos}]")
+        triple = tuple(item[:3])
+        _require(triple not in d, f"tp_params.d[{pos}]: repeated index triple {list(triple)}")
+        d[triple] = _parse_scalar(item[3], f"tp_params.d[{pos}]")
     return TPParams(alpha=alpha, c=c, d=d, f=bdef.f, k=bdef.k)
 
 
@@ -225,7 +250,7 @@ def parse_config(text, command=None):
     document, when present, must agree with it.
     """
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigParseError(
             f"config is not valid JSON: {exc.msg} at line {exc.lineno} column {exc.colno}"
@@ -241,10 +266,10 @@ def parse_config(text, command=None):
         f"config command {doc_command!r} does not match requested {command!r}",
     )
 
-    _check_keys(data, (
-        "command", "algebra", "windows", "mode", "budget", "seed",
-        "degree", "tp_params", "generators", "max_rounds",
-    ), "config")
+    _check_keys(
+        data, ("command", "algebra", "windows", "mode", "tp_params", "generators", *_INT_FIELDS),
+        "config",
+    )
 
     cfg = RunConfig(command=command)
 
@@ -266,21 +291,11 @@ def parse_config(text, command=None):
 
     cfg.mode = data.get("mode", "exhaustive")
     _require(cfg.mode in ("exhaustive", "randomized"), "mode must be exhaustive or randomized")
-    if "budget" in data:
-        _require(
-            _is_int(data["budget"]) and data["budget"] > 0,
-            "budget must be a positive integer",
-        )
-        cfg.budget = data["budget"]
-    cfg.seed = data.get("seed", 0)
-    _require(_is_int(cfg.seed), "seed must be an integer")
-    cfg.degree = data.get("degree", 0)
-    _require(_is_int(cfg.degree), "degree must be an integer")
-    cfg.max_rounds = data.get("max_rounds", 16)
-    _require(
-        _is_int(cfg.max_rounds) and cfg.max_rounds >= 0,
-        "max_rounds must be a non-negative integer",
-    )
+    for name, (least, message) in _INT_FIELDS.items():
+        if name in data:
+            value = data[name]
+            _require(_is_int(value) and (least is None or value >= least), message)
+            setattr(cfg, name, value)
 
     if "tp_params" in data:
         cfg.tp_params = _parse_tp_params(data["tp_params"], cfg.algebra)
@@ -408,16 +423,11 @@ def _run_check_laws(cfg):
     if cfg.algebra.kind == A_OMEGA_DELTA:
         entries.append(_entry(check_relabel_intertwining(domain)))
         entries.append(_entry(check_commutative_associative(algebra_a(), domain)))
-        entries.append(
-            _entry(check_derivation(index_scaling(), domain), details={"operator": "index-scaling"})
-        )
-        for k in range(-3, 4):
-            entries.append(
-                _entry(
-                    check_derivation(scaled_l_shift(k), domain),
-                    details={"operator": f"scaled-l-shift({k})"},
-                )
-            )
+        derivations = [("index-scaling", index_scaling())] + [
+            (f"scaled-l-shift({k})", scaled_l_shift(k)) for k in range(-3, 4)
+        ]
+        for name, op in derivations:
+            entries.append(_entry(check_derivation(op, domain), details={"operator": name}))
         entries.append(_entry(check_involutive_morphism(family_swap(), domain)))
     return entries
 
@@ -474,14 +484,10 @@ def _run_build_tp(cfg):
 def _run_verify_tp(cfg):
     params = cfg.tp_params
     report = validate_params(params)
-    details = {
-        "params": _tp_params_json(params),
-        "symmetry_violations": [[list(t), str(r)] for t, r in report.eq_symmetry_violations],
-        "weighted_sum_violations": [
-            [list(t), str(r)] for t, r in report.eq_weighted_sum_violations
-        ],
-        "exchange_violations": [[list(t), str(r)] for t, r in report.eq_exchange_violations],
-    }
+    details = {"params": _tp_params_json(params)}
+    for law in ("symmetry", "weighted_sum", "exchange"):
+        violations = getattr(report, f"eq_{law}_violations")
+        details[f"{law}_violations"] = [[list(t), str(r)] for t, r in violations]
     entries = [_entry("tp-params-valid", details, report.is_valid)]
     if not report.is_valid:
         return entries
@@ -489,18 +495,9 @@ def _run_verify_tp(cfg):
     prod = tp_product(params)
     bdef = cfg.algebra
     closure = support_closure_window(params)
-    entries.append(
-        _entry(
-            check_commutative_associative(prod, closure),
-            details={"window": [closure.lo, closure.hi]},
-        )
-    )
-    entries.append(
-        _entry(
-            check_tp_compatibility(bdef, prod, closure),
-            details={"window": [closure.lo, closure.hi]},
-        )
-    )
+    for law_report in (check_commutative_associative(prod, closure),
+                       check_tp_compatibility(bdef, prod, closure)):
+        entries.append(_entry(law_report, details={"window": [closure.lo, closure.hi]}))
     if cfg.mode == "randomized":
         entries.append(
             _entry(
@@ -510,36 +507,22 @@ def _run_verify_tp(cfg):
             )
         )
 
+    # the classical Leibniz law must hold exactly on the poisson-and-transposed side
     classification = classify_poisson(params)
+    witness = cases_run = None
     if classification == POISSON_AND_TRANSPOSED:
         poisson = check_poisson_compatibility(bdef, prod, closure)
-        entries.append(
-            _entry(
-                "poisson-dichotomy",
-                details={
-                    "classification": classification,
-                    "poisson_law_passed": poisson.passed,
-                    "witness": None,
-                },
-                passed=poisson.passed,
-                mode="exhaustive",
-                cases_run=poisson.cases_run,
-            )
-        )
+        law_passed, cases_run = poisson.passed, poisson.cases_run
     else:
         witness = poisson_violation_witness(bdef, prod, closure)
-        entries.append(
-            _entry(
-                "poisson-dichotomy",
-                details={
-                    "classification": classification,
-                    "poisson_law_passed": witness is None,
-                    "witness": _violation_json(witness) if witness else None,
-                },
-                passed=witness is not None,
-                mode="exhaustive",
-            )
-        )
+        law_passed = witness is None
+    details = {
+        "classification": classification,
+        "poisson_law_passed": law_passed,
+        "witness": _violation_json(witness) if witness else None,
+    }
+    passed = law_passed == (classification == POISSON_AND_TRANSPOSED)
+    entries.append(_entry("poisson-dichotomy", details, passed, "exhaustive", cases_run))
     return entries
 
 

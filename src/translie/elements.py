@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import IndexOverflowError
-from .scalars import Scalar, ZERO, ONE, MINUS_ONE
+from .scalars import ZERO, ONE, MINUS_ONE
 
 # Indices are kept within the signed 64-bit range so that index sums in
 # structure constants stay machine-checked rather than silently huge.
@@ -43,14 +43,6 @@ def M(i):
     return BasisSymbol("M", check_index(i))
 
 
-def parse_symbol(text):
-    """Parse "L_3" / "M_-2" back into a BasisSymbol."""
-    fam, _, idx = text.partition("_")
-    if fam not in ("L", "M") or not idx:
-        raise ValueError(f"bad basis symbol: {text!r}")
-    return BasisSymbol(fam, check_index(int(idx)))
-
-
 class Element:
     """Immutable sparse linear combination of basis symbols."""
 
@@ -68,19 +60,8 @@ class Element:
         raise AttributeError("Element is immutable")
 
     @staticmethod
-    def zero():
-        return _ZERO_ELEMENT
-
-    @staticmethod
     def basis(sym):
         return Element({sym: ONE})
-
-    @staticmethod
-    def from_terms(*pairs):
-        acc = {}
-        terms = [(c if isinstance(c, Scalar) else Scalar(c), s) for s, c in pairs]
-        add_terms(acc, ONE, terms)
-        return Element(acc)
 
     # -- queries ------------------------------------------------------------
 
@@ -98,10 +79,6 @@ class Element:
 
     def sorted_terms(self):
         return [(sym, self.terms[sym]) for sym in sorted(self.terms)]
-
-    def leading_symbol(self):
-        """Smallest symbol in the canonical order; None for the zero element."""
-        return min(self.terms) if self.terms else None
 
     # -- arithmetic -----------------------------------------------------------
 

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the default budget.
+"""Exception types shared across the package, and the one budget gate.
 
 Division by zero scalars raises the builtin ZeroDivisionError.
 """
@@ -26,6 +26,16 @@ class DomainError(TransLieError):
 
 class BudgetExceededError(TransLieError):
     """An exhaustive enumeration or iteration limit was exceeded."""
+
+
+def require_budget(count, what, cap=None):
+    """Raise BudgetExceededError when count exceeds cap (default: the
+    exhaustive cap); `what` says what needs count, as in "assembly needs
+    12 equation triples"."""
+    if cap is None:
+        cap = DEFAULT_EXHAUSTIVE_CAP
+    if count > cap:
+        raise BudgetExceededError(f"{what}, budget is {cap}")
 
 
 class EmptySystemError(TransLieError):

@@ -24,12 +24,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import NamedTuple
 
-from .errors import (
-    DEFAULT_EXHAUSTIVE_CAP,
-    BudgetExceededError,
-    UnknownNotFoundError,
-    VerificationError,
-)
+from .errors import UnknownNotFoundError, VerificationError, require_budget
 from .scalars import Scalar, ZERO, ONE, from_int
 
 
@@ -308,12 +303,11 @@ def nullspace(system):
     n = system.num_unknowns
     forms, integer = _lifted(list(system.distinct))
     pivots = _rref(forms, integer)
-    entries = (n - len(pivots)) * n
-    if entries > DEFAULT_EXHAUSTIVE_CAP:
-        raise BudgetExceededError(
-            f"nullspace basis needs {entries} entries ({n - len(pivots)} vectors of "
-            f"{n} unknowns), budget is {DEFAULT_EXHAUSTIVE_CAP}"
-        )
+    vectors = n - len(pivots)
+    entries = vectors * n
+    require_budget(
+        entries, f"nullspace basis needs {entries} entries ({vectors} vectors of {n} unknowns)"
+    )
     one = 1 if integer else ONE
     free = {j: {j: one} for j in range(n) if j not in pivots}
     for lead, prow in pivots.items():

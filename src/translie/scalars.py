@@ -79,10 +79,7 @@ class Scalar:
     def __hash__(self):
         return hash((self.re, self.im))
 
-    # -- conversion and formatting ----------------------------------------
-
-    def __complex__(self):
-        return complex(self.re, self.im)
+    # -- formatting --------------------------------------------------------
 
     def __str__(self):
         if not self.im:
@@ -97,28 +94,33 @@ class Scalar:
 
     @staticmethod
     def parse(text):
-        """Parse strings like "5", "-3/4", "1+2i", "1/2-5i", "i", "-i"."""
+        """Parse strings like "5", "-3/4", "1+2i", "1/2-5i", "i", "-i".
+
+        A malformed string, a zero denominator included, raises ValueError.
+        """
         s = text.strip().replace(" ", "")
         if not s:
             raise ValueError("empty scalar string")
         if not s.endswith("i"):
-            if not _RATIONAL_RE.match(s):
-                raise ValueError(f"bad scalar string: {text!r}")
-            return Scalar(Fraction(s))
-        body = s[:-1]
-        # locate the sign separating real and imaginary parts, if any
-        sep = max(body.rfind("+", 1), body.rfind("-", 1))
-        if sep == -1:
-            real, imag = "0", body
+            real, imag = s, "0"
         else:
-            real, imag = body[:sep], body[sep:]
-        if imag in ("", "+"):
-            imag = "1"
-        elif imag == "-":
-            imag = "-1"
+            body = s[:-1]
+            # locate the sign separating real and imaginary parts, if any
+            sep = max(body.rfind("+", 1), body.rfind("-", 1))
+            if sep == -1:
+                real, imag = "0", body
+            else:
+                real, imag = body[:sep], body[sep:]
+            if imag in ("", "+"):
+                imag = "1"
+            elif imag == "-":
+                imag = "-1"
         if not _RATIONAL_RE.match(real) or not _RATIONAL_RE.match(imag):
             raise ValueError(f"bad scalar string: {text!r}")
-        return Scalar(Fraction(real), Fraction(imag))
+        try:
+            return Scalar(Fraction(real), Fraction(imag))
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in scalar string: {text!r}") from None
 
 
 ZERO = Scalar(0)

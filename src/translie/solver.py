@@ -25,9 +25,9 @@ from dataclasses import dataclass, field
 from math import comb
 
 from .algebras import AFK, A_OMEGA_DELTA
-from .checks import DEFAULT_EXHAUSTIVE_CAP, Window
+from .checks import Window
 from .elements import BasisSymbol, L, M
-from .errors import BudgetExceededError, EmptySystemError
+from .errors import EmptySystemError, require_budget
 from .linalg import (
     ConstraintSystem,
     SolutionSpace,
@@ -117,10 +117,7 @@ def assemble_system(bdef, ansatz, eq_window):
     """
     n = eq_window.size
     triples = 2 * comb(n, 2) * n + 2 * comb(n, 3)
-    if triples > DEFAULT_EXHAUSTIVE_CAP:
-        raise BudgetExceededError(
-            f"assembly needs {triples} equation triples, budget is {DEFAULT_EXHAUSTIVE_CAP}"
-        )
+    require_budget(triples, f"assembly needs {triples} equation triples")
     system = ConstraintSystem()
     for uid in ansatz.unknown_ids():
         system.register(uid)
@@ -346,10 +343,7 @@ def tp_triviality_system(w_index, w_basis):
     coefficient to vanish.
     """
     rows = 2 * w_basis.size ** 2 * w_index.size
-    if rows > DEFAULT_EXHAUSTIVE_CAP:
-        raise BudgetExceededError(
-            f"tp-triviality system needs {rows} rows, budget is {DEFAULT_EXHAUSTIVE_CAP}"
-        )
+    require_budget(rows, f"tp-triviality system needs {rows} rows")
     system = ConstraintSystem()
     for i in w_basis.indices():
         for k in w_index.indices():

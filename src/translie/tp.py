@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from .algebras import ProductDef, TP_FAMILY
 from .checks import POISSON_LEIBNIZ, run_law, window
 from .elements import L, M
-from .errors import DEFAULT_EXHAUSTIVE_CAP, BudgetExceededError, InvalidParamsError
+from .errors import InvalidParamsError, require_budget
 from .scalars import Scalar, ZERO
 
 POISSON_AND_TRANSPOSED = "poisson-and-transposed"
@@ -143,11 +143,11 @@ def validate_params(params):
     """
     idx = params.support_indices()
     cases = len(idx) ** 5
-    if cases > DEFAULT_EXHAUSTIVE_CAP:
-        raise BudgetExceededError(
-            f"exchange identity needs {cases} index tuples over a support closure of "
-            f"{len(idx)} indices, budget is {DEFAULT_EXHAUSTIVE_CAP}"
-        )
+    require_budget(
+        cases,
+        f"exchange identity needs {cases} index tuples over a support closure of "
+        f"{len(idx)} indices",
+    )
     report = TPValidationReport()
     f = params.f
     _, _, pairs, _ = params._exact  # d as {(i, j): {q: value}}

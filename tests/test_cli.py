@@ -354,31 +354,86 @@ def test_main_seed_override(tmp_path):
     assert r2["config"]["seed"] == 9
 
 
+CHECK_LAWS_AOD = dict(command="check-laws", algebra={"kind": "a-omega-delta"})
+POSITIVE = "budget must be a positive integer"
+
+# a document with one malformed field, and the exact message it exits 2 with
 BOOLEAN_FIELDS = {
-    "windows.domain": dict(command="check-laws", algebra={"kind": "a-omega-delta"},
-                           windows={"domain": [True, 2]}),
-    "budget": dict(command="check-laws", algebra={"kind": "a-omega-delta"}, budget=True),
-    "seed": dict(command="check-laws", algebra={"kind": "a-omega-delta"}, seed=True),
-    "degree": dict(command="solve-derivations", algebra={"kind": "a-omega-delta"}, degree=True),
-    "algebra.k": dict(command="check-laws", algebra={"kind": "a-f-k", "k": True, "f": {"0": "1"}}),
-    "algebra.f": dict(command="check-laws", algebra={"kind": "a-f-k", "k": 0, "f": {"0": True}}),
-    "max_rounds": dict(command="generators", algebra={"kind": "a-omega-delta"}, max_rounds=False),
-    "generators": dict(command="generators", algebra={"kind": "a-omega-delta"},
-                       generators=[["L", True]]),
-    "tp_params.d": dict(command="verify-tp", algebra={"kind": "a-f-k", "k": 2, "f": {"0": "1"}},
-                        tp_params={"alpha": "0", "d": [[0, False, 0, "5"]]}),
+    "windows.domain": (dict(CHECK_LAWS_AOD, windows={"domain": [True, 2]}),
+                       "windows.domain: a window is a two-element list [lo, hi]"),
+    "budget": (dict(CHECK_LAWS_AOD, budget=True), POSITIVE),
+    "budget=0": (dict(CHECK_LAWS_AOD, budget=0), POSITIVE),
+    "budget=null": (dict(CHECK_LAWS_AOD, budget=None), POSITIVE),
+    "seed": (dict(CHECK_LAWS_AOD, seed=True), "seed must be an integer"),
+    "seed=1.5": (dict(CHECK_LAWS_AOD, seed=1.5), "seed must be an integer"),
+    "degree": (dict(command="solve-derivations", algebra={"kind": "a-omega-delta"}, degree=True),
+               "degree must be an integer"),
+    "algebra.k": (dict(command="check-laws", algebra={"kind": "a-f-k", "k": True, "f": {"0": "1"}}),
+                  "algebra.k must be an integer"),
+    "algebra.f": (dict(command="check-laws", algebra={"kind": "a-f-k", "k": 0, "f": {"0": True}}),
+                  "algebra.f[0]: scalars must be strings like '3/4' or '1+2i'"),
+    "max_rounds": (dict(command="generators", algebra={"kind": "a-omega-delta"}, max_rounds=False),
+                   "max_rounds must be a non-negative integer"),
+    "max_rounds=-1": (dict(command="generators", algebra={"kind": "a-omega-delta"}, max_rounds=-1),
+                      "max_rounds must be a non-negative integer"),
+    "generators": (dict(command="generators", algebra={"kind": "a-omega-delta"},
+                        generators=[["L", True]]),
+                   'generators[0]: expected ["L"|"M", index]'),
+    "tp_params.d": (dict(command="verify-tp", algebra={"kind": "a-f-k", "k": 2, "f": {"0": "1"}},
+                         tp_params={"alpha": "0", "d": [[0, False, 0, "5"]]}),
+                    "tp_params.d[0]: expected [i, j, q, scalar]"),
 }
 
 
 @pytest.mark.parametrize("field", sorted(BOOLEAN_FIELDS))
 def test_parse_rejects_boolean_for_integer(field, tmp_path, capsys):
-    text = json.dumps(BOOLEAN_FIELDS[field])
-    with pytest.raises(ConfigSchemaError):
+    doc, message = BOOLEAN_FIELDS[field]
+    text = json.dumps(doc)
+    with pytest.raises(ConfigSchemaError) as exc:
         parse_config(text)
+    assert str(exc.value) == message
     path = tmp_path / "cfg.json"
     path.write_text(text)
-    assert main([BOOLEAN_FIELDS[field]["command"], "--config", str(path), "--quiet"]) == 2
-    assert "error:" in capsys.readouterr().err
+    assert main([doc["command"], "--config", str(path), "--quiet"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def _afk_f(f):
+    return cfg_text(command="check-laws", algebra={"kind": "a-f-k", "f": f})
+
+
+def _build_tp(tp_params):
+    return cfg_text(command="build-tp", algebra={"kind": "a-f-k", "f": {"0": "1"}},
+                    tp_params=tp_params)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (_afk_f({"0": "1/0"}), "algebra.f[0]: zero denominator in scalar string: '1/0'"),
+        (_build_tp({"alpha": "2/0"}), "tp_params.alpha: zero denominator in scalar string: '2/0'"),
+        (_afk_f({"1": "2", "01": "3"}), "algebra.f: bad integer index '01'"),
+        (_afk_f({"1_0": "2"}), "algebra.f: bad integer index '1_0'"),
+        (_afk_f({" 2": "2"}), "algebra.f: bad integer index ' 2'"),
+        (_afk_f({"-0": "2"}), "algebra.f: bad integer index '-0'"),
+        (_build_tp({"example_family": {"d_seq": {"0": "1"}, "c": {"+1": "1"}}}),
+         "tp_params.example_family.c: bad integer index '+1'"),
+        (_build_tp({"d": [[0, 1, 0, "1"], [1, 0, 0, "1"], [0, 1, 0, "2"]]}),
+         "tp_params.d[2]: repeated index triple [0, 1, 0]"),
+        ('{"command": "check-laws", "algebra": {"kind": "a-f-k", "f": {"0": "1", "0": "2"}}}',
+         "config repeats the key '0' in one object"),
+    ],
+    ids=["zero-denominator-f", "zero-denominator-alpha", "leading-zero", "underscore",
+         "space", "minus-zero", "plus-sign", "repeated-d-triple", "repeated-json-key"],
+)
+def test_aliasing_keys_and_zero_denominators_exit_2(text, message, tmp_path, capsys):
+    """Each index names one value and each scalar one number: a key that
+    int() reads like another key, a repeated index or d triple, or a zero
+    denominator is refused with its path, not dropped or left to crash."""
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    assert main([json.loads(text)["command"], "--config", str(path), "--quiet"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_failed_verification_exits_2_naming_the_row(tmp_path, capsys, monkeypatch):
@@ -512,6 +567,8 @@ FUZZ_CORRUPTIONS = [
     ("algebra", {"kind": "a-f-k", "k": True, "f": {"0": "1"}}),
     ("algebra", {"kind": "a-f-k", "k": 0, "f": {}}),
     ("algebra", {"kind": "a-f-k", "k": 0, "f": {"x": "1"}}),
+    ("algebra", {"kind": "a-f-k", "k": 0, "f": {"0": "1/0"}}),
+    ("algebra", {"kind": "a-f-k", "k": 0, "f": {"01": "1"}}),
     ("algebra", {"kind": "nope"}),
     ("generators", [["N", 0]]),
     ("generators", []),

@@ -46,7 +46,7 @@ def test_parse_round_trip():
 
 
 def test_parse_rejects_garbage():
-    for text in ["", "x", "1/", "1+2", "++i", "1/2+", "2i+3"]:
+    for text in ["", "x", "1/", "1+2", "++i", "1/2+", "2i+3", "1/0", "1+2/0i"]:
         with pytest.raises(ValueError):
             Scalar.parse(text)
 
@@ -67,19 +67,22 @@ def test_float_agreement_sampled():
             Fraction(rng.randint(-50, 50), rng.randint(1, 20)),
         )
 
+    def approx_of(x):
+        return complex(x.re, x.im)
+
     for _ in range(1000):
         a, b = sample(), sample()
         op = rng.choice(["add", "sub", "mul", "div", "neg"])
         if op == "add":
-            exact, approx = a + b, complex(a) + complex(b)
+            exact, approx = a + b, approx_of(a) + approx_of(b)
         elif op == "sub":
-            exact, approx = a - b, complex(a) - complex(b)
+            exact, approx = a - b, approx_of(a) - approx_of(b)
         elif op == "mul":
-            exact, approx = a * b, complex(a) * complex(b)
+            exact, approx = a * b, approx_of(a) * approx_of(b)
         elif op == "neg":
-            exact, approx = -a, -complex(a)
+            exact, approx = -a, -approx_of(a)
         else:
             if not b:
                 continue
-            exact, approx = a / b, complex(a) / complex(b)
-        assert abs(complex(exact) - approx) < 1e-9
+            exact, approx = a / b, approx_of(a) / approx_of(b)
+        assert abs(approx_of(exact) - approx) < 1e-9
