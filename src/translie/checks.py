@@ -4,7 +4,8 @@ Every checker quantifies a law exhaustively over the basis symbols of a
 window, or over seeded random samples from a wider index range, and
 returns a CheckReport with exact residual witnesses for every violation.
 Exhaustive runs refuse to start when the case count exceeds the budget
-instead of silently sampling.
+instead of silently sampling; randomized runs refuse a sample count over
+the exhaustive cap.
 
 A law is a small function giving the two sides of one basis tuple from a
 set of kernels: the terms() functions of the definitions it uses.  One
@@ -107,7 +108,9 @@ def _check_budget(mode, total, budget):
         require_budget(total, f"exhaustive run needs {total} cases", budget)
         return total
     if mode == "randomized":
-        return DEFAULT_SAMPLES if budget is None else budget
+        samples = DEFAULT_SAMPLES if budget is None else budget
+        require_budget(samples, f"randomized run needs {samples} samples")
+        return samples
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -193,9 +196,10 @@ def run_law(
     `defs` maps kernel names (bracket, product, op, source) to definitions.
     Cases run on their int_terms when every definition is `integral`, else
     on their Scalar terms; violations always carry Scalar witnesses.  The
-    budget is checked against the exhaustive case count before anything is
-    enumerated.  With `stop_at_first` the run ends at the first violation,
-    unsorted.
+    budget is checked against the exhaustive case count, or a randomized
+    run's budget (its sample count) against the exhaustive cap, before
+    anything is enumerated.  With `stop_at_first` the run ends at the first
+    violation, unsorted.
     """
     syms_count = 2 * w.size
     total = sum(syms_count ** laws[0].arity for laws in spec.parts)

@@ -6,6 +6,9 @@ normal forms of its rows: a real row becomes the primitive integer row with
 a positive leading coefficient, a row with an imaginary coefficient becomes
 monic.  Rows are homogeneous, so rows with one normal form impose one
 constraint; elimination and verification run on the distinct forms only.
+Verification indexes the basis vectors by column and streams the distinct
+forms once, so each form is dotted only with the vectors that share a
+column with it: a vector that shares none leaves the form exactly zero.
 
 Elimination is one incremental reduced row echelon form: each incoming row
 is cleared against the pivots, becomes a pivot at its smallest column, and
@@ -25,7 +28,7 @@ from math import gcd, lcm
 from typing import NamedTuple
 
 from .errors import UnknownNotFoundError, VerificationError, require_budget
-from .scalars import Scalar, ZERO, ONE, from_int
+from .scalars import Scalar, ONE, from_int
 
 
 class UnknownId(NamedTuple):
@@ -133,28 +136,51 @@ class SolutionSpace:
         return None
 
     def residuals(self, system):
-        """For each basis vector in turn, the index of the first row it
-        leaves nonzero, or None; the system must register every unknown.
+        """For each basis vector, the index of the first row it leaves
+        nonzero, or None; the system must register every unknown.
 
         Only the distinct normal forms are substituted: every row is a
-        nonzero multiple of one of them, so this checks every row.  Integer
-        forms are checked in integers against the real and the imaginary
-        part of the vector, each scaled to integers.
+        nonzero multiple of one of them, so this checks every row.  The
+        vectors are indexed by column and the forms streamed once, in
+        order: a form meets only the vectors that share a column with it,
+        as the others leave it exactly zero.  Integer forms are checked in
+        integers against the real and the imaginary part of each vector,
+        each scaled to integers; Gaussian forms against the vector itself.
         """
         col_map = [system.column_of(uid) for uid in self.unknowns]
-        for vec in self.basis:
-            sparse = {col_map[col]: coeff for col, coeff in vec.items()}
-            parts = [p for p in (_int_part(sparse, "re"), _int_part(sparse, "im")) if p]
-            for form, row in system.distinct.items():
-                if type(form[0][1]) is int:
-                    nonzero = any(_dot(form, part, 0) for part in parts)
-                else:
-                    nonzero = _dot(form, sparse, ZERO)
-                if nonzero:
-                    yield row
-                    break
-            else:
-                yield None
+        integer = _column_index(self.basis, col_map, True)
+        gaussian = _column_index(self.basis, col_map, False)
+        first = [None] * len(self.basis)
+        for form, row in system.distinct.items():
+            by_column, owner = integer if type(form[0][1]) is int else gaussian
+            totals = {}
+            for col, coeff in form:
+                for key, v in by_column.get(col, ()):
+                    total = totals.get(key)
+                    totals[key] = coeff * v if total is None else total + coeff * v
+            for key, total in totals.items():
+                if total and first[owner[key]] is None:
+                    first[owner[key]] = row
+        return first
+
+
+def _column_index(vectors, col_map, integer):
+    """Sparse vectors by column col_map[c] for each of their columns c:
+    ({column: [(key, value), ...]}, owner), owner[key] being the index of
+    the vector the entry belongs to.  With integer, each vector's nonzero
+    real and imaginary parts, scaled to integers, get a key of their own;
+    else a key is a vector index and the values are the vector's Scalars."""
+    by_column = {}
+    owner = []
+    for idx, vec in enumerate(vectors):
+        parts = [_int_part(vec, "re"), _int_part(vec, "im")] if integer else [vec]
+        for part in parts:
+            if part:
+                key = len(owner)
+                owner.append(idx)
+                for col, v in part.items():
+                    by_column.setdefault(col_map[col], []).append((key, v))
+    return by_column, owner
 
 
 def _int_part(vec, attr):
@@ -163,15 +189,6 @@ def _int_part(vec, attr):
     part = {col: getattr(v, attr) for col, v in vec.items()}
     den = lcm(*[q.denominator for q in part.values()])
     return {col: q.numerator * (den // q.denominator) for col, q in part.items() if q}
-
-
-def _dot(items, vec, zero):
-    total = zero
-    for col, coeff in items:
-        v = vec.get(col)
-        if v is not None:
-            total = total + coeff * v
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +317,20 @@ def nullspace(system):
     dimension × num_unknowns, the size of the basis that is verified and
     reported, and is checked before any vector is built.
     """
+    space = SolutionSpace(unknowns=list(system.unknowns), basis=_nullspace_basis(system))
+    if not space.verify_against(system):
+        idx, row = space.first_residual(system)
+        raise VerificationError(
+            f"nullspace verification failed: basis vector {idx} leaves row "
+            f"{system.describe(row)} nonzero"
+        )
+    return space
+
+
+def _nullspace_basis(system):
+    """One sparse vector per free column of the RREF, 1 at its smallest
+    column; the elimination's rows are released on return, before the
+    basis is verified."""
     n = system.num_unknowns
     forms, integer = _lifted(list(system.distinct))
     pivots = _rref(forms, integer)
@@ -315,17 +346,7 @@ def nullspace(system):
         for col, v in prow.items():
             if col != lead:
                 free[col][lead] = Fraction(-v, b) if integer else -v
-    space = SolutionSpace(
-        unknowns=list(system.unknowns),
-        basis=[_monic_vector(vec, integer) for vec in free.values()],
-    )
-    if not space.verify_against(system):
-        idx, row = space.first_residual(system)
-        raise VerificationError(
-            f"nullspace verification failed: basis vector {idx} leaves row "
-            f"{system.describe(row)} nonzero"
-        )
-    return space
+    return [_monic_vector(vec, integer) for vec in free.values()]
 
 
 def project_solution(space, keep):

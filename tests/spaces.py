@@ -1,4 +1,7 @@
-"""Test-side views of sparse solution spaces."""
+"""Test-side views of sparse solution spaces, and the all-rows
+substitution loop that SolutionSpace.residuals is checked against."""
+
+from math import lcm
 
 from translie.linalg import SolutionSpace
 from translie.scalars import ONE, ZERO
@@ -24,3 +27,40 @@ def assert_sparse_basis(space):
         assert vec and all(vec.values())
         assert vec[min(vec)] == ONE
         assert all(col in range(len(space.unknowns)) for col in vec)
+
+
+def residuals_oracle(space, system):
+    """SolutionSpace.residuals by brute force: every vector is dotted with
+    every distinct form in order, integer forms in integers against each
+    vector's real and imaginary part scaled to integers."""
+    col_map = [system.column_of(uid) for uid in space.unknowns]
+    out = []
+    for vec in space.basis:
+        sparse = {col_map[col]: coeff for col, coeff in vec.items()}
+        parts = [p for p in (_int_part(sparse, "re"), _int_part(sparse, "im")) if p]
+        for form, row in system.distinct.items():
+            if type(form[0][1]) is int:
+                nonzero = any(_dot(form, part, 0) for part in parts)
+            else:
+                nonzero = _dot(form, sparse, ZERO)
+            if nonzero:
+                out.append(row)
+                break
+        else:
+            out.append(None)
+    return out
+
+
+def _int_part(vec, attr):
+    part = {col: getattr(v, attr) for col, v in vec.items()}
+    den = lcm(*[q.denominator for q in part.values()])
+    return {col: q.numerator * (den // q.denominator) for col, q in part.items() if q}
+
+
+def _dot(items, vec, zero):
+    total = zero
+    for col, coeff in items:
+        v = vec.get(col)
+        if v is not None:
+            total = total + coeff * v
+    return total

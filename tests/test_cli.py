@@ -496,6 +496,33 @@ def test_check_laws_domain_over_budget_exits_2_before_enumerating(tmp_path, caps
     assert err == "error: exhaustive run needs 515849608 cases, budget is 2000000\n"
 
 
+def test_randomized_budget_over_cap_exits_2_before_sampling(tmp_path, capsys, monkeypatch):
+    """A randomized budget is a sample count, held to the exhaustive cap
+    before the first sample is drawn."""
+    stream = checks._tuple_stream
+
+    def no_sampling(w, arity, mode, *args):
+        if mode == "randomized":
+            raise AssertionError("sampled over budget")
+        return stream(w, arity, mode, *args)
+
+    monkeypatch.setattr(checks, "_tuple_stream", no_sampling)
+    path = tmp_path / "many.json"
+    path.write_text(
+        cfg_text(
+            command="check-laws",
+            algebra={"kind": "a-omega-delta"},
+            windows={"domain": [-1, 1], "equation": [-1, 1]},
+            mode="randomized",
+            budget=2000001,
+        )
+    )
+    assert main(["check-laws", "--config", str(path), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err == "error: randomized run needs 2000001 samples, budget is 2000000\n"
+
+
 @pytest.mark.parametrize(
     "command, doc, message",
     [

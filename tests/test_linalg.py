@@ -3,7 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from translie.errors import UnknownNotFoundError
+from translie import linalg
+from translie.algebras import afk, functional
+from translie.checks import window
+from translie.errors import UnknownNotFoundError, VerificationError
 from translie.linalg import (
     ConstraintSystem,
     SolutionSpace,
@@ -13,8 +16,9 @@ from translie.linalg import (
     unknown,
 )
 from translie.scalars import ONE, Scalar, ZERO
+from translie.solver import assemble_system, full_window_ansatz
 
-from spaces import assert_sparse_basis, dense
+from spaces import assert_sparse_basis, dense, residuals_oracle
 
 
 def _system(unknown_names, rows):
@@ -125,6 +129,63 @@ def test_residuals_name_the_first_row_each_vector_misses():
     assert list(space.residuals(sys_)) == [3, None, 0, 2]
     assert space.first_residual(sys_) == (0, 3)
     assert SolutionSpace(uids, [{}]).first_residual(sys_) is None
+
+
+def _full_window_system(f_zero):
+    """The a-f-k, k = 1 system on the full window [-4,4], f = {0: f_zero, 1: 2}."""
+    w = window(-4, 4)
+    bdef = afk(1, functional({0: f_zero, 1: Scalar(2)}))
+    return assemble_system(bdef, full_window_ansatz(w, w), w)
+
+
+@pytest.mark.parametrize("f_zero", [Scalar(3), Scalar(1, 1)], ids=["real", "gaussian"])
+def test_residuals_match_the_oracle_on_full_window_systems(f_zero):
+    """The column-indexed loop and the all-rows loop agree on a solved
+    many-vector space and on the same space with every vector perturbed
+    at one coordinate."""
+    system = _full_window_system(f_zero)
+    space = nullspace(system)
+    assert space.dimension > 50
+    assert space.residuals(system) == residuals_oracle(space, system) == [None] * space.dimension
+    n = system.num_unknowns
+    perturbed = SolutionSpace(
+        space.unknowns,
+        [{**vec, (7 * i) % n: vec.get((7 * i) % n, ZERO) + Scalar(1, i % 2)}
+         for i, vec in enumerate(space.basis)],
+    )
+    expected = residuals_oracle(perturbed, system)
+    assert perturbed.residuals(system) == expected
+    assert sum(row is not None for row in expected) > space.dimension // 2
+
+
+@pytest.mark.parametrize("f_zero", [Scalar(3), Scalar(1, 1)], ids=["real", "gaussian"])
+def test_dropped_pivot_raises_verification_error_naming_the_oracle_row(f_zero, monkeypatch):
+    """An elimination that loses a pivot yields a basis that misses rows;
+    nullspace names the first vector that does and the first row it
+    misses, the same pair the all-rows loop finds."""
+    rref, verify = linalg._rref, SolutionSpace.verify_against
+    checked = []
+
+    def drop_last_pivot(forms, integer):
+        pivots = rref(forms, integer)
+        del pivots[max(pivots)]
+        return pivots
+
+    def record(space, system):
+        checked.append(space)
+        return verify(space, system)
+
+    monkeypatch.setattr(linalg, "_rref", drop_last_pivot)
+    monkeypatch.setattr(SolutionSpace, "verify_against", record)
+    system = _full_window_system(f_zero)
+    with pytest.raises(VerificationError) as exc:
+        nullspace(system)
+    (space,) = checked
+    idx, row = next((i, r) for i, r in enumerate(residuals_oracle(space, system)) if r is not None)
+    assert str(exc.value) == (
+        f"nullspace verification failed: basis vector {idx} leaves row "
+        f"{system.describe(row)} nonzero"
+    )
 
 
 def test_row_referencing_unregistered_unknown():

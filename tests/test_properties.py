@@ -5,8 +5,10 @@ from hypothesis import strategies as st
 
 from translie.algebras import a_omega_delta, bracket_eval
 from translie.elements import Element, L, M, combine
-from translie.linalg import ConstraintSystem, nullspace, rank, unknown
+from translie.linalg import ConstraintSystem, SolutionSpace, nullspace, rank, unknown
 from translie.scalars import ONE, Scalar
+
+from spaces import residuals_oracle
 
 fractions = st.fractions(
     min_value=-20, max_value=20, max_denominator=12
@@ -89,3 +91,46 @@ def test_nullspace_rank_identity(n, raw_rows):
     space = nullspace(system)
     assert rank(kept) + space.dimension == n
     assert space.verify_against(system)
+
+
+small = st.integers(-3, 3)
+gaussian_ints = st.builds(Scalar, small, small).filter(bool)
+real_ints = small.filter(bool).map(Scalar)
+
+
+@st.composite
+def systems_and_spaces(draw):
+    """A sparse system whose rows touch only some of its columns, with
+    integer or Gaussian-integer rows, and a space on a permutation of its
+    unknowns: random vectors (the empty one included), its nullspace
+    basis, and nullspace vectors with one coordinate changed."""
+    n = draw(st.integers(1, 7))
+    touched = draw(st.integers(1, n))
+    coeffs = gaussian_ints if draw(st.booleans()) else real_ints
+    system = ConstraintSystem()
+    uids = [unknown("x", i) for i in range(n)]
+    for uid in uids:
+        system.register(uid)
+    for row in draw(st.lists(
+        st.dictionaries(st.integers(0, touched - 1), coeffs, min_size=1, max_size=4), max_size=10
+    )):
+        system.add_row({uids[col]: v for col, v in row.items()})
+    columns = st.integers(0, n - 1)
+    vectors = draw(st.lists(st.dictionaries(columns, nonzero_scalars, max_size=4), max_size=4))
+    vectors.append({})
+    for vec in nullspace(system).basis:
+        vectors.append(vec)
+        changed = dict(vec)
+        changed[draw(columns)] = draw(nonzero_scalars)
+        vectors.append(changed)
+    order = draw(st.permutations(range(n)))
+    position = {col: j for j, col in enumerate(order)}
+    basis = [{position[col]: v for col, v in vec.items()} for vec in vectors]
+    return system, SolutionSpace([uids[col] for col in order], basis)
+
+
+@given(systems_and_spaces())
+@settings(max_examples=150)
+def test_residuals_match_the_all_rows_oracle(case):
+    system, space = case
+    assert space.residuals(system) == residuals_oracle(space, system)
