@@ -293,20 +293,6 @@ def uniform_shift(k):
     return LinearOperator(UNIFORM_SHIFT, k=check_index(k))
 
 
-def scalar_multiple(c):
-    if not isinstance(c, Scalar):
-        c = Scalar(c)
-    return LinearOperator(SCALAR_MULTIPLE, factor=c)
-
-
-def custom_operator(table):
-    """Operator given by an explicit symbol -> Element table.
-
-    Application outside the table's key set raises DomainError.
-    """
-    return LinearOperator(CUSTOM, table=dict(table))
-
-
 def m_negation():
     """Fixes every L_r and sends each M_r to M_{-r} (an involution)."""
     return LinearOperator(M_NEGATION)

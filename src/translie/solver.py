@@ -13,7 +13,19 @@ is totally antisymmetric, so the law's defect is too: a permuted triple
 gives the same rows times the permutation sign, which have the same
 normal forms, and a triple with a repeated symbol gives the zero row.
 Triples that would reference an image of a symbol outside the source
-window are skipped entirely rather than truncated.  Solving happens over
+window are skipped entirely rather than truncated.
+
+In a full-window ansatz every L_r has the same image symbols (the L_i and
+M_j of the image window, in one order), and so does every M_r; only the
+unknowns differ.  So a bracket with one slot varied over a symbol's images,
+such as [phi(x),y,z] term by term, depends on the varied symbol's family
+and the two fixed symbols, never on the varied symbol's index.  One
+assembly computes each such bracket once, in a table that lives for that
+call only and keeps the nonzero values alone, and reads each term's
+unknown from the varied symbol's own image list.  The terms, and the order
+they are added in, are those of bracketing every image again, so the rows
+are the same.  A graded image list has 2 entries that move with the index,
+so graded ansatze get no table.  Solving happens over
 the full window; the classification is asserted only on the projection to
 a core window kept away from the boundary, where the finite system carries
 the same information as the infinite one.
@@ -57,6 +69,12 @@ class Ansatz:
     domain: Window
     degree: int = 0
     image: Window | None = None
+
+    @property
+    def shared_images(self):
+        """True when all symbols of a family have one image-symbol list, in
+        one order, and differ only in their unknowns (full window)."""
+        return self.kind == FULL_WINDOW
 
     def unknown_ids(self):
         ids = []
@@ -114,6 +132,15 @@ def assemble_system(bdef, ansatz, eq_window):
     int rows (an a-f-k bracket's scaled by the lcm of f's denominators,
     which leaves each row's constraint unchanged); a Gaussian functional
     keeps Scalar coefficients.
+
+    When the ansatz shares one image-symbol list per family
+    (Ansatz.shared_images: full window), the varied-slot brackets come from
+    a SlotTable made for this call: the bracket of the image at position p
+    with the two other symbols fixed is the same for every varied symbol of
+    the family, so it is computed once, only nonzero values are kept, and
+    the unknown at position p of the varied symbol's own image list takes
+    it.  Graded ansatze bracket each image directly.  Either way the same
+    (unknown, terms) pairs reach one accumulation loop in the same order.
     """
     n = eq_window.size
     triples = 2 * comb(n, 2) * n + 2 * comb(n, 3)
@@ -135,24 +162,21 @@ def assemble_system(bdef, ansatz, eq_window):
             image_cache[sym] = hit
         return hit
 
+    table = SlotTable(bracket) if ansatz.shared_images else None
+    # the representable symbols of the equation window, by family, in index
+    # order; a triple with an unrepresentable symbol gives no equation
+    representable = {}
+    for fam in "LM":
+        syms = [BasisSymbol(fam, i) for i in eq_window.indices()]
+        found = [(sym, images_of(sym)) for sym in syms]
+        representable[fam] = [(sym, img) for sym, img in found if img is not None]
     qualifying = 0
-    lo, hi = eq_window.lo, eq_window.hi + 1
     for pattern_name, (fx, fy, fz) in _PATTERNS:
-        for r in range(lo, hi):
-            x = BasisSymbol(fx, r)
-            img_x = images_of(x)
-            if img_x is None:
-                continue
-            for s in range(r + 1 if fy == fx else lo, hi):
-                y = BasisSymbol(fy, s)
-                img_y = images_of(y)
-                if img_y is None:
-                    continue
-                for t in range(s + 1 if fz == fy else lo, hi):
-                    z = BasisSymbol(fz, t)
-                    img_z = images_of(z)
-                    if img_z is None:
-                        continue
+        xs, ys, zs = representable[fx], representable[fy], representable[fz]
+        for px, (x, img_x) in enumerate(xs):
+            for py in range(px + 1 if fy == fx else 0, len(ys)):
+                y, img_y = ys[py]
+                for z, img_z in zs[py + 1:] if fz == fy else zs:
                     lhs_images = []
                     ok = True
                     for coeff, out in bracket(x, y, z):
@@ -169,20 +193,67 @@ def assemble_system(bdef, ansatz, eq_window):
                     for coeff, img_out in lhs_images:
                         for uid, img in img_out:
                             _form_add(form, img, uid, coeff)
-                    for uid, img in img_x:
-                        for c2, out2 in bracket(img, y, z):
-                            _form_add(form, out2, uid, -c2)
-                    for uid, img in img_y:
-                        for c2, out2 in bracket(x, img, z):
-                            _form_add(form, out2, uid, -c2)
-                    for uid, img in img_z:
-                        for c2, out2 in bracket(x, y, img):
+                    if table is None:
+                        varied = _direct(bracket, x, y, z, img_x, img_y, img_z)
+                    else:
+                        varied = (
+                            table.pairs(0, fx, (y, z), img_x)
+                            + table.pairs(1, fy, (x, z), img_y)
+                            + table.pairs(2, fz, (x, y), img_z)
+                        )
+                    for uid, terms in varied:
+                        for c2, out2 in terms:
                             _form_add(form, out2, uid, -c2)
                     for out_sym in sorted(form):
-                        system.add_row(form[out_sym], (pattern_name, r, s, t, out_sym))
+                        system.add_row(
+                            form[out_sym], (pattern_name, x.index, y.index, z.index, out_sym)
+                        )
     if qualifying == 0:
         raise EmptySystemError("no triple of distinct symbols is representable in the ansatz")
     return system
+
+
+def _direct(bracket, x, y, z, img_x, img_y, img_z):
+    """(unknown, terms) of each varied-slot bracket, bracketing every image."""
+    for uid, img in img_x:
+        yield uid, bracket(img, y, z)
+    for uid, img in img_y:
+        yield uid, bracket(x, img, z)
+    for uid, img in img_z:
+        yield uid, bracket(x, y, img)
+
+
+class SlotTable:
+    """Nonzero kernel values with one argument varied over a family's
+    shared image symbols, filled lazily; one table serves one assembly.
+
+    The key is (slot, family of the varied symbol, the fixed arguments in
+    order); the entry lists (position in the family's image list, terms)
+    for each image symbol whose value is nonzero.  The entry depends on the
+    varied symbol's family only, never on its index, so it is exact only
+    for an ansatz whose symbols of one family share one image-symbol list
+    (Ansatz.shared_images); the unknowns are read from the varied symbol's
+    own image list at each position.
+    """
+
+    def __init__(self, kernel):
+        self._kernel = kernel
+        self._entries = {}
+
+    def pairs(self, slot, family, fixed, images):
+        """(unknown, terms) for each image of the varied symbol whose value
+        is nonzero, in image-list order."""
+        key = (slot, family, fixed)
+        entry = self._entries.get(key)
+        if entry is None:
+            head, tail = fixed[:slot], fixed[slot:]
+            entry = []
+            for pos, (_, img) in enumerate(images):
+                terms = self._kernel(*head, img, *tail)
+                if terms:
+                    entry.append((pos, terms))
+            self._entries[key] = entry
+        return [(images[pos][0], terms) for pos, terms in entry]
 
 
 def _form_add(form, out_sym, uid, value):

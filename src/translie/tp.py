@@ -138,19 +138,27 @@ def validate_params(params):
 
     Every term of the laws has a factor of d, or of alpha f(M_i) f(M_j), so
     each law is checked only where d's entries and f's support reach, by
-    sparse joins listing witnesses in sorted index order.  The |S|^5 exchange
-    tuples of the support closure S are checked against the budget first.
+    sparse joins listing witnesses in sorted index order.  The work of each
+    join is checked against the budget before it runs: the weighted sums
+    meet at most |supp f|^2 pairs beyond d's, and the exchange join makes
+    one product per d entry (a,b,q) and entry of d(q,.,.), a count read off
+    d in O(|d|).
     """
-    idx = params.support_indices()
-    cases = len(idx) ** 5
-    require_budget(
-        cases,
-        f"exchange identity needs {cases} index tuples over a support closure of "
-        f"{len(idx)} indices",
-    )
     report = TPValidationReport()
     f = params.f
     _, _, pairs, _ = params._exact  # d as {(i, j): {q: value}}
+    if params.alpha:
+        weighted = len(f.support) ** 2
+        require_budget(weighted, f"weighted-sum law needs {weighted} index pairs")
+    entries_from = {}
+    for q, _, _ in params.d:
+        entries_from[q] = entries_from.get(q, 0) + 1
+    products = sum(entries_from.get(q, 0) for _, _, q in params.d)
+    require_budget(
+        products,
+        f"exchange identity needs {products} products of d entries over "
+        f"{len(params.d)} entries",
+    )
 
     for i, j, q in sorted({(min(i, j), max(i, j), q) for i, j, q in params.d}):
         residual = params.d_value(i, j, q) - params.d_value(j, i, q)

@@ -5,15 +5,30 @@ can check the solver's and the checkers' answers against it: members of
 the a-f-k 1/3-derivation family as operators and as assignments to a
 full-window ansatz, the truncated uniform shift as a graded assignment, a
 solution vector as an operator, and left multiplication by a fixed
-element of a product.
+element of a product; and the scalar-multiple and table-given operators
+the kernels and checkers are tested on.
 """
 
 from fractions import Fraction
 
-from translie.algebras import custom_operator, product_eval
+from translie.algebras import CUSTOM, SCALAR_MULTIPLE, LinearOperator, product_eval
 from translie.elements import Element, L, M
 from translie.linalg import unknown
 from translie.scalars import ONE, ZERO, Scalar
+
+
+def scalar_multiple(c):
+    if not isinstance(c, Scalar):
+        c = Scalar(c)
+    return LinearOperator(SCALAR_MULTIPLE, factor=c)
+
+
+def custom_operator(table):
+    """Operator given by an explicit symbol -> Element table.
+
+    Application outside the table's key set raises DomainError.
+    """
+    return LinearOperator(CUSTOM, table=dict(table))
 
 
 def afk_family_operator(f, h, c, d_rows, domain):

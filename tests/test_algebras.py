@@ -7,14 +7,12 @@ from translie.algebras import (
     afk,
     algebra_a,
     bracket_eval,
-    custom_operator,
     family_swap,
     functional,
     index_scaling,
     omega_form,
     product_eval,
     relabel_m_negation,
-    scalar_multiple,
     scaled_l_shift,
     uniform_shift,
 )
@@ -22,6 +20,8 @@ from translie.checks import window, window_symbols
 from translie.elements import Element, L, M
 from translie.errors import DomainError
 from translie.scalars import Scalar, from_int
+
+from families import custom_operator, scalar_multiple
 
 
 def B(sym):

@@ -10,7 +10,6 @@ from translie.algebras import (
     functional,
     index_scaling,
     omega_form,
-    scalar_multiple,
     scaled_l_shift,
     uniform_shift,
     zero_product,
@@ -32,6 +31,8 @@ from translie.elements import Element, L, M
 from translie.errors import BudgetExceededError
 from translie.scalars import Scalar, from_int
 from translie.tp import poisson_violation_witness
+
+from families import scalar_multiple
 
 
 class CorruptedLLM:

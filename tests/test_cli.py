@@ -870,12 +870,13 @@ def test_mismatching_classification_reports_match_recorded_digests(doc, offendin
 
 @pytest.mark.parametrize("command", ["verify-tp", "build-tp"])
 def test_tp_validation_over_budget_exits_2_before_looping(command):
-    """c on 1..20 with f = M_0^* gives a support closure of 21 indices, so
-    the exchange identity would need 21^5 index tuples."""
+    """d = 1 on every index triple of 0..18: 19^3 entries whose exchange
+    join would make 19^5 products."""
+    d = [[i, j, q, "1"] for i in range(19) for j in range(19) for q in range(19)]
     doc = dict(
         command=command,
         algebra={"kind": "a-f-k", "k": 1, "f": {"0": "1"}},
-        tp_params={"c": {str(p): "1" for p in range(1, 21)}, "d": []},
+        tp_params={"d": d},
     )
     start = time.monotonic()
     code, err = _main_on(command, doc)
@@ -883,6 +884,6 @@ def test_tp_validation_over_budget_exits_2_before_looping(command):
     assert code == 2
     assert "Traceback" not in err
     assert err == (
-        "error: exchange identity needs 4084101 index tuples over a support closure "
-        "of 21 indices, budget is 2000000\n"
+        "error: exchange identity needs 2476099 products of d entries over 6859 entries, "
+        "budget is 2000000\n"
     )

@@ -22,7 +22,6 @@ from translie.algebras import (
     index_scaling,
     m_negation,
     omega_form,
-    scalar_multiple,
     scaled_l_shift,
     uniform_shift,
     zero_product,
@@ -42,6 +41,8 @@ from translie.checks import (
 )
 from translie.scalars import Scalar
 from translie.tp import build_example_family, tp_product
+
+from families import scalar_multiple
 
 
 class ScalarOnly:

@@ -17,6 +17,8 @@ from translie.errors import BudgetExceededError, EmptySystemError
 from translie.linalg import ConstraintSystem, nullspace, unknown
 from translie.scalars import ONE, Scalar
 from translie.solver import (
+    _PATTERNS,
+    _form_add,
     assemble_system,
     full_window_ansatz,
     graded_ansatz,
@@ -156,6 +158,20 @@ ORACLE_CASES = {
         full_window_ansatz(window(-2, 2), window(-2, 2)),
         window(-2, 2),
     ),
+    # an image window wider than the domain, and an equation window wider
+    # than the domain, whose triples with a symbol outside it are skipped
+    **{
+        f"a-f-k-{name}-{shape}": (
+            afk(1, functional(f)),
+            full_window_ansatz(window(-2, 2), window(*image)),
+            window(*equation),
+        )
+        for name, f in (("real", {0: 1, 1: -2}), ("gaussian", {0: Scalar.parse("1+i"), 1: 2}))
+        for shape, image, equation in (
+            ("wide-image", (-4, 4), (-2, 2)),
+            ("wide-equation", (-2, 2), (-3, 3)),
+        )
+    },
 }
 
 
@@ -178,6 +194,97 @@ def test_provenance_indices_increase_within_a_family(case):
         for a in (0, 1):
             if pattern[a] == pattern[a + 1]:
                 assert indices[a] < indices[a + 1], (pattern, indices)
+
+
+def _reference_assembly(bdef, ansatz, eq_window):
+    """assemble_system with every varied-slot bracket computed again for
+    each triple: the loop the full-window table replaced, kept as the
+    reference whose rows, provenance and distinct forms it must reproduce in
+    order."""
+    system = ConstraintSystem()
+    for uid in ansatz.unknown_ids():
+        system.register(uid)
+    if bdef.integral:
+        bracket, three = bdef.int_terms, 3
+    else:
+        bracket, three = bdef.terms, Scalar(3)
+    lo, hi = eq_window.lo, eq_window.hi + 1
+    for pattern_name, (fx, fy, fz) in _PATTERNS:
+        for r in range(lo, hi):
+            x = BasisSymbol(fx, r)
+            img_x = ansatz.images(x)
+            if img_x is None:
+                continue
+            for s in range(r + 1 if fy == fx else lo, hi):
+                y = BasisSymbol(fy, s)
+                img_y = ansatz.images(y)
+                if img_y is None:
+                    continue
+                for t in range(s + 1 if fz == fy else lo, hi):
+                    z = BasisSymbol(fz, t)
+                    img_z = ansatz.images(z)
+                    if img_z is None:
+                        continue
+                    lhs = [(three * coeff, ansatz.images(out)) for coeff, out in bracket(x, y, z)]
+                    if any(img_out is None for _, img_out in lhs):
+                        continue
+                    form = {}
+                    for coeff, img_out in lhs:
+                        for uid, img in img_out:
+                            _form_add(form, img, uid, coeff)
+                    for uid, img in img_x:
+                        for c2, out2 in bracket(img, y, z):
+                            _form_add(form, out2, uid, -c2)
+                    for uid, img in img_y:
+                        for c2, out2 in bracket(x, img, z):
+                            _form_add(form, out2, uid, -c2)
+                    for uid, img in img_z:
+                        for c2, out2 in bracket(x, y, img):
+                            _form_add(form, out2, uid, -c2)
+                    for out_sym in sorted(form):
+                        system.add_row(form[out_sym], (pattern_name, r, s, t, out_sym))
+    return system
+
+
+_REFERENCE_CASES = {
+    **ORACLE_CASES,
+    "a-f-k-real-[-4,4]": (
+        afk(1, functional({0: 1, 1: 2})),
+        full_window_ansatz(window(-4, 4), window(-4, 4)),
+        window(-4, 4),
+    ),
+    "a-f-k-gaussian-image-[-8,8]": (
+        afk(-1, functional({0: Scalar.parse("1+i"), 1: 2})),
+        full_window_ansatz(window(-3, 3), window(-8, 8)),
+        window(-3, 3),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFERENCE_CASES))
+def test_assembly_reproduces_the_reference_loop_in_order(case):
+    """Same rows (each row's columns in the same order), provenance and
+    distinct forms, in the same order, as the per-triple loop."""
+    table = assemble_system(*_REFERENCE_CASES[case])
+    reference = _reference_assembly(*_REFERENCE_CASES[case])
+    assert table.unknowns == reference.unknowns
+    assert [list(row.items()) for row in table.rows] == [
+        list(row.items()) for row in reference.rows
+    ]
+    assert table.provenance == reference.provenance
+    assert list(table.distinct.items()) == list(reference.distinct.items())
+
+
+def test_only_full_window_ansatze_share_images():
+    """The table's precondition: every symbol of a family has the same image
+    symbols in the same order; graded images move with the index."""
+    full = full_window_ansatz(window(-2, 2), window(-3, 3))
+    graded = graded_ansatz(1, window(-2, 2))
+    assert full.shared_images and not graded.shared_images
+    for fam in "LM":
+        lists = {tuple(img for _, img in full.images(BasisSymbol(fam, r))) for r in range(-2, 3)}
+        assert len(lists) == 1
+    assert graded.images(L(0))[0][1] != graded.images(L(1))[0][1]
 
 
 def test_assembly_over_budget_raises_before_enumerating():

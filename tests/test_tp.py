@@ -58,19 +58,51 @@ def test_example_family_instance_valid():
     assert validate_params(p).is_valid
 
 
-def test_validation_budget_is_the_exchange_tuple_count(monkeypatch):
-    """|S|^5 exchange tuples over a support closure S: |S| = 4 is within a
-    budget of 4^5, |S| = 5 is refused before any loop."""
-    monkeypatch.setattr(errors, "DEFAULT_EXHAUSTIVE_CAP", 4**5)
-    within = TPParams(alpha=0, c={1: 1, 2: 1, 3: 1}, d={}, f=functional({0: 1}), k=0)
-    assert validate_params(within).is_valid
-    over = TPParams(alpha=0, c={1: 1, 2: 1, 3: 1, 4: 1}, d={}, f=functional({0: 1}), k=0)
+def _dense_d(n):
+    """d = 1 on every index triple of 0..n-1: n^3 entries, n^5 join products."""
+    return {(i, j, q): 1 for i in range(n) for j in range(n) for q in range(n)}
+
+
+def _join_products(d):
+    """The exchange join's products counted pair by pair: each d entry
+    (a,b,q) meets every d entry whose first index is q."""
+    return sum(1 for _, _, q in d for first, _, _ in d if first == q)
+
+
+def test_validation_budget_is_the_exchange_join_work(monkeypatch):
+    """A dense d over 3 indices makes 3^5 join products, within a budget of
+    3^5; over 4 indices it makes 4^5 and is refused before the join runs.
+    The count is d's own: an uneven d is counted entry by entry."""
+    monkeypatch.setattr(errors, "DEFAULT_EXHAUSTIVE_CAP", 3**5)
+    within = TPParams(alpha=0, c={}, d=_dense_d(3), f=F01, k=0)
+    assert _join_products(within.d) == 3**5
+    assert not validate_params(within).is_valid  # runs; this d breaks the weighted sums
+    over = TPParams(alpha=0, c={}, d=_dense_d(4), f=F01, k=0)
     with pytest.raises(BudgetExceededError) as exc:
         validate_params(over)
     assert str(exc.value) == (
-        "exchange identity needs 3125 index tuples over a support closure of 5 indices, "
-        "budget is 1024"
+        "exchange identity needs 1024 products of d entries over 64 entries, budget is 243"
     )
+    uneven = {(0, 0, 1): 1, (0, 1, 1): 2, (1, 0, 1): 2, (1, 1, 0): 3, (1, 2, 2): 1, (2, 2, 5): 1}
+    products = _join_products(uneven)
+    assert products == 3 + 3 + 3 + 2 + 1 + 0
+    monkeypatch.setattr(errors, "DEFAULT_EXHAUSTIVE_CAP", products - 1)
+    with pytest.raises(BudgetExceededError) as exc:
+        validate_params(TPParams(alpha=0, c={}, d=uneven, f=F01, k=0))
+    assert str(exc.value) == (
+        f"exchange identity needs {products} products of d entries over 6 entries, "
+        f"budget is {products - 1}"
+    )
+
+
+def test_weighted_sum_budget_is_the_support_pairs(monkeypatch):
+    """A nonzero alpha meets every pair of f's support: 3 points make 9."""
+    monkeypatch.setattr(errors, "DEFAULT_EXHAUSTIVE_CAP", 8)
+    f = functional({0: 1, 1: 1, 2: 1})
+    assert not validate_params(TPParams(alpha=0, c={}, d={}, f=f, k=0)).eq_weighted_sum_violations
+    with pytest.raises(BudgetExceededError) as exc:
+        validate_params(TPParams(alpha=1, c={}, d={}, f=f, k=0))
+    assert str(exc.value) == "weighted-sum law needs 9 index pairs, budget is 8"
 
 
 def test_perturbed_alpha_breaks_weighted_sum():
@@ -298,11 +330,11 @@ def test_sparse_validation_matches_the_dense_loops():
 
 
 def test_validation_of_an_empty_d_does_no_dense_work():
-    """|S| = 18: 18^5 exchange tuples pass the budget; the dense loops did
-    18^6 products (31.8 s on 2 vCPUs, CPython 3.11), the sparse joins have
-    nothing to join."""
-    params = TPParams(alpha=0, c={p: 1 for p in range(1, 18)}, d={}, f=F01, k=0)
-    assert len(params.support_indices()) == 18
+    """|S| = 60: the dense loops would do 60^6 products (18^6 took 31.8 s on
+    2 vCPUs, CPython 3.11); the sparse joins have nothing to join, so the
+    budget, which counts their work, lets it through."""
+    params = TPParams(alpha=0, c={p: 1 for p in range(1, 60)}, d={}, f=F01, k=0)
+    assert len(params.support_indices()) == 60
     start = time.perf_counter()
     assert validate_params(params).is_valid
     assert time.perf_counter() - start < 5
