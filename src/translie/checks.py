@@ -35,7 +35,7 @@ from typing import NamedTuple
 from .algebras import a_omega_delta, algebra_a, m_negation, omega_form
 from .elements import BasisSymbol, Element, L, M, add_terms, extend
 from .errors import BudgetExceededError, require_budget
-from .linalg import _clear, _monic, _normal_form
+from .linalg import LeadSpan
 from .scalars import from_int
 
 DEFAULT_SAMPLES = 10_000
@@ -520,16 +520,15 @@ def generator_closure(bdef, gens, w, max_rounds=16, margin=None):
     true once every basis symbol of the window reduces to zero against the
     span, tested by exact row reduction.
 
-    The span basis holds one row per leading symbol in linalg's normal
-    form and reduces by leading symbol only, with linalg's _clear.  Rows
-    are bracketed through int_terms when the bracket is integral and every
-    generator is real, else in Scalars with the integer forms made monic.
-    Each row is a nonzero multiple of the monic row, so supports, spans and
-    the result do not depend on the coefficient type.  A round brackets
+    The span basis is a linalg LeadSpan, in ints when the bracket is
+    integral and every generator is real (bracketed through int_terms),
+    else in Scalars.  Each row is a nonzero multiple of the monic row, so
+    the result does not depend on the coefficient type.  A round brackets
     the rows it started with only, so each result is inserted as it comes.
 
-    Raises BudgetExceededError before a round that would bracket more
-    triples than the exhaustive budget, and when max_rounds elapse while
+    Raises BudgetExceededError before listing a window of more target
+    symbols than the exhaustive budget, before a round that would bracket
+    more triples than it, and when max_rounds elapse while
     the span is still growing short of the target.
     """
     if not gens:
@@ -537,43 +536,27 @@ def generator_closure(bdef, gens, w, max_rounds=16, margin=None):
     if margin is None:
         margin = w.size
     extended = Window(w.lo - margin, w.hi + margin)
+    require_budget(2 * w.size, f"generator closure needs {2 * w.size} target symbols")
     targets = window_symbols(w)
     integer = getattr(bdef, "integral", False) and not any(
         c.im for g in gens for c in g.terms.values()
     )
     one = 1 if integer else from_int(1)
     kernel = bdef.int_terms if integer else bdef.terms
-    rows = {}  # leading symbol -> pivot row, a map symbol -> coefficient
-
-    def reduce(row):
-        while row and min(row) in rows:
-            lead = min(row)
-            _clear(row, lead, rows[lead], integer)
-        return row
-
-    def typed(row):
-        """The row's normal form in this closure's coefficient type."""
-        form = _normal_form(row)
-        return dict(form if integer else _monic(form))
-
-    def insert(row):
-        if not reduce(row):
-            return False
-        rows[min(row)] = typed(row)
-        return True
+    span = LeadSpan(integer)
 
     def missing():
-        return [t for t in targets if reduce({t: one})]
+        return [t for t in targets if span.reduce({t: one})]
 
     for g in gens:
         if g:
-            insert(typed(g.terms))
+            span.insert(span.normalized(g.terms))
     if not missing():
         return ClosureResult(True, 0, [])
 
     old_start = 0
     for round_no in range(1, max_rounds + 1):
-        snapshot = list(rows.values())
+        snapshot = list(span.rows.values())
         n = len(snapshot)
         triples = comb(n, 3) - comb(old_start, 3)
         require_budget(triples, f"closure round {round_no} needs {triples} bracket triples")
@@ -582,7 +565,7 @@ def generator_closure(bdef, gens, w, max_rounds=16, margin=None):
             for k in range(max(j + 1, old_start), n):
                 br = extend(kernel, snapshot[i], snapshot[j], snapshot[k])
                 if br and all(extended.contains(sym.index) for sym in br):
-                    grew = insert(br) or grew
+                    grew = span.insert(br) or grew
         old_start = n
         left = missing()
         if not left:

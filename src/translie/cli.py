@@ -50,12 +50,7 @@ from .elements import BasisSymbol, Element
 from .errors import ConfigParseError, ConfigSchemaError, TransLieError
 from .linalg import nullspace
 from .scalars import Scalar
-from .solver import (
-    full_window_ansatz,
-    graded_ansatz,
-    solve_and_classify,
-    tp_triviality_system,
-)
+from .solver import ansatz_for, solve_and_classify, tp_triviality_system
 from .tp import (
     POISSON_AND_TRANSPOSED,
     TPParams,
@@ -436,14 +431,7 @@ def _run_solve_derivations(cfg):
     domain = cfg.windows.get("domain", window(-10, 10))
     equation = cfg.windows.get("equation", domain)
     core = cfg.windows.get("core", window(-(domain.size // 4), domain.size // 4))
-    if cfg.algebra.kind == A_OMEGA_DELTA:
-        ansatz = graded_ansatz(cfg.degree, domain)
-    elif cfg.algebra.kind == AFK:
-        ansatz = full_window_ansatz(domain, cfg.windows.get("image", domain))
-    else:
-        raise ConfigSchemaError(
-            "solve-derivations supports the a-omega-delta and a-f-k algebras"
-        )
+    ansatz = ansatz_for(cfg.algebra, domain, cfg.degree, cfg.windows.get("image"))
     verdict = solve_and_classify(cfg.algebra, ansatz, equation, core)
     details = {
         "expected_description": verdict.expected_description,
@@ -463,7 +451,7 @@ def _run_tp_triviality(cfg):
     details = {
         "dimension": space.dimension,
         "num_unknowns": system.num_unknowns,
-        "num_rows": len(system.rows),
+        "num_rows": len(system.provenance),
         "nonzero_solutions": [
             {str(uid): str(v) for uid, v in space.vector_as_dict(i).items()}
             for i in range(space.dimension)

@@ -105,6 +105,10 @@ class ConstraintSystem:
     def num_unknowns(self):
         return len(self.unknowns)
 
+    def rank(self):
+        """Rank of the system, read off its distinct normal forms."""
+        return len(_rref(*_lifted(list(self.distinct))))
+
 
 @dataclass
 class SolutionSpace:
@@ -294,6 +298,36 @@ def _clear(row, col, pivot, integer):
                 row[c] //= g
 
 
+class LeadSpan:
+    """Rows kept one per leading column, in normal form (primitive ints when
+    `integer`, else monic Scalars), reduced by leading column only: the
+    generator closure brackets the kept rows and drops results that leave
+    its window, so its result depends on this basis."""
+
+    def __init__(self, integer):
+        self.integer = integer
+        self.rows = {}  # lead column -> row, a map column -> coefficient
+
+    def normalized(self, row):
+        """A nonzero row's normal form in this span's coefficient type."""
+        form = _normal_form(row)
+        return dict(form if self.integer else _monic(form))
+
+    def reduce(self, row):
+        """Reduce a row of this span's type in place; empty when in the span."""
+        rows, integer = self.rows, self.integer
+        while row and min(row) in rows:
+            lead = min(row)
+            _clear(row, lead, rows[lead], integer)
+        return row
+
+    def insert(self, row):
+        """Reduce a row and keep its normal form; False when it was in the span."""
+        if self.reduce(row):
+            self.rows[min(row)] = self.normalized(row)
+        return bool(row)
+
+
 def _monic_vector(vec, integer):
     """A sparse vector of ints, Fractions or Scalars as Scalars, divided by
     its value at its smallest column."""
@@ -315,7 +349,8 @@ def nullspace(system):
     is substituted back into every row, and a residual raises
     VerificationError naming the row's provenance.  The budget bounds
     dimension × num_unknowns, the size of the basis that is verified and
-    reported, and is checked before any vector is built.
+    reported: a lower bound is checked before eliminating, the count itself
+    before any vector is built.
     """
     space = SolutionSpace(unknowns=list(system.unknowns), basis=_nullspace_basis(system))
     if not space.verify_against(system):
@@ -330,8 +365,15 @@ def nullspace(system):
 def _nullspace_basis(system):
     """One sparse vector per free column of the RREF, 1 at its smallest
     column; the elimination's rows are released on return, before the
-    basis is verified."""
+    basis is verified.  The rank is at most the number of distinct forms,
+    which bounds the basis size from below before eliminating."""
     n = system.num_unknowns
+    least = (n - len(system.distinct)) * n
+    require_budget(
+        least,
+        f"nullspace basis needs at least {least} entries "
+        f"({n} unknowns, {len(system.distinct)} distinct rows)",
+    )
     forms, integer = _lifted(list(system.distinct))
     pivots = _rref(forms, integer)
     vectors = n - len(pivots)

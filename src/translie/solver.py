@@ -40,14 +40,7 @@ from .algebras import AFK, A_OMEGA_DELTA
 from .checks import Window
 from .elements import BasisSymbol, L, M
 from .errors import EmptySystemError, require_budget
-from .linalg import (
-    ConstraintSystem,
-    SolutionSpace,
-    nullspace,
-    project_solution,
-    rank,
-    unknown,
-)
+from .linalg import ConstraintSystem, SolutionSpace, nullspace, project_solution, unknown
 from .scalars import from_int
 
 GRADED = "graded"
@@ -75,6 +68,11 @@ class Ansatz:
         """True when all symbols of a family have one image-symbol list, in
         one order, and differ only in their unknowns (full window)."""
         return self.kind == FULL_WINDOW
+
+    @property
+    def num_unknowns(self):
+        """len(unknown_ids()), without building them."""
+        return 4 * self.domain.size * (1 if self.kind == GRADED else self.image.size)
 
     def unknown_ids(self):
         ids = []
@@ -117,14 +115,25 @@ def full_window_ansatz(domain, image):
     return Ansatz(FULL_WINDOW, domain=domain, image=image)
 
 
+def ansatz_for(bdef, domain, degree=0, image=None):
+    """The ansatz kind classified for an algebra: graded for the shifted
+    bracket, full window over the image (default: the domain) for a-f-k."""
+    if bdef.kind == A_OMEGA_DELTA:
+        return graded_ansatz(degree, domain)
+    if bdef.kind == AFK:
+        return full_window_ansatz(domain, domain if image is None else image)
+    raise ValueError(f"no classification defined for bracket {bdef.kind!r}")
+
+
 def assemble_system(bdef, ansatz, eq_window):
     """Impose the one-third-derivation law on all representable triples.
 
     Only canonically ordered triples are enumerated: r < s in LLM, s < t in
     LMM, r < s < t in LLL and MMM.  The law's defect is totally
     antisymmetric like the bracket, so any other triple repeats one of
-    these rows up to sign or gives none.  The triple count is checked
-    against the budget before anything is enumerated.
+    these rows up to sign or gives none.  The triple count, then the
+    ansatz's unknown count, is checked against the budget before anything
+    is enumerated.
 
     Each basis-symbol coordinate of each qualifying relation instance
     contributes one homogeneous row, with provenance (pattern, r, s, t,
@@ -145,6 +154,7 @@ def assemble_system(bdef, ansatz, eq_window):
     n = eq_window.size
     triples = 2 * comb(n, 2) * n + 2 * comb(n, 3)
     require_budget(triples, f"assembly needs {triples} equation triples")
+    require_budget(ansatz.num_unknowns, f"ansatz needs {ansatz.num_unknowns} unknowns")
     system = ConstraintSystem()
     for uid in ansatz.unknown_ids():
         system.register(uid)
@@ -303,12 +313,11 @@ _DESCRIPTIONS = {
 def solve_and_classify(bdef, ansatz, eq_window, core):
     """Assemble, solve exactly, project to the core, and classify.
 
-    Supported pairs: the shifted-bracket algebra with a graded ansatz
-    (expected: the uniform shift) and the functional-bracket algebra with a
-    full-window ansatz (expected: the family of _family_relations).  The
-    windows are checked before anything is assembled: the core keeps the
-    margin from the domain boundary, lies inside a full-window ansatz's
-    image and contains the functional's support.
+    The ansatz must be of ansatz_for's kind for the algebra; the expected
+    core is the uniform shift (graded) or the family of _family_relations
+    (full window).  The windows are checked before anything is assembled:
+    the core keeps the margin from the domain boundary, lies inside a
+    full-window ansatz's image and contains the functional's support.
     """
     domain = ansatz.domain
     margin = (domain.hi - domain.lo) // 4  # half the domain radius, rounded down
@@ -323,11 +332,8 @@ def solve_and_classify(bdef, ansatz, eq_window, core):
         raise ValueError(
             f"the functional's support {bdef.f.support} is not inside the core {core}"
         )
-    if ansatz.kind == GRADED and bdef.kind == A_OMEGA_DELTA:
-        core_ansatz = graded_ansatz(ansatz.degree, core)
-    elif ansatz.kind == FULL_WINDOW and bdef.kind == AFK:
-        core_ansatz = full_window_ansatz(core, core)
-    else:
+    core_ansatz = ansatz_for(bdef, core, ansatz.degree, core)
+    if core_ansatz.kind != ansatz.kind:
         raise ValueError(
             f"no classification defined for bracket {bdef.kind!r} with ansatz {ansatz.kind!r}"
         )
@@ -382,7 +388,7 @@ def _classify(core_space, bdef, core_ansatz, full_dim):
     """The core space matches the family when no basis vector leaves a
     defining relation nonzero (containment) and the dimensions agree."""
     relations = _family_relations(bdef, core_ansatz)
-    expected_dim = relations.num_unknowns - rank(relations.rows)
+    expected_dim = relations.num_unknowns - relations.rank()
     offending = [
         {str(uid): str(val) for uid, val in core_space.vector_as_dict(idx).items()}
         for idx, row in enumerate(core_space.residuals(relations))

@@ -224,10 +224,8 @@ def tp_product(params):
 
 
 def classify_poisson(params):
-    """The product also satisfies the classical Leibniz law iff alpha = 0 and c = 0."""
-    report = validate_params(params)
-    if not report.is_valid:
-        raise InvalidParamsError("product parameters failed validation", report)
+    """For valid parameters, the product also satisfies the classical
+    Leibniz law iff alpha = 0 and c = 0; validity is not checked again."""
     if not params.alpha and not params.c:
         return POISSON_AND_TRANSPOSED
     return TRANSPOSED_ONLY

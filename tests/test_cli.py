@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from translie import checks, cli, linalg, solver
+from translie import checks, cli, linalg, solver, tp
 from translie.cli import COMMANDS, main, parse_config, run
 from translie.errors import ConfigParseError, ConfigSchemaError
 from translie.scalars import Scalar
@@ -549,6 +549,79 @@ def test_solver_window_over_budget_exits_2_before_building(command, doc, message
     assert capsys.readouterr().err == message
 
 
+WIDE_WINDOW_CONFIGS = [
+    (
+        "generators",
+        dict(algebra={"kind": "a-omega-delta"}, windows={"domain": [-2000000, 2000000]}),
+        (checks, "window_symbols"),
+        "error: generator closure needs 8000002 target symbols, budget is 2000000\n",
+    ),
+    (
+        "solve-derivations",
+        dict(
+            algebra={"kind": "a-omega-delta"},
+            windows={"domain": [-10000000, 10000000], "equation": [-1, 1], "core": [-1, 1]},
+        ),
+        (solver.Ansatz, "unknown_ids"),
+        "error: ansatz needs 80000004 unknowns, budget is 2000000\n",
+    ),
+]
+
+
+@pytest.mark.parametrize("command, doc, builder, message", WIDE_WINDOW_CONFIGS)
+def test_window_sized_lists_over_budget_exit_2_before_building(
+    command, doc, builder, message, tmp_path, capsys, monkeypatch
+):
+    """A window whose closure targets or ansatz unknowns outnumber the
+    budget is refused before the list is built: within the equation-triple
+    budget, domain [-10^7,10^7] would still make 8*10^7 unknowns."""
+
+    def no_list(*args):
+        raise AssertionError("built a window-sized list over budget")
+
+    monkeypatch.setattr(*builder, no_list)
+    path = tmp_path / "wide.json"
+    path.write_text(cfg_text(command=command, **doc))
+    start = time.monotonic()
+    assert main([command, "--config", str(path), "--quiet"]) == 2
+    assert time.monotonic() - start < 10
+    assert capsys.readouterr().err == message
+
+
+def test_solve_derivations_on_the_omega_form_exits_2(tmp_path, capsys):
+    """The solver pairs an ansatz with a-omega-delta and a-f-k only."""
+    path = tmp_path / "cfg.json"
+    path.write_text(
+        cfg_text(command="solve-derivations", algebra={"kind": "a-omega-delta-omega-form"})
+    )
+    assert main(["solve-derivations", "--config", str(path), "--quiet"]) == 2
+    assert capsys.readouterr().err == (
+        "error: no classification defined for bracket 'a-omega-delta-omega-form'\n"
+    )
+
+
+@pytest.mark.parametrize("command, calls", [("build-tp", 1), ("verify-tp", 2)])
+def test_a_valid_family_is_validated_once_per_decision(command, calls, monkeypatch):
+    """build-tp validates once; verify-tp validates for its report and once
+    more in tp_product, the checked constructor; classify_poisson does not."""
+    validate = tp.validate_params
+    seen = []
+
+    def counting(params):
+        seen.append(params)
+        return validate(params)
+
+    monkeypatch.setattr(tp, "validate_params", counting)
+    monkeypatch.setattr(cli, "validate_params", counting)
+    doc = dict(
+        command=command,
+        algebra={"kind": "a-f-k", "k": 1, "f": {"0": "1"}},
+        tp_params={"example_family": {"d_seq": {"0": "3"}, "c": {"1": "2"}}},
+    )
+    assert _main_on(command, doc) == (0, "")
+    assert len(seen) == calls
+
+
 def _main_on(command, doc):
     """Exit code and stderr of the CLI on one config document."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -793,14 +866,39 @@ NARROW_EQUATION = dict(
 
 def test_dense_nullspace_basis_over_budget_exits_2(tmp_path, capsys):
     """A wide image and a narrow equation window leave 1,446 free columns
-    over 2,420 unknowns: 3,499,320 entries counted against the budget."""
+    over 2,420 unknowns (3,499,320 entries).  975 distinct rows bound that
+    from below by (2,420 - 975) * 2,420 = 3,496,900, over the budget."""
     doc = dict(NARROW_EQUATION, windows=dict(NARROW_EQUATION["windows"], image=[-60, 60]))
     path = tmp_path / "cfg.json"
     path.write_text(cfg_text(**doc))
     assert main(["solve-derivations", "--config", str(path), "--quiet"]) == 2
     assert capsys.readouterr().err == (
-        "error: nullspace basis needs 3499320 entries (1446 vectors of 2420 unknowns), "
-        "budget is 2000000\n"
+        "error: nullspace basis needs at least 3496900 entries "
+        "(2420 unknowns, 975 distinct rows), budget is 2000000\n"
+    )
+
+
+def test_nullspace_lower_bound_over_budget_exits_2_before_eliminating(
+    tmp_path, capsys, monkeypatch
+):
+    """Image [-1000,1000]: 40,020 unknowns and 34,027 distinct rows bound
+    the basis by about 2.4*10^8 entries, refused before elimination."""
+
+    def no_elimination(*args):
+        raise AssertionError("eliminated a system whose basis is over budget")
+
+    monkeypatch.setattr(linalg, "_rref", no_elimination)
+    doc = dict(
+        command="solve-derivations",
+        algebra={"kind": "a-f-k", "f": {"0": "1"}},
+        windows={"domain": [-2, 2], "core": [-1, 1], "image": [-1000, 1000]},
+    )
+    path = tmp_path / "cfg.json"
+    path.write_text(cfg_text(**doc))
+    assert main(["solve-derivations", "--config", str(path), "--quiet"]) == 2
+    assert capsys.readouterr().err == (
+        "error: nullspace basis needs at least 239839860 entries "
+        "(40020 unknowns, 34027 distinct rows), budget is 2000000\n"
     )
 
 

@@ -9,6 +9,7 @@ from translie.checks import window
 from translie.errors import UnknownNotFoundError, VerificationError
 from translie.linalg import (
     ConstraintSystem,
+    LeadSpan,
     SolutionSpace,
     nullspace,
     project_solution,
@@ -102,6 +103,36 @@ def test_rank_nullity_on_random_systems():
         assert_sparse_basis(space)
         assert rank(rows) + space.dimension == n
         assert space.verify_against(sys_)
+
+
+def test_system_rank_reads_the_distinct_forms():
+    rng = random.Random(5)
+    for _ in range(30):
+        sys_ = ConstraintSystem()
+        uids = [unknown("x", i) for i in range(6)]
+        for uid in uids:
+            sys_.register(uid)
+        rows = []
+        for _ in range(rng.randint(0, 9)):
+            row = {uids[i]: Scalar(rng.randint(-2, 2), rng.randint(-1, 1)) for i in range(6)}
+            sys_.add_row(row)
+            rows.append({sys_.column_of(u): c for u, c in row.items() if c})
+        assert sys_.rank() == rank(rows)
+
+
+def test_lead_span_reduces_by_leading_column_only():
+    """A kept row keeps its entries in later leads' columns; a row reduces
+    to zero exactly when it lies in the span."""
+    span = LeadSpan(integer=True)
+    assert span.insert(span.normalized({0: Scalar(2), 1: Scalar(4)}))
+    assert span.insert({1: -3, 2: 6})
+    assert not span.insert({0: 5, 1: 11, 2: -2})
+    assert span.rows == {0: {0: 1, 1: 2}, 1: {1: 1, 2: -2}}
+    assert span.reduce({2: 1}) == {2: 1}
+    gaussian = LeadSpan(integer=False)
+    assert gaussian.insert(gaussian.normalized({0: Scalar(0, 2), 3: Scalar(1)}))
+    assert gaussian.rows == {0: {0: ONE, 3: Scalar(0, Fraction(-1, 2))}}
+    assert gaussian.reduce({0: Scalar(1), 3: Scalar(0, Fraction(-1, 2))}) == {}
 
 
 def test_verification_catches_bad_vector():

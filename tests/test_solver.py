@@ -16,9 +16,11 @@ from translie.elements import BasisSymbol, Element, L, M
 from translie.errors import BudgetExceededError, EmptySystemError
 from translie.linalg import ConstraintSystem, nullspace, unknown
 from translie.scalars import ONE, Scalar
+from translie import solver
 from translie.solver import (
     _PATTERNS,
     _form_add,
+    ansatz_for,
     assemble_system,
     full_window_ansatz,
     graded_ansatz,
@@ -296,6 +298,47 @@ def test_assembly_over_budget_raises_before_enumerating():
     with pytest.raises(BudgetExceededError) as exc:
         assemble_system(a_omega_delta(), ansatz, window(100, 214))
     assert str(exc.value) == "assembly needs 2001460 equation triples, budget is 2000000"
+
+
+def test_num_unknowns_counts_the_unknown_ids():
+    for ansatz in (
+        graded_ansatz(2, window(-3, 4)),
+        full_window_ansatz(window(-2, 2), window(-3, 1)),
+    ):
+        assert ansatz.num_unknowns == len(ansatz.unknown_ids())
+
+
+def test_assembly_refuses_too_many_unknowns_before_registering(monkeypatch):
+    """The triple budget passes on a narrow equation window; the ansatz's
+    4*|domain|*|image| unknowns are counted before any is built."""
+
+    def no_ids(self):
+        raise AssertionError("built the unknowns of an ansatz over budget")
+
+    monkeypatch.setattr(solver.Ansatz, "unknown_ids", no_ids)
+    ansatz = full_window_ansatz(window(-500, 500), window(-500, 500))
+    with pytest.raises(BudgetExceededError) as exc:
+        assemble_system(afk(1, functional({0: 1})), ansatz, window(-1, 1))
+    assert str(exc.value) == "ansatz needs 4008004 unknowns, budget is 2000000"
+
+
+def test_ansatz_for_pairs_each_algebra_with_its_kind():
+    assert ansatz_for(a_omega_delta(), window(-2, 2), 3) == graded_ansatz(3, window(-2, 2))
+    f = functional({0: 1})
+    assert ansatz_for(afk(1, f), window(-2, 2)) == full_window_ansatz(
+        window(-2, 2), window(-2, 2)
+    )
+    with pytest.raises(ValueError, match="a-omega-delta-omega-form"):
+        ansatz_for(omega_form(), window(-2, 2))
+
+
+def test_graded_ansatz_with_the_functional_bracket_raises():
+    with pytest.raises(ValueError) as exc:
+        solve_and_classify(
+            afk(1, functional({0: 1})), graded_ansatz(0, window(-4, 4)), window(-4, 4),
+            window(-2, 2),
+        )
+    assert str(exc.value) == "no classification defined for bracket 'a-f-k' with ansatz 'graded'"
 
 
 def test_triviality_over_budget_raises():
