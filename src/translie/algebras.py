@@ -70,40 +70,33 @@ def functional(mapping):
     return FiniteFunctional.from_map(mapping)
 
 
-def _sort3(a, b, c):
-    """Sort three distinct symbols into canonical order; returns (tuple, sign)."""
-    sign = 1
-    if b < a:
-        a, b = b, a
-        sign = -sign
-    if c < b:
-        b, c = c, b
-        sign = -sign
-    if b < a:
-        a, b = b, a
-        sign = -sign
-    return a, b, c, sign
-
-
 def _bracket_terms(kind, k, f_values, num, x, y, z):
     """The bracket table: [x,y,z] as (coefficient, symbol) terms, f's values
-    found in f_values and every other structure constant made by num."""
-    if x == y or y == z or x == z:
+    found in f_values and every other structure constant made by num.  The
+    arguments are put in canonical order x < y < z, the sign counting the
+    swaps; a repeated symbol gives no terms."""
+    sign = 1
+    if y < x:
+        x, y, sign = y, x, -1
+    if z < y:
+        y, z, sign = z, y, -sign
+        if y < x:
+            x, y, sign = y, x, -sign
+    fa, r = x
+    fb, s = y
+    fc, t = z
+    if fa != "L" or fc != "M" or x == y or y == z:
         return []
-    a, b, c, sign = _sort3(x, y, z)
-    if a.family != "L" or c.family != "M":
-        return []
-    r, s, t = a.index, b.index, c.index
     if kind == A_OMEGA_DELTA:
-        if b.family == "L":
+        if fb == "L":
             return [(num(sign * (s - r)), L(r + s + t))]
         return [(num(sign * (s - t)), M(r + s + t))]
     if kind == OMEGA_FORM:
-        if b.family == "L":
+        if fb == "L":
             return [(num(sign * (s - r)), L(r + s - t))]
         return [(num(sign * (t - s)), M(s + t - r))]
     if kind == AFK:
-        fv = f_values.get(t) if b.family == "L" else None
+        fv = f_values.get(t) if fb == "L" else None
         return [(fv * num(sign * (r - s)), L(r + s + k))] if fv else []
     raise ValueError(f"unknown bracket kind {kind!r}")
 

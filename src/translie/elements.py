@@ -35,11 +35,18 @@ def check_index(i):
     return i
 
 
+_new_symbol = tuple.__new__  # BasisSymbol(...) without the NamedTuple __new__ call
+
+
 def L(i):
+    if -MAX_INDEX <= i <= MAX_INDEX:
+        return _new_symbol(BasisSymbol, ("L", i))
     return BasisSymbol("L", check_index(i))
 
 
 def M(i):
+    if -MAX_INDEX <= i <= MAX_INDEX:
+        return _new_symbol(BasisSymbol, ("M", i))
     return BasisSymbol("M", check_index(i))
 
 

@@ -1,23 +1,26 @@
 """Exact nullspace computation for sparse homogeneous systems.
 
 Rows are sparse maps column -> coefficient over an ordered list of named
-unknowns.  A system keeps every row as added and, beside them, the distinct
-normal forms of its rows: a real row becomes the primitive integer row with
-a positive leading coefficient, a row with an imaginary coefficient becomes
-monic.  Rows are homogeneous, so rows with one normal form impose one
-constraint; elimination and verification run on the distinct forms only.
-Verification indexes the basis vectors by column and streams the distinct
-forms once, so each form is dotted only with the vectors that share a
-column with it: a vector that shares none leaves the form exactly zero.
+unknowns.  A system keeps each row once, in its own coefficient type, plus
+a Scalar view of them, and the distinct normal forms of its rows: a real
+row becomes the primitive integer row with a positive leading coefficient,
+a row with an imaginary coefficient becomes monic.  Rows are homogeneous,
+so rows with one normal form impose one constraint; elimination and
+verification run on the distinct forms only.  Verification indexes the
+basis vectors by column and streams the distinct forms once, so each form
+is dotted only with the vectors that share a column with it: a vector that
+shares none leaves the form exactly zero.
 
 Elimination is one incremental reduced row echelon form: each incoming row
 is cleared against the pivots, becomes a pivot at its smallest column, and
 is cleared out of the earlier pivots, so the pivots stay fully reduced as
-rows arrive.  Integer rows stay fraction-free (every pivot is a primitive
-integer row); when any row is Gaussian, all rows are lifted to monic rows
-over the Gaussian rationals.  The RREF is unique, so the output does not
-depend on row order: the nullspace basis has one sparse vector per free
-column, normalized so its first nonzero coordinate is 1.
+rows arrive.  Integer rows stay fraction-free (Bareiss, Math. Comp. 1968):
+clearing keeps a row's content, which is divided out once per reduced row,
+so every pivot is a primitive integer row.  When any row is Gaussian, all
+rows are lifted to monic rows over the Gaussian rationals.  The RREF is
+unique, so the output does not depend on row order: the nullspace basis has
+one sparse vector per free column, normalized so its first nonzero
+coordinate is 1.
 """
 
 from __future__ import annotations
@@ -49,17 +52,19 @@ def unknown(name, *subs):
 class ConstraintSystem:
     """Homogeneous linear system, rhs = 0.
 
-    rows holds every row as added, as maps column -> Scalar, duplicates
-    included; provenance holds one tuple (name, *indices, symbol) or None
-    per row; distinct maps each distinct normal form (a tuple of (column,
-    value) pairs sorted by column) to the index of its first row.  Rows are
-    added through add_row only, which keeps the three in step.
+    Each row is kept once, as added, in its own coefficient type: a map
+    column -> int, or column -> Scalar, duplicates included; rows gives them
+    all as maps column -> Scalar, built on access.  provenance holds one
+    tuple (name, *indices, symbol) or None per row; distinct maps each
+    distinct normal form (a tuple of (column, value) pairs sorted by column)
+    to the index of its first row.  Rows are added through add_columns only,
+    which keeps the three in step; add_row is its UnknownId form.
     """
 
     unknowns: list = field(default_factory=list)
-    rows: list = field(default_factory=list)  # list[dict[int, Scalar]]
     provenance: list = field(default_factory=list)
     distinct: dict = field(default_factory=dict)
+    _rows: list = field(default_factory=list, repr=False)
     _index: dict = field(default_factory=dict, repr=False)
 
     def register(self, uid):
@@ -76,22 +81,33 @@ class ConstraintSystem:
         except KeyError:
             raise UnknownNotFoundError(f"unregistered unknown {uid}") from None
 
+    @property
+    def rows(self):
+        """Every row as added, as a new map column -> Scalar."""
+        return [
+            {col: from_int(v) if type(v) is int else v for col, v in row.items()}
+            for row in self._rows
+        ]
+
+    def add_columns(self, row, provenance=None):
+        """row: map column -> nonzero coefficient, all ints or all Scalars,
+        kept as given (the caller gives it up); an empty row adds nothing."""
+        if row:
+            self._rows.append(row)
+            self.provenance.append(provenance)
+            self.distinct.setdefault(_normal_form(row), len(self._rows) - 1)
+        return row
+
     def add_row(self, coeffs, provenance=None):
-        """coeffs: map UnknownId -> int or Scalar; zero coefficients are dropped."""
+        """coeffs: map UnknownId -> int or Scalar; zero coefficients are
+        dropped, and ints are lifted when the row has a Scalar."""
         try:
             row = {self._index[uid]: coeff for uid, coeff in coeffs.items() if coeff}
         except KeyError as exc:
             raise UnknownNotFoundError(f"unregistered unknown {exc.args[0]}") from None
-        if not row:
-            return row
-        if all(type(v) is int for v in row.values()):
-            self.rows.append({col: from_int(v) for col, v in row.items()})
-        else:
+        if any(type(v) is not int for v in row.values()):
             row = {col: from_int(v) if type(v) is int else v for col, v in row.items()}
-            self.rows.append(row)
-        self.provenance.append(provenance)
-        self.distinct.setdefault(_normal_form(row), len(self.rows) - 1)
-        return self.rows[-1]
+        return self.add_columns(row, provenance)
 
     def describe(self, index):
         """A row's provenance as text, e.g. "LLM(-1,1,0)@L_1"."""
@@ -203,19 +219,17 @@ def _normal_form(row):
     """The canonical multiple of a nonzero row, as (column, value) pairs:
     primitive integers with a positive lead when the row is real, monic
     Scalars otherwise."""
-    cols = sorted(row)
-    vals = [row[c] for c in cols]
-    if type(vals[0]) is not int:
-        if any(v.im for v in vals):
-            lead = vals[0]
-            rest = tuple((c, v / lead) for c, v in zip(cols[1:], vals[1:]))
-            return ((cols[0], ONE),) + rest
-        den = lcm(*[v.re.denominator for v in vals])
-        vals = [v.re.numerator * (den // v.re.denominator) for v in vals]
-    g = gcd(*vals)
-    if vals[0] < 0:
-        g = -g
-    return tuple(zip(cols, [v // g for v in vals]))
+    items = sorted(row.items())
+    lead = items[0][1]
+    if type(lead) is int:
+        g = gcd(*row.values())
+        if lead < 0:
+            g = -g
+        return tuple(items) if g == 1 else tuple([(c, v // g) for c, v in items])
+    if any(v.im for _, v in items):
+        return ((items[0][0], ONE),) + tuple((c, v / lead) for c, v in items[1:])
+    den = lcm(*[v.re.denominator for _, v in items])
+    return _normal_form({c: v.re.numerator * (den // v.re.denominator) for c, v in items})
 
 
 def _lifted(forms):
@@ -243,7 +257,8 @@ def _rref(forms, integer):
     Each pivot row's smallest column is its lead, and it is zero in every
     other pivot's lead column.  Integer pivots are primitive with a positive
     lead (the RREF row is the pivot divided by its lead); Scalar pivots are
-    monic.
+    monic; an integer row's content is divided out when it becomes a pivot
+    and after each clear of a later pivot out of it.
     """
     pivots = {}
     for form in forms:
@@ -255,23 +270,33 @@ def _rref(forms, integer):
         lead = min(row)
         a = row[lead]
         if integer:
-            if a < 0:
-                for col in row:
-                    row[col] = -row[col]
+            _make_primitive(row, a)
         elif a != ONE:
             for col in row:
                 row[col] = row[col] / a
         for prow in pivots.values():
             if lead in prow:
                 _clear(prow, lead, row, integer)
+                if integer:
+                    _make_primitive(prow, 1)
         pivots[lead] = row
     return pivots
 
 
+def _make_primitive(row, lead_value):
+    """Divide an integer row in place by its content, signed like lead_value."""
+    g = gcd(*row.values())
+    if lead_value < 0:
+        g = -g
+    if g != 1:
+        for c in row:
+            row[c] //= g
+
+
 def _clear(row, col, pivot, integer):
     """Zero row[col] in place by subtracting a multiple of pivot, whose lead
-    is col; an integer row is first scaled by the pivot's lead value and is
-    left primitive."""
+    is col; an integer row is first scaled by the pivot's lead value over
+    their gcd, and keeps its content."""
     a = row[col]
     if integer:
         b = pivot[col]
@@ -291,11 +316,6 @@ def _clear(row, col, pivot, integer):
                 row[c] = cur
             else:
                 del row[c]
-    if integer and row:
-        g = gcd(*row.values())
-        if g > 1:
-            for c in row:
-                row[c] //= g
 
 
 class LeadSpan:

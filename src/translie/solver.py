@@ -25,10 +25,12 @@ call only and keeps the nonzero values alone, and reads each term's
 unknown from the varied symbol's own image list.  The terms, and the order
 they are added in, are those of bracketing every image again, so the rows
 are the same.  A graded image list has 2 entries that move with the index,
-so graded ansatze get no table.  Solving happens over
-the full window; the classification is asserted only on the projection to
-a core window kept away from the boundary, where the finite system carries
-the same information as the infinite one.
+so graded ansatze get no table.  Images are cached as (column, image
+symbol) pairs, so each row is built on columns for the column intake.
+
+Solving happens over the full window; the classification is asserted only
+on the projection to a core window kept away from the boundary, where the
+finite system carries the same information as the infinite one.
 """
 
 from __future__ import annotations
@@ -149,7 +151,8 @@ def assemble_system(bdef, ansatz, eq_window):
     the family, so it is computed once, only nonzero values are kept, and
     the unknown at position p of the varied symbol's own image list takes
     it.  Graded ansatze bracket each image directly.  Either way the same
-    (unknown, terms) pairs reach one accumulation loop in the same order.
+    (column, terms) pairs reach one accumulation loop in the same order,
+    and each row goes to ConstraintSystem.add_columns.
     """
     n = eq_window.size
     triples = 2 * comb(n, 2) * n + 2 * comb(n, 3)
@@ -166,9 +169,12 @@ def assemble_system(bdef, ansatz, eq_window):
     image_cache = {}
 
     def images_of(sym):
+        """The symbol's image as (column, image symbol) pairs, or None."""
         hit = image_cache.get(sym, _UNSET)
         if hit is _UNSET:
             hit = ansatz.images(sym)
+            if hit is not None:
+                hit = [(system.column_of(uid), img) for uid, img in hit]
             image_cache[sym] = hit
         return hit
 
@@ -201,8 +207,8 @@ def assemble_system(bdef, ansatz, eq_window):
 
                     form = {}
                     for coeff, img_out in lhs_images:
-                        for uid, img in img_out:
-                            _form_add(form, img, uid, coeff)
+                        for col, img in img_out:
+                            _form_add(form, img, col, coeff)
                     if table is None:
                         varied = _direct(bracket, x, y, z, img_x, img_y, img_z)
                     else:
@@ -211,11 +217,11 @@ def assemble_system(bdef, ansatz, eq_window):
                             + table.pairs(1, fy, (x, z), img_y)
                             + table.pairs(2, fz, (x, y), img_z)
                         )
-                    for uid, terms in varied:
+                    for col, terms in varied:
                         for c2, out2 in terms:
-                            _form_add(form, out2, uid, -c2)
+                            _form_add(form, out2, col, -c2)
                     for out_sym in sorted(form):
-                        system.add_row(
+                        system.add_columns(
                             form[out_sym], (pattern_name, x.index, y.index, z.index, out_sym)
                         )
     if qualifying == 0:
@@ -224,13 +230,12 @@ def assemble_system(bdef, ansatz, eq_window):
 
 
 def _direct(bracket, x, y, z, img_x, img_y, img_z):
-    """(unknown, terms) of each varied-slot bracket, bracketing every image."""
-    for uid, img in img_x:
-        yield uid, bracket(img, y, z)
-    for uid, img in img_y:
-        yield uid, bracket(x, img, z)
-    for uid, img in img_z:
-        yield uid, bracket(x, y, img)
+    """(column, terms) of each varied-slot bracket, bracketing every image."""
+    return (
+        [(col, bracket(img, y, z)) for col, img in img_x]
+        + [(col, bracket(x, img, z)) for col, img in img_y]
+        + [(col, bracket(x, y, img)) for col, img in img_z]
+    )
 
 
 class SlotTable:
@@ -243,7 +248,7 @@ class SlotTable:
     varied symbol's family only, never on its index, so it is exact only
     for an ansatz whose symbols of one family share one image-symbol list
     (Ansatz.shared_images); the unknowns are read from the varied symbol's
-    own image list at each position.
+    own image list, of (column, image symbol) pairs, at each position.
     """
 
     def __init__(self, kernel):
@@ -251,7 +256,7 @@ class SlotTable:
         self._entries = {}
 
     def pairs(self, slot, family, fixed, images):
-        """(unknown, terms) for each image of the varied symbol whose value
+        """(column, terms) for each image of the varied symbol whose value
         is nonzero, in image-list order."""
         key = (slot, family, fixed)
         entry = self._entries.get(key)
@@ -266,22 +271,22 @@ class SlotTable:
         return [(images[pos][0], terms) for pos, terms in entry]
 
 
-def _form_add(form, out_sym, uid, value):
+def _form_add(form, out_sym, col, value):
     if not value:
         return
     row = form.get(out_sym)
     if row is None:
-        form[out_sym] = {uid: value}
+        form[out_sym] = {col: value}
         return
-    cur = row.get(uid)
+    cur = row.get(col)
     if cur is None:
-        row[uid] = value
+        row[col] = value
     else:
         cur = cur + value
         if cur:
-            row[uid] = cur
+            row[col] = cur
         else:
-            del row[uid]
+            del row[col]
 
 
 @dataclass
@@ -422,16 +427,15 @@ def tp_triviality_system(w_index, w_basis):
     rows = 2 * w_basis.size ** 2 * w_index.size
     require_budget(rows, f"tp-triviality system needs {rows} rows")
     system = ConstraintSystem()
-    for i in w_basis.indices():
-        for k in w_index.indices():
-            system.register(unknown("alpha", i, k))
-    for i in w_basis.indices():
-        for k in w_index.indices():
-            system.register(unknown("beta", i, k))
+    column = {}
+    for name in ("alpha", "beta"):
+        for i in w_basis.indices():
+            for k in w_index.indices():
+                column[name, i, k] = system.register(unknown(name, i, k))
 
     for i in w_basis.indices():
         for j in w_basis.indices():
             for k in w_index.indices():
-                system.add_row({unknown("alpha", i, k): 1}, ("pair", i, j, M(k + j)))
-                system.add_row({unknown("beta", j, k): 1}, ("pair", i, j, L(k + i)))
+                system.add_columns({column["alpha", i, k]: 1}, ("pair", i, j, M(k + j)))
+                system.add_columns({column["beta", j, k]: 1}, ("pair", i, j, L(k + i)))
     return system

@@ -138,17 +138,17 @@ def validate_params(params):
 
     Every term of the laws has a factor of d, or of alpha f(M_i) f(M_j), so
     each law is checked only where d's entries and f's support reach, by
-    sparse joins listing witnesses in sorted index order.  The work of each
-    join is checked against the budget before it runs: the weighted sums
-    meet at most |supp f|^2 pairs beyond d's, and the exchange join makes
-    one product per d entry (a,b,q) and entry of d(q,.,.), a count read off
-    d in O(|d|).
+    sparse joins listing witnesses in sorted index order, in ints when the
+    params are integral (a witness's residual is a Scalar either way).  The
+    work of each join is checked against the budget before it runs: the
+    weighted sums meet at most |supp f|^2 pairs beyond d's, and the exchange
+    join makes one product per d entry (a,b,q) and entry of d(q,.,.), a
+    count read off d in O(|d|).
     """
     report = TPValidationReport()
-    f = params.f
-    _, _, pairs, _ = params._exact  # d as {(i, j): {q: value}}
+    support = params.f.support
     if params.alpha:
-        weighted = len(f.support) ** 2
+        weighted = len(support) ** 2
         require_budget(weighted, f"weighted-sum law needs {weighted} index pairs")
     entries_from = {}
     for q, _, _ in params.d:
@@ -159,22 +159,24 @@ def validate_params(params):
         f"exchange identity needs {products} products of d entries over "
         f"{len(params.d)} entries",
     )
-
+    # d as {(i, j): {q: value}}, and the constants, as ints when integral
+    alpha, _, pairs, f_values = params._ints if params.integral else params._exact
+    zero, witness = (0, Scalar) if params.integral else (ZERO, _scalar)
     for i, j, q in sorted({(min(i, j), max(i, j), q) for i, j, q in params.d}):
-        residual = params.d_value(i, j, q) - params.d_value(j, i, q)
+        residual = pairs.get((i, j), {}).get(q, zero) - pairs.get((j, i), {}).get(q, zero)
         if residual:
-            report.eq_symmetry_violations.append(((i, j, q), residual))
+            report.eq_symmetry_violations.append(((i, j, q), witness(residual)))
 
     candidates = set(pairs)
-    if params.alpha:
-        candidates.update((i, j) for i in f.support for j in f.support)
+    if alpha:
+        candidates.update((i, j) for i in support for j in support)
     for i, j in sorted(candidates):
-        total = ZERO
+        total = zero
         for q, v in pairs.get((i, j), {}).items():
-            total = total + f.m_value(q) * v
-        residual = total - params.alpha * f.m_value(i) * f.m_value(j)
+            total = total + f_values.get(q, zero) * v
+        residual = total - alpha * f_values.get(i, zero) * f_values.get(j, zero)
         if residual:
-            report.eq_weighted_sum_violations.append(((i, j), residual))
+            report.eq_weighted_sum_violations.append(((i, j), witness(residual)))
 
     # each product d(a,b,q) d(q,c,p) is the term + d(r,s,q) d(q,t,p) of the
     # tuple (r,s,t,p) = (a,b,c,p) and the term - d(s,t,q) d(q,r,p) of (c,a,b,p)
@@ -186,9 +188,9 @@ def validate_params(params):
         for q, v in row.items():
             for c, out in by_first.get(q, ()):
                 for p, w in out.items():
-                    sums[a, b, c, p] = sums.get((a, b, c, p), ZERO) + v * w
-                    sums[c, a, b, p] = sums.get((c, a, b, p), ZERO) - v * w
-    report.eq_exchange_violations = [(key, sums[key]) for key in sorted(sums) if sums[key]]
+                    sums[a, b, c, p] = sums.get((a, b, c, p), zero) + v * w
+                    sums[c, a, b, p] = sums.get((c, a, b, p), zero) - v * w
+    report.eq_exchange_violations = [(key, witness(v)) for key, v in sorted(sums.items()) if v]
     return report
 
 

@@ -1,4 +1,5 @@
 import itertools
+from functools import partial
 
 import pytest
 
@@ -17,11 +18,13 @@ from translie.algebras import (
     uniform_shift,
 )
 from translie.checks import window, window_symbols
-from translie.elements import Element, L, M
-from translie.errors import DomainError
+from translie.elements import MAX_INDEX, BasisSymbol, Element, L, M
+from translie.errors import DomainError, IndexOverflowError
 from translie.scalars import Scalar, from_int
 
 from families import custom_operator, scalar_multiple
+from kernel_reference import _bracket_terms as reference_kernel
+from kernel_reference import _sort3
 
 
 def B(sym):
@@ -93,20 +96,6 @@ def test_int_terms_are_scaled_terms(bdef, scale):
 # int_terms().
 
 
-def _sort3(a, b, c):
-    sign = 1
-    if b < a:
-        a, b = b, a
-        sign = -sign
-    if c < b:
-        b, c = c, b
-        sign = -sign
-    if b < a:
-        a, b = b, a
-        sign = -sign
-    return a, b, c, sign
-
-
 def reference_terms(bdef, x, y, z):
     if x == y or y == z or x == z:
         return []
@@ -176,6 +165,60 @@ def test_bracket_table_matches_the_hand_written_tables(bdef):
         if bdef.integral:
             assert typed(bdef.int_terms(x, y, z)) == typed(reference_int_terms(bdef, x, y, z))
     assert bdef.integral == (bdef.f is None or not any(v.im for _, v in bdef.f.values))
+
+
+KERNEL_BRACKETS = {
+    "a-omega-delta": a_omega_delta(),
+    "omega-form": omega_form(),
+    "a-f-k-real": afk(1, functional({0: "-3/2"})),
+    "a-f-k-two-point": afk(-2, functional({0: 1, 2: "2/3"})),
+    "a-f-k-gaussian": afk(0, functional({1: Scalar(1, 1)})),
+}
+
+
+def _kernel_outcomes(kernel, x, y, z):
+    """Each kernel's terms of one triple, typed, as a list, or the tuple
+    ("IndexOverflowError", message) when it raises that error."""
+    out = []
+    for fn in kernel:
+        try:
+            out.append(typed(fn(x, y, z)))
+        except IndexOverflowError as exc:
+            out.append(("IndexOverflowError", str(exc)))
+    return out
+
+
+def _kernels(bdef):
+    """(kernel, reference) pairs: terms(), and int_terms() when integral."""
+    reference = partial(reference_kernel, bdef.kind, bdef.k)
+    pairs = [(bdef.terms, partial(reference, bdef.f_values, from_int))]
+    if bdef.integral:
+        pairs.append((bdef.int_terms, partial(reference, bdef.int_f, int)))
+    return pairs
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_BRACKETS))
+def test_bracket_kernel_matches_its_previous_form(name):
+    """The inlined sort gives the term lists, in order and with their
+    coefficient types, of the kernel that sorted through _sort3, on every
+    ordered triple of [-4,4]; near +-MAX_INDEX it raises IndexOverflowError
+    on exactly the triples where that kernel raised it."""
+    bdef = KERNEL_BRACKETS[name]
+    edge = [-MAX_INDEX, 1 - MAX_INDEX, -1, 0, 1, MAX_INDEX - 1, MAX_INDEX]
+    edge_symbols = [BasisSymbol(fam, i) for fam in "LM" for i in edge]
+    raised = 0
+    for symbols in (window_symbols(window(-4, 4)), edge_symbols):
+        for x, y, z in itertools.product(symbols, repeat=3):
+            for pair in _kernels(bdef):
+                new, old = _kernel_outcomes(pair, x, y, z)
+                assert new == old, (x, y, z)
+                raised += isinstance(new, tuple)
+    assert raised > 0
+    shifted = afk(MAX_INDEX, functional({0: 1}))
+    for pair in _kernels(shifted):
+        assert _kernel_outcomes(pair, L(0), L(1), M(0)) == [
+            ("IndexOverflowError", f"basis index {MAX_INDEX + 1} out of range")
+        ] * 2
 
 
 def test_gaussian_functional_has_no_int_terms():

@@ -1,7 +1,6 @@
 import pytest
 
 from translie.algebras import (
-    _sort3,
     a_omega_delta,
     afk,
     algebra_a,
@@ -33,6 +32,7 @@ from translie.scalars import Scalar, from_int
 from translie.tp import poisson_violation_witness
 
 from families import scalar_multiple
+from kernel_reference import _sort3
 
 
 class CorruptedLLM:

@@ -3,13 +3,16 @@ path and sympy must agree on the nullspace of the same system and on its
 coordinate projections."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from translie import linalg
 from translie.linalg import (
     ConstraintSystem,
+    LeadSpan,
     SolutionSpace,
     nullspace,
     project_solution,
@@ -104,3 +107,25 @@ def test_integer_gaussian_and_sympy_nullspaces_agree(case, kept):
     scalar_rows = [{c: _scalar(v) for c, v in row.items()} for row in rows]
     assert rank(scalar_rows) == rank([{c: I * v for c, v in row.items()} for row in scalar_rows])
     assert rank(scalar_rows) + real.dimension == n
+
+
+@given(systems())
+@settings(max_examples=150, deadline=None)
+def test_integer_pivots_are_primitive_and_span_rows_normal(case):
+    """Clearing leaves a row's content in it, so elimination divides it out
+    once per row: every integer RREF pivot is primitive with a positive
+    lead, and every row a LeadSpan keeps is in normal form."""
+    n, rows = case
+    forms, integer = linalg._lifted(list(_system(n, rows).distinct))
+    assert integer
+    for lead, row in linalg._rref(forms, integer).items():
+        assert lead == min(row)
+        assert row[lead] > 0
+        assert gcd(*row.values()) == 1
+    span = LeadSpan(integer=True)
+    for row in rows:
+        if all(type(v) is int for v in row.values()):
+            span.insert(dict(row))
+    for lead, row in span.rows.items():
+        assert lead == min(row)
+        assert tuple(sorted(row.items())) == linalg._normal_form(row)

@@ -120,6 +120,62 @@ def test_system_rank_reads_the_distinct_forms():
         assert sys_.rank() == rank(rows)
 
 
+def test_rows_are_kept_once_in_their_own_type():
+    """add_columns keeps the row it is given; add_row keeps an int row in
+    ints and a Scalar row in Scalars; rows is a new Scalar copy, columns in
+    the order given, equal to what lifting every int gives."""
+    sys_, (x, y, z) = _system("xyz", [])
+    given = {2: 6, 0: -4}
+    assert sys_.add_columns(given, ("p", 1)) is given
+    sys_.add_row({y: 3, x: 0, z: -9})
+    sys_.add_row({x: Scalar(1, 1), z: Scalar(2)})
+    assert sys_._rows[0] is given
+    assert [[type(v) for v in row.values()] for row in sys_._rows] == [
+        [int, int], [int, int], [Scalar, Scalar]
+    ]
+    view = sys_.rows
+    assert [list(row.items()) for row in view] == [
+        [(2, Scalar(6)), (0, Scalar(-4))],
+        [(1, Scalar(3)), (2, Scalar(-9))],
+        [(0, Scalar(1, 1)), (2, Scalar(2))],
+    ]
+    assert all(type(v) is Scalar for row in view for v in row.values())
+    view[0][2] = ZERO  # the view is a copy
+    assert sys_.rows[0] == {2: Scalar(6), 0: Scalar(-4)}
+    assert sys_.provenance == [("p", 1), None, None]
+    assert list(sys_.distinct) == [((0, 2), (2, -3)), ((1, 1), (2, -3)),
+                                   ((0, ONE), (2, Scalar(1, -1)))]
+
+
+def test_mixed_rows_are_lifted_and_normalized():
+    """Rows mixing ints and Scalars, as the family relations write them, are
+    kept in Scalars and normalized like their all-Scalar form."""
+    sys_, (x, y, z) = _system("xyz", [])
+    sys_.add_row({x: 1, y: Scalar(-2)})  # a[r,i] = h, h's coefficient a Scalar
+    sys_.add_row({y: Scalar(4), z: -2})
+    sys_.add_row({x: 2, z: Scalar(0, 2)})
+    assert sys_.rows == [
+        {0: ONE, 1: Scalar(-2)}, {1: Scalar(4), 2: Scalar(-2)}, {0: Scalar(2), 2: Scalar(0, 2)}
+    ]
+    assert all(type(v) is Scalar for row in sys_._rows for v in row.values())
+    assert list(sys_.distinct) == [((0, 1), (1, -2)), ((1, 2), (2, -1)),
+                                   ((0, ONE), (2, Scalar(0, 1)))]
+    scalar_only, _ = _system("xyz", [])
+    for row in sys_.rows:
+        scalar_only.add_columns(row)
+    assert list(scalar_only.distinct) == list(sys_.distinct)
+
+
+def test_zero_empty_and_unregistered_rows_append_nothing():
+    sys_, (x, y) = _system("xy", [])
+    assert sys_.add_row({}) == {}
+    assert sys_.add_row({x: 0, y: ZERO}, ("zero",)) == {}
+    assert sys_.add_columns({}, ("empty",)) == {}
+    with pytest.raises(UnknownNotFoundError):
+        sys_.add_row({x: 1, unknown("w", 0): 2})
+    assert (sys_.rows, sys_.provenance, sys_.distinct) == ([], [], {})
+
+
 def test_lead_span_reduces_by_leading_column_only():
     """A kept row keeps its entries in later leads' columns; a row reduces
     to zero exactly when it lies in the span."""

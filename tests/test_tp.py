@@ -314,8 +314,11 @@ def _random_params(rng):
 
 
 def test_sparse_validation_matches_the_dense_loops():
+    """Witness for witness, each residual a Scalar with the dense loops'
+    text, on integral params (joined in ints) and Gaussian ones."""
     rng = random.Random(41)
     seen = [0, 0, 0]
+    integral = [0, 0]
     for _ in range(60):
         params = _random_params(rng)
         report = validate_params(params)
@@ -324,9 +327,15 @@ def test_sparse_validation_matches_the_dense_loops():
             report.eq_weighted_sum_violations,
             report.eq_exchange_violations,
         )
-        assert lists == _dense_validation(params)
+        dense = _dense_validation(params)
+        assert lists == dense
+        for found, expected in zip(lists, dense):
+            assert all(type(v) is Scalar for _, v in found)
+            assert [(key, str(v)) for key, v in found] == [(key, str(v)) for key, v in expected]
         seen = [n + bool(violations) for n, violations in zip(seen, lists)]
+        integral[params.integral] += not report.is_valid
     assert all(n >= 5 for n in seen), seen
+    assert all(n >= 5 for n in integral), integral
 
 
 def test_validation_of_an_empty_d_does_no_dense_work():
