@@ -25,7 +25,6 @@ vanishes on the whole L family and has finite support on the M family.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import lcm
 
 from .elements import BasisSymbol, Element, L, M, check_index, extend
 from .errors import DomainError
@@ -106,17 +105,16 @@ class BracketDef:
     kind: str
     k: int = 0
     f: FiniteFunctional | None = None
-    # f's values by index, and times the lcm of their denominators (None when
-    # f has an imaginary value: the bracket has no integer form), bound once
+    # f's values by index, and as ints (None unless every value is an
+    # integer: the bracket has no integer form), bound once
     f_values: dict = field(default=None, init=False, repr=False, compare=False)
     int_f: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         values = self.f.values if self.f is not None else ()
         int_f = None
-        if not any(v.im for _, v in values):
-            den = lcm(*[v.re.denominator for _, v in values])
-            int_f = {i: v.re.numerator * (den // v.re.denominator) for i, v in values}
+        if all(not v.im and v.re.denominator == 1 for _, v in values):
+            int_f = {i: v.re.numerator for i, v in values}
         object.__setattr__(self, "f_values", dict(values))
         object.__setattr__(self, "int_f", int_f)
 
@@ -130,8 +128,7 @@ class BracketDef:
         return _bracket_terms(self.kind, self.k, self.f_values, from_int, x, y, z)
 
     def int_terms(self, x, y, z):
-        """terms() with int structure constants, the a-f-k ones scaled by
-        the lcm of f's denominators; only for integral brackets."""
+        """terms() with int structure constants; only for integral brackets."""
         return _bracket_terms(self.kind, self.k, self.int_f, int, x, y, z)
 
 

@@ -1,7 +1,7 @@
 """Law checkers over finite index windows.
 
 Every checker quantifies a law exhaustively over the basis symbols of a
-window, or over seeded random samples from a wider index range, and
+window, or over seeded random samples from DEFAULT_RANDOM_WINDOW, and
 returns a CheckReport with exact residual witnesses for every violation.
 Exhaustive runs refuse to start when the case count exceeds the budget
 instead of silently sampling; randomized runs refuse a sample count over
@@ -14,13 +14,10 @@ Violation building for every checker.  Its kernels are the definitions'
 integer forms (int_terms) when every definition has one, and their Scalar
 terms otherwise; either way each kernel remembers its recent results for
 the length of one check, because an exhaustive check asks for the same
-basis-level terms over and over.  Integer forms decide pass or fail exactly: an a-f-k
-bracket table may be scaled by the lcm of f's denominators, and every law
-that uses a bracket is homogeneous in it; products and operators have
-integer forms only when their constants are integers as given, since the
-involutive-morphism law is not homogeneous in its operator.  The witness of
-a failing tuple is rebuilt by the same law function over the unscaled
-Scalar terms, so reports do not depend on which kernels ran.
+basis-level terms over and over.  A definition has an integer form only
+when all its constants are integers as given, so int_terms gives the same
+values as terms: each tuple is evaluated once, and a violation lifts the
+sides that evaluation computed to Scalars.
 """
 
 from __future__ import annotations
@@ -105,7 +102,7 @@ class CheckReport:
 
 def _check_budget(mode, total, budget):
     if mode == "exhaustive":
-        require_budget(total, f"exhaustive run needs {total} cases", budget)
+        require_budget(total, f"exhaustive run needs {total} cases")
         return total
     if mode == "randomized":
         samples = DEFAULT_SAMPLES if budget is None else budget
@@ -114,18 +111,15 @@ def _check_budget(mode, total, budget):
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _random_symbol(rng, sample_window):
+def _random_symbol(rng):
     fam = "L" if rng.random() < 0.5 else "M"
-    return BasisSymbol(fam, rng.randint(sample_window.lo, sample_window.hi))
+    return BasisSymbol(fam, rng.randint(DEFAULT_RANDOM_WINDOW.lo, DEFAULT_RANDOM_WINDOW.hi))
 
 
-def _tuple_stream(w, arity, mode, cases, rng, sample_window):
+def _tuple_stream(w, arity, mode, cases, rng):
     if mode == "exhaustive":
         return itertools.product(window_symbols(w), repeat=arity)
-    return (
-        tuple(_random_symbol(rng, sample_window) for _ in range(arity))
-        for _ in range(cases)
-    )
+    return (tuple(_random_symbol(rng) for _ in range(arity)) for _ in range(cases))
 
 
 # ---------------------------------------------------------------------------
@@ -167,39 +161,40 @@ class Kernels(NamedTuple):
     source: object = None
 
 
-def _kernels(defs, ints):
-    """Each definition's int_terms (ints) or terms, remembered for one check."""
+def _kernels(defs):
+    """Each definition's int_terms when every definition is integral, else
+    each one's terms, remembered for one check."""
     memo = functools.lru_cache(maxsize=MEMO_SIZE)
-    if ints:
+    if all(getattr(d, "integral", False) for d in defs.values()):
         return Kernels(int, **{name: memo(d.int_terms) for name, d in defs.items()})
     return Kernels(from_int, **{name: memo(d.terms) for name, d in defs.items()})
 
 
-def _violation(law, kernels, tup):
-    lhs, rhs = law.sides(kernels, *tup)
+def _violation(law, tup, lhs, rhs):
+    """The Violation of a failing tuple from the sides its case computed,
+    lifted to Scalars and divided by the law's scale."""
+    unit = from_int(1) / from_int(law.scale)
+    lhs, rhs = (
+        {s: (from_int(c) if type(c) is int else c) * unit for s, c in side.items()}
+        for side in (lhs, rhs)
+    )
     residual = dict(lhs)
     add_terms(residual, from_int(-1), [(c, s) for s, c in rhs.items()])
-    sides = (lhs, rhs, residual)
-    if law.scale != 1:
-        unit = from_int(1) / from_int(law.scale)
-        sides = tuple({s: c * unit for s, c in side.items()} for side in sides)
     inputs = law.inputs(tup) if law.inputs else tup
-    return Violation(inputs, *(Element(side) for side in sides))
+    return Violation(inputs, Element(lhs), Element(rhs), Element(residual))
 
 
-def run_law(
-    spec, defs, w, mode="exhaustive", budget=None, seed=0,
-    sample_window=DEFAULT_RANDOM_WINDOW, stop_at_first=False,
-):
+def run_law(spec, defs, w, mode="exhaustive", budget=None, seed=0, stop_at_first=False):
     """Check a law on basis tuples of a window.
 
     `defs` maps kernel names (bracket, product, op, source) to definitions.
     Cases run on their int_terms when every definition is `integral`, else
-    on their Scalar terms; violations always carry Scalar witnesses.  The
-    budget is checked against the exhaustive case count, or a randomized
-    run's budget (its sample count) against the exhaustive cap, before
-    anything is enumerated.  With `stop_at_first` the run ends at the first
-    violation, unsorted.
+    on their Scalar terms; violations always carry Scalar witnesses.  An
+    exhaustive run's case count is checked against the exhaustive cap, and
+    a randomized run's budget (its sample count, drawn from
+    DEFAULT_RANDOM_WINDOW) against the same cap, before anything is
+    enumerated.  With `stop_at_first` the run ends at the first violation,
+    unsorted.
     """
     syms_count = 2 * w.size
     total = sum(syms_count ** laws[0].arity for laws in spec.parts)
@@ -211,16 +206,14 @@ def run_law(
         cases_run=0,
         seed=seed if mode == "randomized" else None,
     )
-    exact = _kernels(defs, ints=False)
-    ints = all(getattr(d, "integral", False) for d in defs.values())
-    fast = _kernels(defs, ints=True) if ints else exact
+    kernels = _kernels(defs)
     for laws in spec.parts:
-        for tup in _tuple_stream(w, laws[0].arity, mode, cases, rng, sample_window):
+        for tup in _tuple_stream(w, laws[0].arity, mode, cases, rng):
             report.cases_run += 1
             for law in laws:
-                lhs, rhs = law.sides(fast, *tup)
+                lhs, rhs = law.sides(kernels, *tup)
                 if lhs != rhs:
-                    report.violations.append(_violation(law, exact, tup))
+                    report.violations.append(_violation(law, tup, lhs, rhs))
                     if stop_at_first:
                         return report
     return report.sort_violations()
@@ -278,13 +271,9 @@ def check_skew_symmetry(bdef, w):
     return run_law(SKEW_SYMMETRY, {"bracket": bdef}, w)
 
 
-def check_fundamental_identity(
-    bdef, w, mode="exhaustive", budget=None, seed=0, sample_window=DEFAULT_RANDOM_WINDOW
-):
+def check_fundamental_identity(bdef, w, mode="exhaustive", budget=None, seed=0):
     """[x,y,[u,v,t]] = [[x,y,u],v,t] + [u,[x,y,v],t] + [u,v,[x,y,t]]."""
-    return run_law(
-        FUNDAMENTAL_IDENTITY, {"bracket": bdef}, w, mode, budget, seed, sample_window
-    )
+    return run_law(FUNDAMENTAL_IDENTITY, {"bracket": bdef}, w, mode, budget, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -478,14 +467,10 @@ LAWS = {
 }
 
 
-def check_tp_compatibility(
-    bdef, pdef, w, mode="exhaustive", budget=None, seed=0,
-    sample_window=DEFAULT_RANDOM_WINDOW,
-):
+def check_tp_compatibility(bdef, pdef, w, mode="exhaustive", budget=None, seed=0):
     """3 u*[x,y,z] = [x*u,y,z] + [x,y*u,z] + [x,y,z*u] on basis 4-tuples."""
     return run_law(
-        TRANSPOSED_LEIBNIZ, {"bracket": bdef, "product": pdef}, w, mode, budget, seed,
-        sample_window,
+        TRANSPOSED_LEIBNIZ, {"bracket": bdef, "product": pdef}, w, mode, budget, seed
     )
 
 
@@ -522,9 +507,10 @@ def generator_closure(bdef, gens, w, max_rounds=16, margin=None):
 
     The span basis is a linalg LeadSpan, in ints when the bracket is
     integral and every generator is real (bracketed through int_terms),
-    else in Scalars.  Each row is a nonzero multiple of the monic row, so
-    the result does not depend on the coefficient type.  A round brackets
-    the rows it started with only, so each result is inserted as it comes.
+    else in Scalars.  int_terms gives the values terms does, and a kept
+    row in either type is a nonzero multiple of the monic row, so the
+    result does not depend on the coefficient type.  A round brackets the
+    rows it started with only, so each result is inserted as it comes.
 
     Raises BudgetExceededError before listing a window of more target
     symbols than the exhaustive budget, before a round that would bracket

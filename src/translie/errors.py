@@ -28,14 +28,12 @@ class BudgetExceededError(TransLieError):
     """An exhaustive enumeration or iteration limit was exceeded."""
 
 
-def require_budget(count, what, cap=None):
-    """Raise BudgetExceededError when count exceeds cap (default: the
-    exhaustive cap); `what` says what needs count, as in "assembly needs
-    12 equation triples"."""
-    if cap is None:
-        cap = DEFAULT_EXHAUSTIVE_CAP
-    if count > cap:
-        raise BudgetExceededError(f"{what}, budget is {cap}")
+def require_budget(count, what):
+    """Raise BudgetExceededError when count exceeds the exhaustive cap;
+    `what` says what needs count, as in "assembly needs 12 equation
+    triples"."""
+    if count > DEFAULT_EXHAUSTIVE_CAP:
+        raise BudgetExceededError(f"{what}, budget is {DEFAULT_EXHAUSTIVE_CAP}")
 
 
 class EmptySystemError(TransLieError):

@@ -35,7 +35,7 @@ finite system carries the same information as the infinite one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import comb
 
 from .algebras import AFK, A_OMEGA_DELTA
@@ -119,10 +119,18 @@ def full_window_ansatz(domain, image):
 
 def ansatz_for(bdef, domain, degree=0, image=None):
     """The ansatz kind classified for an algebra: graded for the shifted
-    bracket, full window over the image (default: the domain) for a-f-k."""
+    bracket, full window over the image (default: the domain) for a-f-k.
+    An image window for the graded kind, or a nonzero degree for the full
+    window, raises ValueError rather than being ignored."""
     if bdef.kind == A_OMEGA_DELTA:
+        if image is not None:
+            raise ValueError(f"{bdef.kind} has a graded ansatz, which takes no image window")
         return graded_ansatz(degree, domain)
     if bdef.kind == AFK:
+        if degree:
+            raise ValueError(
+                f"{bdef.kind} has a full-window ansatz, which takes no degree (got {degree})"
+            )
         return full_window_ansatz(domain, domain if image is None else image)
     raise ValueError(f"no classification defined for bracket {bdef.kind!r}")
 
@@ -139,10 +147,9 @@ def assemble_system(bdef, ansatz, eq_window):
 
     Each basis-symbol coordinate of each qualifying relation instance
     contributes one homogeneous row, with provenance (pattern, r, s, t,
-    coordinate symbol).  A bracket with integer structure constants gives
-    int rows (an a-f-k bracket's scaled by the lcm of f's denominators,
-    which leaves each row's constraint unchanged); a Gaussian functional
-    keeps Scalar coefficients.
+    coordinate symbol).  An integral bracket (every structure constant an
+    integer as given) gives int rows; a rational or Gaussian functional
+    gives Scalar rows.
 
     When the ansatz shares one image-symbol list per family
     (Ansatz.shared_images: full window), the varied-slot brackets come from
@@ -337,11 +344,11 @@ def solve_and_classify(bdef, ansatz, eq_window, core):
         raise ValueError(
             f"the functional's support {bdef.f.support} is not inside the core {core}"
         )
-    core_ansatz = ansatz_for(bdef, core, ansatz.degree, core)
-    if core_ansatz.kind != ansatz.kind:
+    if ansatz_for(bdef, core).kind != ansatz.kind:
         raise ValueError(
             f"no classification defined for bracket {bdef.kind!r} with ansatz {ansatz.kind!r}"
         )
+    core_ansatz = replace(ansatz, domain=core, image=core if ansatz.image else None)
 
     space = nullspace(assemble_system(bdef, ansatz, eq_window))
     core_space = project_solution(space, core_ansatz.unknown_ids())

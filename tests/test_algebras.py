@@ -75,20 +75,15 @@ def test_unshifted_form_bracket():
 
 
 @pytest.mark.parametrize(
-    "bdef, scale",
-    [
-        (a_omega_delta(), 1),
-        (omega_form(), 1),
-        (afk(2, functional({0: "1/2", 1: "-2/3", 3: "5"})), 6),
-    ],
+    "bdef",
+    [a_omega_delta(), omega_form(), afk(2, functional({0: 2, 1: -3, 3: 5}))],
     ids=["a-omega-delta", "omega-form", "a-f-k"],
 )
-def test_int_terms_are_scaled_terms(bdef, scale):
-    """The integer structure constants agree with terms() on every triple."""
+def test_int_terms_are_terms(bdef):
+    """The integer structure constants are terms()'s values on every triple."""
     symbols = window_symbols(window(-3, 3))
     for x, y, z in itertools.product(symbols, repeat=3):
-        expected = [(c.scale_int(scale), sym) for c, sym in bdef.terms(x, y, z)]
-        assert [(Scalar(c), sym) for c, sym in bdef.int_terms(x, y, z)] == expected
+        assert [(Scalar(c), sym) for c, sym in bdef.int_terms(x, y, z)] == bdef.terms(x, y, z)
 
 
 # The bracket written out twice, once per coefficient type, with its own
@@ -164,7 +159,10 @@ def test_bracket_table_matches_the_hand_written_tables(bdef):
         assert typed(bdef.terms(x, y, z)) == typed(reference_terms(bdef, x, y, z))
         if bdef.integral:
             assert typed(bdef.int_terms(x, y, z)) == typed(reference_int_terms(bdef, x, y, z))
-    assert bdef.integral == (bdef.f is None or not any(v.im for _, v in bdef.f.values))
+    # an integer form exactly when every structure constant is an integer as given
+    assert bdef.integral == (
+        bdef.f is None or all(v.re.denominator == 1 and not v.im for _, v in bdef.f.values)
+    )
 
 
 KERNEL_BRACKETS = {
@@ -172,6 +170,7 @@ KERNEL_BRACKETS = {
     "omega-form": omega_form(),
     "a-f-k-real": afk(1, functional({0: "-3/2"})),
     "a-f-k-two-point": afk(-2, functional({0: 1, 2: "2/3"})),
+    "a-f-k-int-two-point": afk(-2, functional({0: 1, 2: -3})),
     "a-f-k-gaussian": afk(0, functional({1: Scalar(1, 1)})),
 }
 

@@ -27,6 +27,7 @@ from translie.checks import (
     window,
 )
 from translie.elements import Element, L, M
+from translie import errors
 from translie.errors import BudgetExceededError
 from translie.scalars import Scalar, from_int
 from translie.tp import poisson_violation_witness
@@ -87,9 +88,10 @@ def test_fundamental_identity_catches_corruption():
     assert not v.residual.is_zero()
 
 
-def test_fundamental_identity_budget_guard():
+def test_fundamental_identity_budget_guard(monkeypatch):
+    monkeypatch.setattr(errors, "DEFAULT_EXHAUSTIVE_CAP", 99)
     with pytest.raises(BudgetExceededError) as exc:
-        check_fundamental_identity(a_omega_delta(), window(-2, 2), budget=99)
+        check_fundamental_identity(a_omega_delta(), window(-2, 2))
     assert str(exc.value) == "exhaustive run needs 100000 cases, budget is 99"
 
 
@@ -199,6 +201,42 @@ def test_commutative_associative_base_product():
     assert check_commutative_associative(algebra_a(), window(-4, 4)).passed
 
 
+class Counting:
+    """A definition, integral as the one it wraps, that counts the calls
+    made to each of its two kernels."""
+
+    def __init__(self, definition):
+        self.definition = definition
+        self.integral = definition.integral
+        self.calls = {"terms": 0, "int_terms": 0}
+
+    def terms(self, *symbols):
+        self.calls["terms"] += 1
+        return self.definition.terms(*symbols)
+
+    def int_terms(self, *symbols):
+        self.calls["int_terms"] += 1
+        return self.definition.int_terms(*symbols)
+
+
+def test_each_failing_tuple_is_evaluated_once():
+    """A violation is built from the sides its case computed on the
+    integer kernels: no Scalar terms() call rebuilds it, and its witness
+    is in Scalars all the same."""
+    bracket, op = Counting(a_omega_delta()), Counting(index_scaling())
+    report = check_one_third_derivation(bracket, op, window(-1, 1))
+    assert len(report.violations) == 72
+    assert bracket.calls["terms"] == op.calls["terms"] == 0
+    assert bracket.calls["int_terms"] > 0 and op.calls["int_terms"] > 0
+    assert report == check_one_third_derivation(a_omega_delta(), index_scaling(), window(-1, 1))
+    assert all(
+        type(c) is Scalar
+        for v in report.violations
+        for side in (v.lhs, v.rhs, v.residual)
+        for c in side.terms.values()
+    )
+
+
 def test_violation_residual_reproducible():
     report = check_fundamental_identity(CorruptedLLM(), window(-1, 1))
     assert not report.passed
@@ -263,7 +301,7 @@ def test_generator_closure_round_budget():
     """A round that would bracket more triples than the budget raises
     before it brackets any: 230 rows give C(230,3) = 2,001,460 triples."""
     gens = [Element.basis(s) for i in range(115) for s in (L(i), M(i))]
-    counting = CountingBracket(a_omega_delta())
+    counting = Counting(a_omega_delta())
     with pytest.raises(BudgetExceededError) as exc:
         generator_closure(counting, gens, window(-1, 1))
     assert str(exc.value) == "closure round 1 needs 2001460 bracket triples, budget is 2000000"
@@ -415,36 +453,20 @@ def test_generator_closure_matches_recorded_results(case):
     assert result == (spanned, rounds_used, [_symbol(t) for t in missing.split()])
 
 
-class CountingBracket:
-    """A bracket that counts which of its two kernels the closure calls."""
-
-    def __init__(self, bdef):
-        self.bdef = bdef
-        self.integral = bdef.integral
-        self.calls = {"terms": 0, "int_terms": 0}
-
-    def terms(self, x, y, z):
-        self.calls["terms"] += 1
-        return self.bdef.terms(x, y, z)
-
-    def int_terms(self, x, y, z):
-        self.calls["int_terms"] += 1
-        return self.bdef.int_terms(x, y, z)
-
-
 @pytest.mark.parametrize(
     "bracket, gens, kernel",
     [
         ("a-omega-delta", "fractional", "int_terms"),
-        ("afk-half", "sparse-fractional", "int_terms"),
+        ("afk-half", "sparse-fractional", "terms"),
         ("a-omega-delta", "gaussian", "terms"),
         ("afk-gauss", "standard", "terms"),
     ],
 )
 def test_generator_closure_kernel_follows_the_coefficients(bracket, gens, kernel):
     """Integer structure constants serve only real generators on an
-    integral bracket; a Gaussian generator or functional needs Scalars."""
-    counting = CountingBracket(CLOSURE_BRACKETS[bracket])
+    integral bracket; a Gaussian generator, or a functional with a
+    non-integer value, needs Scalars."""
+    counting = Counting(CLOSURE_BRACKETS[bracket])
     generator_closure(counting, CLOSURE_GENS[gens], window(-3, 3), max_rounds=6)
     assert counting.calls[kernel] > 0
     assert sum(counting.calls.values()) == counting.calls[kernel]

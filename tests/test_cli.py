@@ -588,6 +588,31 @@ def test_window_sized_lists_over_budget_exit_2_before_building(
     assert capsys.readouterr().err == message
 
 
+@pytest.mark.parametrize(
+    "algebra, field, message",
+    [
+        (
+            {"kind": "a-f-k", "k": 1, "f": {"0": "1"}},
+            {"degree": 2},
+            "error: a-f-k has a full-window ansatz, which takes no degree (got 2)\n",
+        ),
+        (
+            {"kind": "a-omega-delta"},
+            {"windows": {"domain": [-4, 4], "core": [-2, 2], "image": [-4, 4]}},
+            "error: a-omega-delta has a graded ansatz, which takes no image window\n",
+        ),
+    ],
+    ids=["degree-on-a-f-k", "image-on-a-omega-delta"],
+)
+def test_solve_derivations_refuses_a_field_its_ansatz_ignores(algebra, field, message):
+    """A field the algebra's ansatz has no use for exits 2 naming it,
+    rather than being echoed in a report and ignored; without it the same
+    solve passes."""
+    doc = {"algebra": algebra, "windows": {"domain": [-4, 4], "core": [-2, 2]}}
+    assert _main_on("solve-derivations", {**doc, **field}) == (2, message)
+    assert _main_on("solve-derivations", doc) == (0, "")
+
+
 def test_solve_derivations_on_the_omega_form_exits_2(tmp_path, capsys):
     """The solver pairs an ansatz with a-omega-delta and a-f-k only."""
     path = tmp_path / "cfg.json"
@@ -758,6 +783,9 @@ OVERSIZED = [-200, 200]
 )
 def test_cli_fuzz_oversized_windows_hit_the_budget(case, algebra, degree):
     command, windows = case
+    # only the graded solve (a-omega-delta) takes a nonzero degree
+    if algebra["kind"] != "a-omega-delta":
+        degree = 0
     code, err = _main_on(command, {"algebra": algebra, "windows": windows, "degree": degree})
     assert code == 2
     assert re.fullmatch(r"error: .* needs \d+ .*, budget is 2000000\n", err), err

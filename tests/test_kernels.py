@@ -76,6 +76,7 @@ def assert_paths_agree(spec, defs, w, **kwargs):
 
 
 RATIONAL_F = functional({0: Fraction(1, 2), 1: Fraction(-2, 3)})
+INT_F = functional({0: 2, 1: -3})
 GAUSSIAN_F = functional({0: Scalar(1, 1)})
 INT_FAMILY = tp_product(build_example_family(functional({0: 1}), {0: 5}, {1: 1}, 2))
 GAUSSIAN_FAMILY = tp_product(build_example_family(GAUSSIAN_F, {0: 2}, {1: 1}, 1))
@@ -89,7 +90,7 @@ GAUSSIAN_FAMILY = tp_product(build_example_family(GAUSSIAN_F, {0: 2}, {1: 1}, 1)
         ("one-third-derivation", {"bracket": a_omega_delta(), "op": uniform_shift(2)},
          window(-1, 1), True, False),
         ("one-third-derivation", {"bracket": afk(1, RATIONAL_F), "op": index_scaling()},
-         window(-1, 1), True, True),
+         window(-1, 1), False, True),
         ("transposed-leibniz", {"bracket": a_omega_delta(), "product": algebra_a()},
          window(-1, 0), True, True),
         ("poisson-leibniz", {"bracket": a_omega_delta(), "product": algebra_a()},
@@ -98,7 +99,7 @@ GAUSSIAN_FAMILY = tp_product(build_example_family(GAUSSIAN_F, {0: 2}, {1: 1}, 1)
          window(-1, 1), True, False),
         ("poisson-leibniz", {"bracket": afk(2, functional({0: 1})), "product": INT_FAMILY},
          window(-1, 1), True, True),
-        ("fundamental-identity", {"bracket": afk(-1, RATIONAL_F)}, window(-1, 0), True, False),
+        ("fundamental-identity", {"bracket": afk(-1, RATIONAL_F)}, window(-1, 0), False, False),
         ("fundamental-identity", {"bracket": afk(0, GAUSSIAN_F)}, window(-1, 0), False, False),
         ("transposed-leibniz", {"bracket": afk(1, GAUSSIAN_F), "product": GAUSSIAN_FAMILY},
          window(-1, 1), False, False),
@@ -112,6 +113,12 @@ GAUSSIAN_FAMILY = tp_product(build_example_family(GAUSSIAN_F, {0: 2}, {1: 1}, 1)
         ("relabel-intertwining",
          {"source": a_omega_delta(), "bracket": a_omega_delta(), "op": m_negation()},
          window(-1, 1), True, True),
+        # a-f-k on its integer form: an integer two-point f
+        ("one-third-derivation", {"bracket": afk(1, INT_F), "op": index_scaling()},
+         window(-1, 1), True, True),
+        ("fundamental-identity", {"bracket": afk(-1, INT_F)}, window(-1, 0), True, False),
+        ("transposed-leibniz", {"bracket": afk(1, INT_F), "product": algebra_a()},
+         window(-1, 0), True, True),
     ],
 )
 def test_integer_path_matches_scalar_path(law, defs, w, integral, violated):
@@ -132,6 +139,7 @@ _gaussians = st.builds(Scalar, _rationals, _rationals)
 BRACKETS = st.one_of(
     st.just(a_omega_delta()),
     st.just(omega_form()),
+    st.builds(afk, st.integers(-2, 2), _functionals(st.integers(-3, 3))),
     st.builds(afk, st.integers(-2, 2), _functionals(_rationals)),
     st.builds(afk, st.integers(-2, 2), _functionals(_gaussians)),
 )
@@ -178,7 +186,6 @@ def test_random_definitions_agree_on_both_paths(data, law):
             mode="randomized",
             budget=data.draw(st.integers(1, 150), label="budget"),
             seed=data.draw(st.integers(0, 2**16), label="seed"),
-            sample_window=window(-3, 3),
         )
     else:
         kwargs = {}
