@@ -25,10 +25,10 @@ vanishes on the whole L family and has finite support on the M family.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .elements import BasisSymbol, Element, L, M, check_index, extend
-from .errors import DomainError
-from .scalars import Scalar, ZERO, ONE, from_int
+from .scalars import Scalar, ZERO, ONE, as_int, from_int
 
 A_OMEGA_DELTA = "a-omega-delta"
 OMEGA_FORM = "a-omega-delta-omega-form"
@@ -40,6 +40,15 @@ class FiniteFunctional:
     """Linear map with value 0 on every L_r and finite support on the M_r."""
 
     values: tuple  # sorted tuple of (index, Scalar) pairs, all nonzero
+    # the values by index, and as ints (None unless every value is an
+    # integer as given), bound once
+    by_index: dict = field(init=False, repr=False, compare=False)
+    ints: dict | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        ints = {i: as_int(v) for i, v in self.values}
+        object.__setattr__(self, "by_index", dict(self.values))
+        object.__setattr__(self, "ints", None if None in ints.values() else ints)
 
     @staticmethod
     def from_map(mapping):
@@ -52,10 +61,7 @@ class FiniteFunctional:
         return FiniteFunctional(tuple(sorted(items)))
 
     def m_value(self, index):
-        for idx, val in self.values:
-            if idx == index:
-                return val
-        return ZERO
+        return self.by_index.get(index, ZERO)
 
     @property
     def support(self):
@@ -105,31 +111,19 @@ class BracketDef:
     kind: str
     k: int = 0
     f: FiniteFunctional | None = None
-    # f's values by index, and as ints (None unless every value is an
-    # integer: the bracket has no integer form), bound once
-    f_values: dict = field(default=None, init=False, repr=False, compare=False)
-    int_f: dict | None = field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        values = self.f.values if self.f is not None else ()
-        int_f = None
-        if all(not v.im and v.re.denominator == 1 for _, v in values):
-            int_f = {i: v.re.numerator for i, v in values}
-        object.__setattr__(self, "f_values", dict(values))
-        object.__setattr__(self, "int_f", int_f)
 
     @property
     def integral(self):
         """True when int_terms() is defined for this bracket."""
-        return self.int_f is not None
+        return self.f is None or self.f.ints is not None
 
     def terms(self, x, y, z):
         """Bracket of three basis symbols as a list of (Scalar, symbol) terms."""
-        return _bracket_terms(self.kind, self.k, self.f_values, from_int, x, y, z)
+        return _bracket_terms(self.kind, self.k, self.f and self.f.by_index, from_int, x, y, z)
 
     def int_terms(self, x, y, z):
         """terms() with int structure constants; only for integral brackets."""
-        return _bracket_terms(self.kind, self.k, self.int_f, int, x, y, z)
+        return _bracket_terms(self.kind, self.k, self.f and self.f.ints, int, x, y, z)
 
 
 def a_omega_delta():
@@ -206,22 +200,14 @@ FAMILY_SWAP = "family-swap"
 SCALED_L_SHIFT = "scaled-l-shift"
 UNIFORM_SHIFT = "uniform-shift"
 M_NEGATION = "m-negation"
-SCALAR_MULTIPLE = "scalar"
-CUSTOM = "custom"
 
 
 @dataclass(frozen=True)
 class LinearOperator:
     kind: str
     k: int = 0
-    factor: Scalar = ONE
-    table: dict | None = field(default=None, compare=False)
 
-    @property
-    def integral(self):
-        """True when int_terms() is defined: every kind but the two whose
-        coefficients are given as Scalars."""
-        return self.kind not in (SCALAR_MULTIPLE, CUSTOM)
+    integral = True  # every kind has int coefficients, so int_terms() is defined
 
     def terms(self, sym):
         """Image of a basis symbol as a list of (Scalar, symbol) terms."""
@@ -248,15 +234,6 @@ class LinearOperator:
             return [(num(1), BasisSymbol(sym.family, check_index(sym.index + self.k)))]
         if kind == M_NEGATION:
             return [(num(1), M(-sym.index) if sym.family == "M" else sym)]
-        if kind == SCALAR_MULTIPLE:
-            if not self.factor:
-                return []
-            return [(self.factor, sym)]
-        if kind == CUSTOM:
-            image = self.table.get(sym)
-            if image is None:
-                raise DomainError(f"operator not defined at {sym}")
-            return [(coeff, s) for s, coeff in image.terms.items()]
         raise ValueError(f"unknown operator kind {kind!r}")
 
     def apply(self, element):
@@ -291,3 +268,30 @@ def m_negation():
 def relabel_m_negation(element):
     """Fix every L term and send each M_r term to M_{-r}."""
     return m_negation().apply(element)
+
+
+class Kernels(NamedTuple):
+    """The term functions of one evaluation by kernel name, all in one
+    coefficient type; num turns an int into that type."""
+
+    num: object
+    bracket: object = None
+    product: object = None
+    op: object = None
+    source: object = None
+
+
+def kernels(defs, real=True):
+    """The one place a law's coefficient type is decided.
+
+    `defs` maps kernel names (bracket, product, op, source) to definitions.
+    When `real` holds and every definition is `integral` (one without that
+    attribute is not), the kernels are their int_terms with num=int, else
+    their Scalar terms with num=from_int.  A definition is integral only
+    when all its constants are integers as given, so both give the same
+    values; `real` is false when something else the law meets, such as a
+    Gaussian generator, has an imaginary part.
+    """
+    if real and all(getattr(d, "integral", False) for d in defs.values()):
+        return Kernels(int, **{name: d.int_terms for name, d in defs.items()})
+    return Kernels(from_int, **{name: d.terms for name, d in defs.items()})

@@ -1,22 +1,19 @@
 """Law checkers over finite index windows.
 
 Every checker quantifies a law exhaustively over the basis symbols of a
-window, or over seeded random samples from DEFAULT_RANDOM_WINDOW, and
-returns a CheckReport with exact residual witnesses for every violation.
-Exhaustive runs refuse to start when the case count exceeds the budget
-instead of silently sampling; randomized runs refuse a sample count over
-the exhaustive cap.
+window, or over a given number of seeded random samples from
+DEFAULT_RANDOM_WINDOW, and returns a CheckReport with exact residual
+witnesses for every violation.  Exhaustive runs refuse to start when the
+case count exceeds the exhaustive cap instead of silently sampling;
+randomized runs refuse a sample count over the same cap.
 
 A law is a small function giving the two sides of one basis tuple from a
-set of kernels: the terms() functions of the definitions it uses.  One
-driver, run_law, owns the budget, the RNG, the tuple stream and the
-Violation building for every checker.  Its kernels are the definitions'
-integer forms (int_terms) when every definition has one, and their Scalar
-terms otherwise; either way each kernel remembers its recent results for
-the length of one check, because an exhaustive check asks for the same
-basis-level terms over and over.  A definition has an integer form only
-when all its constants are integers as given, so int_terms gives the same
-values as terms: each tuple is evaluated once, and a violation lifts the
+set of kernels: the term functions of the definitions it uses, built by
+algebras.kernels in one coefficient type.  One driver, run_law, owns the
+budget, the RNG, the tuple stream and the Violation building for every
+checker.  Each kernel remembers its recent results for the length of one
+check, because an exhaustive check asks for the same basis-level terms
+over and over.  Each tuple is evaluated once, and a violation lifts the
 sides that evaluation computed to Scalars.
 """
 
@@ -29,13 +26,12 @@ from dataclasses import dataclass, field
 from math import comb
 from typing import NamedTuple
 
-from .algebras import a_omega_delta, algebra_a, m_negation, omega_form
+from .algebras import Kernels, a_omega_delta, algebra_a, kernels, m_negation, omega_form
 from .elements import BasisSymbol, Element, L, M, add_terms, extend
 from .errors import BudgetExceededError, require_budget
 from .linalg import LeadSpan
 from .scalars import from_int
 
-DEFAULT_SAMPLES = 10_000
 # entries each kernel memo keeps: more than the ~12,000 distinct calls of
 # the largest exhaustive check the CLI and the benchmark run (the
 # one-third derivation on [-4,4]), and a bound of about 9 MiB on a wide
@@ -100,26 +96,15 @@ class CheckReport:
         return self
 
 
-def _check_budget(mode, total, budget):
-    if mode == "exhaustive":
-        require_budget(total, f"exhaustive run needs {total} cases")
-        return total
-    if mode == "randomized":
-        samples = DEFAULT_SAMPLES if budget is None else budget
-        require_budget(samples, f"randomized run needs {samples} samples")
-        return samples
-    raise ValueError(f"unknown mode {mode!r}")
-
-
 def _random_symbol(rng):
     fam = "L" if rng.random() < 0.5 else "M"
     return BasisSymbol(fam, rng.randint(DEFAULT_RANDOM_WINDOW.lo, DEFAULT_RANDOM_WINDOW.hi))
 
 
-def _tuple_stream(w, arity, mode, cases, rng):
-    if mode == "exhaustive":
+def _tuple_stream(w, arity, samples, rng):
+    if samples is None:
         return itertools.product(window_symbols(w), repeat=arity)
-    return (tuple(_random_symbol(rng) for _ in range(arity)) for _ in range(cases))
+    return (tuple(_random_symbol(rng) for _ in range(arity)) for _ in range(samples))
 
 
 # ---------------------------------------------------------------------------
@@ -150,24 +135,10 @@ class LawSpec(NamedTuple):
     parts: tuple
 
 
-class Kernels(NamedTuple):
-    """Memoized term functions of one check, all in one coefficient type;
-    num turns an int into that type."""
-
-    num: object
-    bracket: object = None
-    product: object = None
-    op: object = None
-    source: object = None
-
-
-def _kernels(defs):
-    """Each definition's int_terms when every definition is integral, else
-    each one's terms, remembered for one check."""
+def _memoized(k):
+    """The kernels, each remembering its results for one check."""
     memo = functools.lru_cache(maxsize=MEMO_SIZE)
-    if all(getattr(d, "integral", False) for d in defs.values()):
-        return Kernels(int, **{name: memo(d.int_terms) for name, d in defs.items()})
-    return Kernels(from_int, **{name: memo(d.terms) for name, d in defs.items()})
+    return Kernels(k.num, *(fn and memo(fn) for fn in k[1:]))
 
 
 def _violation(law, tup, lhs, rhs):
@@ -184,34 +155,36 @@ def _violation(law, tup, lhs, rhs):
     return Violation(inputs, Element(lhs), Element(rhs), Element(residual))
 
 
-def run_law(spec, defs, w, mode="exhaustive", budget=None, seed=0, stop_at_first=False):
+def run_law(spec, defs, w, samples=None, seed=0, stop_at_first=False):
     """Check a law on basis tuples of a window.
 
-    `defs` maps kernel names (bracket, product, op, source) to definitions.
-    Cases run on their int_terms when every definition is `integral`, else
-    on their Scalar terms; violations always carry Scalar witnesses.  An
-    exhaustive run's case count is checked against the exhaustive cap, and
-    a randomized run's budget (its sample count, drawn from
-    DEFAULT_RANDOM_WINDOW) against the same cap, before anything is
-    enumerated.  With `stop_at_first` the run ends at the first violation,
-    unsorted.
+    `defs` maps kernel names (bracket, product, op, source) to definitions,
+    evaluated on algebras.kernels(defs); violations always carry Scalar
+    witnesses.  With `samples` None the run is exhaustive over `w`, and its
+    case count is checked against the exhaustive cap; with `samples` N it
+    draws N seeded tuples from DEFAULT_RANDOM_WINDOW, `w` is not read, and
+    N is checked against the same cap.  Both checks come before anything
+    is enumerated.  With `stop_at_first` the run ends at the first
+    violation, unsorted.
     """
-    syms_count = 2 * w.size
-    total = sum(syms_count ** laws[0].arity for laws in spec.parts)
-    cases = _check_budget(mode, total, budget)
+    if samples is None:
+        total = sum((2 * w.size) ** laws[0].arity for laws in spec.parts)
+        require_budget(total, f"exhaustive run needs {total} cases")
+    else:
+        require_budget(samples, f"randomized run needs {samples} samples")
     rng = random.Random(seed)
     report = CheckReport(
         law=spec.name,
-        mode=mode,
+        mode="exhaustive" if samples is None else "randomized",
         cases_run=0,
-        seed=seed if mode == "randomized" else None,
+        seed=None if samples is None else seed,
     )
-    kernels = _kernels(defs)
+    k = _memoized(kernels(defs))
     for laws in spec.parts:
-        for tup in _tuple_stream(w, laws[0].arity, mode, cases, rng):
+        for tup in _tuple_stream(w, laws[0].arity, samples, rng):
             report.cases_run += 1
             for law in laws:
-                lhs, rhs = law.sides(kernels, *tup)
+                lhs, rhs = law.sides(k, *tup)
                 if lhs != rhs:
                     report.violations.append(_violation(law, tup, lhs, rhs))
                     if stop_at_first:
@@ -271,9 +244,9 @@ def check_skew_symmetry(bdef, w):
     return run_law(SKEW_SYMMETRY, {"bracket": bdef}, w)
 
 
-def check_fundamental_identity(bdef, w, mode="exhaustive", budget=None, seed=0):
+def check_fundamental_identity(bdef, w, samples=None, seed=0):
     """[x,y,[u,v,t]] = [[x,y,u],v,t] + [u,[x,y,v],t] + [u,v,[x,y,t]]."""
-    return run_law(FUNDAMENTAL_IDENTITY, {"bracket": bdef}, w, mode, budget, seed)
+    return run_law(FUNDAMENTAL_IDENTITY, {"bracket": bdef}, w, samples, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -467,11 +440,9 @@ LAWS = {
 }
 
 
-def check_tp_compatibility(bdef, pdef, w, mode="exhaustive", budget=None, seed=0):
+def check_tp_compatibility(bdef, pdef, w, samples=None, seed=0):
     """3 u*[x,y,z] = [x*u,y,z] + [x,y*u,z] + [x,y,z*u] on basis 4-tuples."""
-    return run_law(
-        TRANSPOSED_LEIBNIZ, {"bracket": bdef, "product": pdef}, w, mode, budget, seed
-    )
+    return run_law(TRANSPOSED_LEIBNIZ, {"bracket": bdef, "product": pdef}, w, samples, seed)
 
 
 def check_poisson_compatibility(bdef, pdef, w):
@@ -505,11 +476,11 @@ def generator_closure(bdef, gens, w, max_rounds=16, margin=None):
     true once every basis symbol of the window reduces to zero against the
     span, tested by exact row reduction.
 
-    The span basis is a linalg LeadSpan, in ints when the bracket is
-    integral and every generator is real (bracketed through int_terms),
-    else in Scalars.  int_terms gives the values terms does, and a kept
-    row in either type is a nonzero multiple of the monic row, so the
-    result does not depend on the coefficient type.  A round brackets the
+    The span basis is a linalg LeadSpan in the coefficient type of
+    algebras.kernels, real when no generator has an imaginary part: ints
+    for an integral bracket and real generators, else Scalars.  A kept row
+    in either type is a nonzero multiple of the monic row, so the result
+    does not depend on the coefficient type.  A round brackets the
     rows it started with only, so each result is inserted as it comes.
 
     Raises BudgetExceededError before listing a window of more target
@@ -524,12 +495,9 @@ def generator_closure(bdef, gens, w, max_rounds=16, margin=None):
     extended = Window(w.lo - margin, w.hi + margin)
     require_budget(2 * w.size, f"generator closure needs {2 * w.size} target symbols")
     targets = window_symbols(w)
-    integer = getattr(bdef, "integral", False) and not any(
-        c.im for g in gens for c in g.terms.values()
-    )
-    one = 1 if integer else from_int(1)
-    kernel = bdef.int_terms if integer else bdef.terms
-    span = LeadSpan(integer)
+    k = kernels({"bracket": bdef}, real=not any(c.im for g in gens for c in g.terms.values()))
+    one, kernel = k.num(1), k.bracket
+    span = LeadSpan(k.num is int)
 
     def missing():
         return [t for t in targets if span.reduce({t: one})]

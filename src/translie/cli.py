@@ -50,7 +50,7 @@ from .elements import BasisSymbol, Element
 from .errors import ConfigParseError, ConfigSchemaError, TransLieError
 from .linalg import nullspace
 from .scalars import Scalar
-from .solver import ansatz_for, solve_and_classify, tp_triviality_system
+from .solver import solve_and_classify, tp_triviality_system
 from .tp import (
     POISSON_AND_TRANSPOSED,
     TPParams,
@@ -61,6 +61,9 @@ from .tp import (
     tp_product,
     validate_params,
 )
+
+# samples of a randomized pass whose config sets no budget
+DEFAULT_SAMPLES = 10_000
 
 # anchors of the report entries that are not law checks; a law's anchor
 # is on its LawSpec in checks.LAWS
@@ -291,6 +294,10 @@ def parse_config(text, command=None):
             value = data[name]
             _require(_is_int(value) and (least is None or value >= least), message)
             setattr(cfg, name, value)
+    _require(
+        cfg.budget is None or cfg.mode == "randomized",
+        "budget is the sample count of a randomized pass; it needs \"mode\": \"randomized\"",
+    )
 
     if "tp_params" in data:
         cfg.tp_params = _parse_tp_params(data["tp_params"], cfg.algebra)
@@ -407,11 +414,7 @@ def _run_check_laws(cfg):
         entries.append(
             _entry(
                 check_fundamental_identity(
-                    cfg.algebra,
-                    equation,
-                    mode="randomized",
-                    budget=cfg.budget,
-                    seed=cfg.seed,
+                    cfg.algebra, equation, samples=cfg.budget or DEFAULT_SAMPLES, seed=cfg.seed
                 )
             )
         )
@@ -431,8 +434,9 @@ def _run_solve_derivations(cfg):
     domain = cfg.windows.get("domain", window(-10, 10))
     equation = cfg.windows.get("equation", domain)
     core = cfg.windows.get("core", window(-(domain.size // 4), domain.size // 4))
-    ansatz = ansatz_for(cfg.algebra, domain, cfg.degree, cfg.windows.get("image"))
-    verdict = solve_and_classify(cfg.algebra, ansatz, equation, core)
+    verdict = solve_and_classify(
+        cfg.algebra, domain, equation, core, cfg.degree, cfg.windows.get("image")
+    )
     details = {
         "expected_description": verdict.expected_description,
         "core_dimension": verdict.core_dimension,
@@ -490,7 +494,7 @@ def _run_verify_tp(cfg):
         entries.append(
             _entry(
                 check_tp_compatibility(
-                    bdef, prod, closure, mode="randomized", budget=cfg.budget, seed=cfg.seed
+                    bdef, prod, closure, samples=cfg.budget or DEFAULT_SAMPLES, seed=cfg.seed
                 )
             )
         )

@@ -20,10 +20,6 @@ class UnknownNotFoundError(TransLieError):
     """A referenced unknown is not registered in the system."""
 
 
-class DomainError(TransLieError):
-    """An operator was applied outside its declared domain."""
-
-
 class BudgetExceededError(TransLieError):
     """An exhaustive enumeration or iteration limit was exceeded."""
 

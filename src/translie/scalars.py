@@ -77,7 +77,8 @@ class Scalar:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # equal to an int or a Fraction when real, so hash as that number
+        return hash(self.re) if not self.im else hash((self.re, self.im))
 
     # -- formatting --------------------------------------------------------
 
@@ -129,6 +130,11 @@ MINUS_ONE = Scalar(-1)
 I = Scalar(0, 1)
 
 _INT_CACHE: dict[int, Scalar] = {0: ZERO, 1: ONE, -1: MINUS_ONE}
+
+
+def as_int(v):
+    """A Scalar's value as an int when it is an integer, else None."""
+    return v.re.numerator if not v.im and v.re.denominator == 1 else None
 
 
 def from_int(n):

@@ -35,15 +35,14 @@ finite system carries the same information as the infinite one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from math import comb
 
-from .algebras import AFK, A_OMEGA_DELTA
+from .algebras import AFK, A_OMEGA_DELTA, kernels
 from .checks import Window
 from .elements import BasisSymbol, L, M
 from .errors import EmptySystemError, require_budget
 from .linalg import ConstraintSystem, SolutionSpace, nullspace, project_solution, unknown
-from .scalars import from_int
 
 GRADED = "graded"
 FULL_WINDOW = "full-window"
@@ -118,10 +117,10 @@ def full_window_ansatz(domain, image):
 
 
 def ansatz_for(bdef, domain, degree=0, image=None):
-    """The ansatz kind classified for an algebra: graded for the shifted
-    bracket, full window over the image (default: the domain) for a-f-k.
-    An image window for the graded kind, or a nonzero degree for the full
-    window, raises ValueError rather than being ignored."""
+    """The ansatz of the kind classified for an algebra: graded for the
+    shifted bracket, full window over the image (default: the domain) for
+    a-f-k.  An image window for the graded kind, or a nonzero degree for
+    the full window, raises ValueError rather than being ignored."""
     if bdef.kind == A_OMEGA_DELTA:
         if image is not None:
             raise ValueError(f"{bdef.kind} has a graded ansatz, which takes no image window")
@@ -147,9 +146,9 @@ def assemble_system(bdef, ansatz, eq_window):
 
     Each basis-symbol coordinate of each qualifying relation instance
     contributes one homogeneous row, with provenance (pattern, r, s, t,
-    coordinate symbol).  An integral bracket (every structure constant an
-    integer as given) gives int rows; a rational or Gaussian functional
-    gives Scalar rows.
+    coordinate symbol), in the coefficient type of algebras.kernels: int
+    rows when every structure constant is an integer as given, Scalar rows
+    for a rational or Gaussian functional.
 
     When the ansatz shares one image-symbol list per family
     (Ansatz.shared_images: full window), the varied-slot brackets come from
@@ -168,10 +167,8 @@ def assemble_system(bdef, ansatz, eq_window):
     system = ConstraintSystem()
     for uid in ansatz.unknown_ids():
         system.register(uid)
-    if bdef.integral:
-        bracket, three = bdef.int_terms, 3
-    else:
-        bracket, three = bdef.terms, from_int(3)
+    k = kernels({"bracket": bdef})
+    bracket, three = k.bracket, k.num(3)
 
     image_cache = {}
 
@@ -322,16 +319,18 @@ _DESCRIPTIONS = {
 }
 
 
-def solve_and_classify(bdef, ansatz, eq_window, core):
+def solve_and_classify(bdef, domain, eq_window, core, degree=0, image=None):
     """Assemble, solve exactly, project to the core, and classify.
 
-    The ansatz must be of ansatz_for's kind for the algebra; the expected
-    core is the uniform shift (graded) or the family of _family_relations
-    (full window).  The windows are checked before anything is assembled:
-    the core keeps the margin from the domain boundary, lies inside a
-    full-window ansatz's image and contains the functional's support.
+    The ansatz over the domain and the core ansatz are both ansatz_for's
+    kind for the algebra, so `degree` and `image` are read as ansatz_for
+    reads them; the expected core is the uniform shift (graded) or the
+    family of _family_relations (full window).  The windows are checked
+    before anything is assembled: the core keeps the margin from the domain
+    boundary, lies inside a full-window ansatz's image and contains the
+    functional's support.
     """
-    domain = ansatz.domain
+    ansatz = ansatz_for(bdef, domain, degree, image)
     margin = (domain.hi - domain.lo) // 4  # half the domain radius, rounded down
     if core.lo < domain.lo + margin or core.hi > domain.hi - margin:
         raise ValueError(
@@ -344,11 +343,7 @@ def solve_and_classify(bdef, ansatz, eq_window, core):
         raise ValueError(
             f"the functional's support {bdef.f.support} is not inside the core {core}"
         )
-    if ansatz_for(bdef, core).kind != ansatz.kind:
-        raise ValueError(
-            f"no classification defined for bracket {bdef.kind!r} with ansatz {ansatz.kind!r}"
-        )
-    core_ansatz = replace(ansatz, domain=core, image=core if ansatz.image else None)
+    core_ansatz = ansatz_for(bdef, core, degree)
 
     space = nullspace(assemble_system(bdef, ansatz, eq_window))
     core_space = project_solution(space, core_ansatz.unknown_ids())

@@ -22,7 +22,7 @@ from .algebras import ProductDef, TP_FAMILY
 from .checks import POISSON_LEIBNIZ, run_law, window
 from .elements import L, M
 from .errors import InvalidParamsError, require_budget
-from .scalars import Scalar, ZERO
+from .scalars import Scalar, ZERO, as_int
 
 POISSON_AND_TRANSPOSED = "poisson-and-transposed"
 TRANSPOSED_ONLY = "transposed-only"
@@ -30,11 +30,6 @@ TRANSPOSED_ONLY = "transposed-only"
 
 def _scalar(v):
     return v if isinstance(v, Scalar) else Scalar(v)
-
-
-def _int(v):
-    """An integral Scalar as an int."""
-    return v.re.numerator
 
 
 class TPParams:
@@ -60,16 +55,15 @@ class TPParams:
         object.__setattr__(self, "k", int(k))
         # the constants product_terms reads, as Scalars and, when every one
         # is an integer as given, as ints
-        f_values = dict(f.values)
-        exact = (self.alpha, self.c, pairs, f_values)
+        exact = (self.alpha, self.c, pairs, f.by_index)
         ints = None
-        values = [self.alpha, *self.c.values(), *clean.values(), *f_values.values()]
-        if all(not v.im and v.re.denominator == 1 for v in values):
+        values = [self.alpha, *self.c.values(), *clean.values()]
+        if f.ints is not None and all(as_int(v) is not None for v in values):
             ints = (
-                _int(self.alpha),
-                {p: _int(v) for p, v in self.c.items()},
-                {ij: {q: _int(v) for q, v in row.items()} for ij, row in pairs.items()},
-                {i: _int(v) for i, v in f_values.items()},
+                as_int(self.alpha),
+                {p: as_int(v) for p, v in self.c.items()},
+                {ij: {q: as_int(v) for q, v in row.items()} for ij, row in pairs.items()},
+                f.ints,
             )
         object.__setattr__(self, "_exact", exact)
         object.__setattr__(self, "_ints", ints)
@@ -81,9 +75,6 @@ class TPParams:
     def integral(self):
         """True when every product constant is an integer as given."""
         return self._ints is not None
-
-    def d_value(self, i, j, q):
-        return self.d.get((i, j, q), ZERO)
 
     def support_indices(self):
         idx = set(self.f.support)
@@ -161,11 +152,11 @@ def validate_params(params):
     )
     # d as {(i, j): {q: value}}, and the constants, as ints when integral
     alpha, _, pairs, f_values = params._ints if params.integral else params._exact
-    zero, witness = (0, Scalar) if params.integral else (ZERO, _scalar)
+    zero = 0 if params.integral else ZERO
     for i, j, q in sorted({(min(i, j), max(i, j), q) for i, j, q in params.d}):
         residual = pairs.get((i, j), {}).get(q, zero) - pairs.get((j, i), {}).get(q, zero)
         if residual:
-            report.eq_symmetry_violations.append(((i, j, q), witness(residual)))
+            report.eq_symmetry_violations.append(((i, j, q), _scalar(residual)))
 
     candidates = set(pairs)
     if alpha:
@@ -176,7 +167,7 @@ def validate_params(params):
             total = total + f_values.get(q, zero) * v
         residual = total - alpha * f_values.get(i, zero) * f_values.get(j, zero)
         if residual:
-            report.eq_weighted_sum_violations.append(((i, j), witness(residual)))
+            report.eq_weighted_sum_violations.append(((i, j), _scalar(residual)))
 
     # each product d(a,b,q) d(q,c,p) is the term + d(r,s,q) d(q,t,p) of the
     # tuple (r,s,t,p) = (a,b,c,p) and the term - d(s,t,q) d(q,r,p) of (c,a,b,p)
@@ -190,7 +181,7 @@ def validate_params(params):
                 for p, w in out.items():
                     sums[a, b, c, p] = sums.get((a, b, c, p), zero) + v * w
                     sums[c, a, b, p] = sums.get((c, a, b, p), zero) - v * w
-    report.eq_exchange_violations = [(key, witness(v)) for key, v in sorted(sums.items()) if v]
+    report.eq_exchange_violations = [(key, _scalar(v)) for key, v in sorted(sums.items()) if v]
     return report
 
 

@@ -5,30 +5,67 @@ can check the solver's and the checkers' answers against it: members of
 the a-f-k 1/3-derivation family as operators and as assignments to a
 full-window ansatz, the truncated uniform shift as a graded assignment, a
 solution vector as an operator, and left multiplication by a fixed
-element of a product; and the scalar-multiple and table-given operators
-the kernels and checkers are tested on.
+element of a product; the scalar-multiple and table-given operators the
+kernels and checkers are tested on; and a proxy that counts the kernel
+calls made to a definition.
+
+The two operators are duck-typed: `terms` and `apply`, and no `integral`,
+so algebras.kernels runs them on Scalar terms.
 """
 
 from fractions import Fraction
 
-from translie.algebras import CUSTOM, SCALAR_MULTIPLE, LinearOperator, product_eval
-from translie.elements import Element, L, M
+from translie.algebras import product_eval
+from translie.elements import Element, L, M, extend
 from translie.linalg import unknown
 from translie.scalars import ONE, ZERO, Scalar
 
 
-def scalar_multiple(c):
-    if not isinstance(c, Scalar):
-        c = Scalar(c)
-    return LinearOperator(SCALAR_MULTIPLE, factor=c)
+class Counting:
+    """A definition, integral as the one it wraps, that counts the calls
+    made to each of its two kernels."""
+
+    def __init__(self, definition):
+        self.definition = definition
+        self.integral = definition.integral
+        self.calls = {"terms": 0, "int_terms": 0}
+
+    def terms(self, *symbols):
+        self.calls["terms"] += 1
+        return self.definition.terms(*symbols)
+
+    def int_terms(self, *symbols):
+        self.calls["int_terms"] += 1
+        return self.definition.int_terms(*symbols)
 
 
-def custom_operator(table):
-    """Operator given by an explicit symbol -> Element table.
+class _Operator:
+    def apply(self, element):
+        return Element(extend(self.terms, element.terms))
 
-    Application outside the table's key set raises DomainError.
-    """
-    return LinearOperator(CUSTOM, table=dict(table))
+
+class ScalarMultiple(_Operator):
+    """x -> c x for a fixed scalar c."""
+
+    def __init__(self, c):
+        self.factor = c if isinstance(c, Scalar) else Scalar(c)
+
+    def terms(self, sym):
+        return [(self.factor, sym)] if self.factor else []
+
+
+class TableOperator(_Operator):
+    """Operator given by an explicit symbol -> Element table; applying it
+    outside the table's key set raises KeyError."""
+
+    def __init__(self, table):
+        self.table = dict(table)
+
+    def terms(self, sym):
+        image = self.table.get(sym)
+        if image is None:
+            raise KeyError(f"operator not defined at {sym}")
+        return [(coeff, s) for s, coeff in image.terms.items()]
 
 
 def afk_family_operator(f, h, c, d_rows, domain):
@@ -73,7 +110,7 @@ def afk_family_operator(f, h, c, d_rows, domain):
                 if val:
                     terms[M(j)] = terms.get(M(j), ZERO) + val
         table[M(r)] = Element(terms)
-    return custom_operator(table)
+    return TableOperator(table)
 
 
 def solution_operator(space, vector_index, ansatz, window_):
@@ -96,7 +133,7 @@ def solution_operator(space, vector_index, ansatz, window_):
                 if val:
                     terms[img] = terms.get(img, ZERO) + val
             table[sym] = Element(terms)
-    return custom_operator(table)
+    return TableOperator(table)
 
 
 def graded_family_assignment(ansatz):
@@ -172,4 +209,4 @@ def left_multiplication_operator(pdef, element, index_window):
     for i in index_window.indices():
         for sym in (L(i), M(i)):
             table[sym] = product_eval(pdef, element, Element.basis(sym))
-    return custom_operator(table)
+    return TableOperator(table)

@@ -40,7 +40,6 @@ from translie.linalg import nullspace
 from translie.solver import (
     assemble_system,
     full_window_ansatz,
-    graded_ansatz,
     solve_and_classify,
     tp_triviality_system,
 )
@@ -82,7 +81,7 @@ def _axiom_suite(bdef):
     skew = check_skew_symmetry(bdef, window(-4, 4))
     fi = check_fundamental_identity(bdef, window(-2, 2))
     fi_rand = check_fundamental_identity(
-        bdef, window(-2, 2), mode="randomized", budget=10_000, seed=SEED
+        bdef, window(-2, 2), samples=10_000, seed=SEED
     )
     assert skew.cases_run == 18**3
     assert fi.cases_run == 10**5
@@ -133,10 +132,7 @@ def test_c06_graded_solver_classification():
     ok = True
     for g in range(-3, 4):
         verdict = solve_and_classify(
-            a_omega_delta(),
-            graded_ansatz(g, window(-10, 10)),
-            window(-10, 10),
-            window(-5, 5),
+            a_omega_delta(), window(-10, 10), window(-10, 10), window(-5, 5), g
         )
         ok = ok and verdict.matches and verdict.core_dimension == 1
     _line(6, "graded solver: core dimension 1 with the shift pattern, degrees [-3,3]", ok)
@@ -151,7 +147,7 @@ def test_c08_full_window_classification_and_family():
     f = functional({0: 1, 1: 2})
     bdef = afk(1, f)
     ansatz = full_window_ansatz(window(-4, 4), window(-4, 4))
-    verdict = solve_and_classify(bdef, ansatz, window(-4, 4), window(-2, 2))
+    verdict = solve_and_classify(bdef, window(-4, 4), window(-4, 4), window(-2, 2))
     ok = verdict.matches
 
     system = assemble_system(bdef, ansatz, window(-4, 4))
@@ -177,7 +173,7 @@ def test_c09_product_family_instance():
     ok = ok and check_commutative_associative(prod, closure).passed
     ok = ok and check_tp_compatibility(bdef, prod, closure).passed
     ok = ok and check_tp_compatibility(
-        bdef, prod, closure, mode="randomized", budget=1_000, seed=SEED
+        bdef, prod, closure, samples=1_000, seed=SEED
     ).passed
     ok = ok and classify_poisson(params) == TRANSPOSED_ONLY
     witness = poisson_violation_witness(bdef, prod, closure)

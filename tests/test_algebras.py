@@ -19,10 +19,10 @@ from translie.algebras import (
 )
 from translie.checks import window, window_symbols
 from translie.elements import MAX_INDEX, BasisSymbol, Element, L, M
-from translie.errors import DomainError, IndexOverflowError
+from translie.errors import IndexOverflowError
 from translie.scalars import Scalar, from_int
 
-from families import custom_operator, scalar_multiple
+from families import ScalarMultiple, TableOperator
 from kernel_reference import _bracket_terms as reference_kernel
 from kernel_reference import _sort3
 
@@ -132,7 +132,7 @@ def reference_int_terms(bdef, x, y, z):
         if b.family == "L":
             return [(sign * (s - r), L(r + s - t))]
         return [(sign * (t - s), M(s + t - r))]
-    fv = bdef.int_f.get(t) if b.family == "L" else None
+    fv = bdef.f.ints.get(t) if b.family == "L" else None
     return [(fv * sign * (r - s), L(r + s + bdef.k))] if fv else []
 
 
@@ -190,9 +190,10 @@ def _kernel_outcomes(kernel, x, y, z):
 def _kernels(bdef):
     """(kernel, reference) pairs: terms(), and int_terms() when integral."""
     reference = partial(reference_kernel, bdef.kind, bdef.k)
-    pairs = [(bdef.terms, partial(reference, bdef.f_values, from_int))]
+    f = bdef.f
+    pairs = [(bdef.terms, partial(reference, f and f.by_index, from_int))]
     if bdef.integral:
-        pairs.append((bdef.int_terms, partial(reference, bdef.int_f, int)))
+        pairs.append((bdef.int_terms, partial(reference, f and f.ints, int)))
     return pairs
 
 
@@ -221,7 +222,8 @@ def test_bracket_kernel_matches_its_previous_form(name):
 
 
 def test_gaussian_functional_has_no_int_terms():
-    assert afk(0, functional({0: Scalar(1, 1)})).int_f is None
+    bdef = afk(0, functional({0: Scalar(1, 1)}))
+    assert bdef.f.ints is None and not bdef.integral
 
 
 def test_bracket_trilinear_on_elements():
@@ -305,15 +307,15 @@ def test_uniform_shift():
 
 
 def test_scalar_multiple():
-    op = scalar_multiple(5)
+    op = ScalarMultiple(5)
     e = Element({L(1): Scalar(2), M(0): Scalar(-1)})
     assert op.apply(e) == e.scale(Scalar(5))
 
 
 def test_custom_operator_domain_error():
-    op = custom_operator({L(0): B(L(1))})
+    op = TableOperator({L(0): B(L(1))})
     assert op.apply(B(L(0))) == B(L(1))
-    with pytest.raises(DomainError):
+    with pytest.raises(KeyError, match="operator not defined at L_2"):
         op.apply(B(L(2)))
 
 

@@ -32,7 +32,7 @@ from translie.errors import BudgetExceededError
 from translie.scalars import Scalar, from_int
 from translie.tp import poisson_violation_witness
 
-from families import scalar_multiple
+from families import Counting, ScalarMultiple
 from kernel_reference import _sort3
 
 
@@ -115,13 +115,15 @@ def test_every_enumeration_is_budgeted(check, cases):
 
 
 def test_randomized_mode_reproducible():
-    kwargs = dict(mode="randomized", budget=300, seed=42)
+    kwargs = dict(samples=300, seed=42)
     r1 = check_fundamental_identity(CorruptedLLM(), window(-2, 2), **kwargs)
     r2 = check_fundamental_identity(CorruptedLLM(), window(-2, 2), **kwargs)
     assert r1.cases_run == r2.cases_run == 300
     assert [v.inputs for v in r1.violations] == [v.inputs for v in r2.violations]
     assert r1.seed == 42
-    r3 = check_fundamental_identity(CorruptedLLM(), window(-2, 2), mode="randomized", budget=300, seed=43)
+    # samples come from DEFAULT_RANDOM_WINDOW: the window is not read
+    assert check_fundamental_identity(CorruptedLLM(), window(-10**6, 10**6), **kwargs) == r1
+    r3 = check_fundamental_identity(CorruptedLLM(), window(-2, 2), samples=300, seed=43)
     assert [v.inputs for v in r3.violations] != [v.inputs for v in r1.violations]
 
 
@@ -148,7 +150,7 @@ def test_one_third_derivation_hand_instance():
 
 def test_one_third_derivation_scalar_multiple_passes():
     assert check_one_third_derivation(
-        a_omega_delta(), scalar_multiple(5), window(-2, 2)
+        a_omega_delta(), ScalarMultiple(5), window(-2, 2)
     ).passed
 
 
@@ -199,24 +201,6 @@ def test_compatibility_checks_pass_on_zero_product():
 
 def test_commutative_associative_base_product():
     assert check_commutative_associative(algebra_a(), window(-4, 4)).passed
-
-
-class Counting:
-    """A definition, integral as the one it wraps, that counts the calls
-    made to each of its two kernels."""
-
-    def __init__(self, definition):
-        self.definition = definition
-        self.integral = definition.integral
-        self.calls = {"terms": 0, "int_terms": 0}
-
-    def terms(self, *symbols):
-        self.calls["terms"] += 1
-        return self.definition.terms(*symbols)
-
-    def int_terms(self, *symbols):
-        self.calls["int_terms"] += 1
-        return self.definition.int_terms(*symbols)
 
 
 def test_each_failing_tuple_is_evaluated_once():

@@ -254,7 +254,7 @@ def test_family_dimension_is_computed_from_the_relations(size):
 @pytest.mark.parametrize("degree", [0, 1])
 def test_solved_graded_core_spaces_match_reference(eq, matches, degree):
     core = window(-3, 3)
-    verdict = solve_and_classify(a_omega_delta(), graded_ansatz(degree, window(-6, 6)), eq, core)
+    verdict = solve_and_classify(a_omega_delta(), window(-6, 6), eq, core, degree)
     assert verdict == reference_graded(verdict.core_space, core, degree, verdict.full_dimension)
     assert verdict.matches == matches
 
@@ -271,6 +271,6 @@ def test_solved_graded_core_spaces_match_reference(eq, matches, degree):
 def test_solved_full_window_core_spaces_match_reference(values, eq, image, matches):
     f = functional(values)
     core = window(-2, 2)
-    verdict = solve_and_classify(afk(1, f), full_window_ansatz(window(-4, 4), image), eq, core)
+    verdict = solve_and_classify(afk(1, f), window(-4, 4), eq, core, image=image)
     assert verdict == reference_full_window(verdict.core_space, core, f, verdict.full_dimension)
     assert verdict.matches == matches

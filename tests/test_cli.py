@@ -501,10 +501,10 @@ def test_randomized_budget_over_cap_exits_2_before_sampling(tmp_path, capsys, mo
     before the first sample is drawn."""
     stream = checks._tuple_stream
 
-    def no_sampling(w, arity, mode, *args):
-        if mode == "randomized":
+    def no_sampling(w, arity, samples, *args):
+        if samples is not None:
             raise AssertionError("sampled over budget")
-        return stream(w, arity, mode, *args)
+        return stream(w, arity, samples, *args)
 
     monkeypatch.setattr(checks, "_tuple_stream", no_sampling)
     path = tmp_path / "many.json"
@@ -611,6 +611,19 @@ def test_solve_derivations_refuses_a_field_its_ansatz_ignores(algebra, field, me
     doc = {"algebra": algebra, "windows": {"domain": [-4, 4], "core": [-2, 2]}}
     assert _main_on("solve-derivations", {**doc, **field}) == (2, message)
     assert _main_on("solve-derivations", doc) == (0, "")
+
+
+@pytest.mark.parametrize("mode", [{}, {"mode": "exhaustive"}], ids=["default", "exhaustive"])
+def test_budget_without_randomized_mode_exits_2(mode):
+    """A budget is the sample count of a randomized pass, so an exhaustive
+    config with one exits 2 naming the field, rather than running every
+    case and echoing a budget it did not read."""
+    doc = {"algebra": {"kind": "a-omega-delta"}, "windows": {"domain": [-2, 2], "equation": [-1, 1]}}
+    assert _main_on("check-laws", {**doc, **mode, "budget": 5}) == (
+        2,
+        'error: budget is the sample count of a randomized pass; it needs "mode": "randomized"\n',
+    )
+    assert _main_on("check-laws", {**doc, "mode": "randomized", "budget": 5}) == (0, "")
 
 
 def test_solve_derivations_on_the_omega_form_exits_2(tmp_path, capsys):

@@ -4,9 +4,12 @@ Every checker runs through one driver that evaluates a law on integer
 forms of the definitions when they all have one, and on their Scalar
 terms otherwise.  Wrapping each definition in a proxy that exposes only
 `.terms` forces the Scalar path, so the two full CheckReports (inputs,
-lhs, rhs and residual of every violation) must be equal.
+lhs, rhs and residual of every violation) must be equal.  The kernel-set
+builder itself, algebras.kernels, is checked against each definition's
+terms() directly.
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -14,12 +17,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from translie.algebras import (
+    Kernels,
     a_omega_delta,
     afk,
     algebra_a,
     family_swap,
     functional,
     index_scaling,
+    kernels,
     m_negation,
     omega_form,
     scaled_l_shift,
@@ -38,11 +43,12 @@ from translie.checks import (
     TRANSPOSED_LEIBNIZ,
     run_law,
     window,
+    window_symbols,
 )
-from translie.scalars import Scalar
+from translie.scalars import Scalar, from_int
 from translie.tp import build_example_family, tp_product
 
-from families import scalar_multiple
+from families import ScalarMultiple
 
 
 class ScalarOnly:
@@ -167,7 +173,7 @@ OPERATORS = st.one_of(
     st.just(m_negation()),
     st.builds(scaled_l_shift, st.integers(-2, 2)),
     st.builds(uniform_shift, st.integers(-2, 2)),
-    st.builds(scalar_multiple, st.integers(-3, 3)),
+    st.builds(ScalarMultiple, st.integers(-3, 3)),
 )
 
 KERNELS = {"bracket": BRACKETS, "source": BRACKETS, "product": PRODUCTS, "op": OPERATORS}
@@ -183,10 +189,46 @@ def test_random_definitions_agree_on_both_paths(data, law):
     w = window(lo, lo + (1 if arity >= 4 else 2))
     if data.draw(st.booleans(), label="randomized"):
         kwargs = dict(
-            mode="randomized",
-            budget=data.draw(st.integers(1, 150), label="budget"),
+            samples=data.draw(st.integers(1, 150), label="samples"),
             seed=data.draw(st.integers(0, 2**16), label="seed"),
         )
     else:
         kwargs = {}
     assert_paths_agree(spec, defs, w, **kwargs)
+
+
+# ---------------------------------------------------------------------------
+# the kernel-set builder
+
+# each kernel name the builder is tested on, with the definitions drawn for
+# it (1+i f among the brackets; a duck-typed operator without `integral`
+# among the operators) and its arity
+BUILDER_KERNELS = {
+    "bracket": (st.one_of(BRACKETS, st.just(afk(1, GAUSSIAN_F))), 3),
+    "product": (PRODUCTS, 2),
+    "op": (OPERATORS, 1),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), real=st.booleans())
+def test_kernels_are_ints_exactly_when_every_definition_is_integral_and_real(data, real):
+    """kernels gives int_terms with num=int when `real` holds and every
+    definition is integral (one without `integral` is not), else terms with
+    num=from_int; either way each kernel's values are terms()'s values, and
+    a kernel no definition gives is None."""
+    names = data.draw(st.sets(st.sampled_from(sorted(BUILDER_KERNELS)), min_size=1), label="names")
+    defs = {name: data.draw(BUILDER_KERNELS[name][0], label=name) for name in sorted(names)}
+    ints = real and all(getattr(d, "integral", False) for d in defs.values())
+    k = kernels(defs, real)
+    assert type(k) is Kernels and k.num is (int if ints else from_int)
+    assert all(getattr(k, name) is None for name in ("bracket", "product", "op", "source")
+               if name not in defs)
+    symbols = window_symbols(window(-1, 1))
+    for name, d in defs.items():
+        kernel = getattr(k, name)
+        for args in itertools.product(symbols, repeat=BUILDER_KERNELS[name][1]):
+            got = kernel(*args)
+            assert all(type(c) is (int if ints else Scalar) for c, _ in got)
+            assert [(Scalar(c) if ints else c, sym) for c, sym in got] == d.terms(*args)
+

@@ -2,7 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from translie.elements import Element, L
 from translie.scalars import I, ONE, Scalar, ZERO, from_int
 
 
@@ -86,3 +89,38 @@ def test_float_agreement_sampled():
                 continue
             exact, approx = a / b, approx_of(a) / approx_of(b)
         assert abs(approx_of(exact) - approx) < 1e-9
+
+
+_RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+
+
+@st.composite
+def _equal_numbers(draw):
+    """Two forms of one number: a Scalar, and when it is real the Fraction,
+    and when it is an integer the int."""
+    re = draw(_RATIONALS)
+    im = draw(st.one_of(st.just(Fraction(0)), _RATIONALS))
+    forms = [Scalar(re, im)]
+    if not im:
+        forms.append(re)
+        if re.denominator == 1:
+            forms.append(int(re))
+    return draw(st.sampled_from(forms)), draw(st.sampled_from(forms))
+
+
+_NUMBERS = st.one_of(st.integers(-4, 4), _RATIONALS, st.builds(Scalar, _RATIONALS, _RATIONALS))
+
+
+@given(st.one_of(_equal_numbers(), st.tuples(_NUMBERS, _NUMBERS)))
+def test_equal_numbers_have_equal_hashes(pair):
+    """Scalar(1) == 1 and Scalar(1/2) == Fraction(1, 2), so a set or a dict
+    key must see one number: a == b implies hash(a) == hash(b)."""
+    a, b = pair
+    if a == b:
+        assert hash(a) == hash(b)
+
+
+def test_a_real_scalar_is_one_set_member_with_its_number():
+    assert len({1, Scalar(1)}) == 1
+    assert len({Fraction(1, 2), Scalar(Fraction(1, 2))}) == 1
+    assert hash(Element({L(0): 1})) == hash(Element({L(0): Scalar(1)}))

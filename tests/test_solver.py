@@ -29,6 +29,7 @@ from translie.solver import (
 )
 
 from families import (
+    Counting,
     afk_family_operator,
     full_window_family_assignment,
     graded_family_assignment,
@@ -74,7 +75,7 @@ def test_afk_assembly_forces_b_block_to_zero():
 
 def test_graded_solve_small_window():
     verdict = solve_and_classify(
-        a_omega_delta(), graded_ansatz(0, window(-4, 4)), window(-4, 4), window(-2, 2)
+        a_omega_delta(), window(-4, 4), window(-4, 4), window(-2, 2)
     )
     assert verdict.matches
     assert verdict.core_dimension == 1
@@ -88,7 +89,7 @@ def test_graded_solve_small_window():
 
 def test_graded_solve_degree_two_matches_shift_pattern():
     verdict = solve_and_classify(
-        a_omega_delta(), graded_ansatz(2, window(-6, 6)), window(-6, 6), window(-3, 3)
+        a_omega_delta(), window(-6, 6), window(-6, 6), window(-3, 3), degree=2
     )
     assert verdict.matches and verdict.core_dimension == 1
 
@@ -96,7 +97,7 @@ def test_graded_solve_degree_two_matches_shift_pattern():
 def test_core_must_respect_boundary_margin():
     with pytest.raises(ValueError):
         solve_and_classify(
-            a_omega_delta(), graded_ansatz(0, window(-4, 4)), window(-4, 4), window(-4, 4)
+            a_omega_delta(), window(-4, 4), window(-4, 4), window(-4, 4)
         )
 
 
@@ -322,6 +323,25 @@ def test_assembly_refuses_too_many_unknowns_before_registering(monkeypatch):
     assert str(exc.value) == "ansatz needs 4008004 unknowns, budget is 2000000"
 
 
+@pytest.mark.parametrize(
+    "bdef, kernel",
+    [
+        (a_omega_delta(), "int_terms"),
+        (afk(1, functional({0: 2, 1: -3})), "int_terms"),
+        (afk(1, functional({0: "1/2", 1: "-2/3"})), "terms"),
+        (afk(1, functional({0: Scalar(1, 1)})), "terms"),
+    ],
+    ids=["a-omega-delta", "afk-int", "afk-rational", "afk-gaussian"],
+)
+def test_assembly_kernel_follows_the_coefficients(bdef, kernel):
+    """Integer structure constants give int rows through int_terms; a
+    rational or Gaussian functional needs Scalars through terms."""
+    counting = Counting(bdef)
+    assemble_system(counting, ansatz_for(bdef, window(-2, 2)), window(-2, 2))
+    assert counting.calls[kernel] > 0
+    assert sum(counting.calls.values()) == counting.calls[kernel]
+
+
 def test_ansatz_for_pairs_each_algebra_with_its_kind():
     assert ansatz_for(a_omega_delta(), window(-2, 2), 3) == graded_ansatz(3, window(-2, 2))
     f = functional({0: 1})
@@ -330,15 +350,6 @@ def test_ansatz_for_pairs_each_algebra_with_its_kind():
     )
     with pytest.raises(ValueError, match="a-omega-delta-omega-form"):
         ansatz_for(omega_form(), window(-2, 2))
-
-
-def test_graded_ansatz_with_the_functional_bracket_raises():
-    with pytest.raises(ValueError) as exc:
-        solve_and_classify(
-            afk(1, functional({0: 1})), graded_ansatz(0, window(-4, 4)), window(-4, 4),
-            window(-2, 2),
-        )
-    assert str(exc.value) == "no classification defined for bracket 'a-f-k' with ansatz 'graded'"
 
 
 def test_triviality_over_budget_raises():
@@ -351,7 +362,7 @@ def test_triviality_over_budget_raises():
 def test_solver_solution_passes_forward_check():
     """Materialized solutions satisfy the derivation law on inner triples."""
     verdict = solve_and_classify(
-        a_omega_delta(), graded_ansatz(1, window(-6, 6)), window(-6, 6), window(-3, 3)
+        a_omega_delta(), window(-6, 6), window(-6, 6), window(-3, 3), degree=1
     )
     op = solution_operator(
         verdict.core_space, 0, graded_ansatz(1, window(-3, 3)), window(-3, 3)
@@ -393,10 +404,7 @@ def test_eq_window_monotonicity():
 def test_full_window_solve_matches_family_shape():
     f = functional({0: 1, 1: 2})
     verdict = solve_and_classify(
-        afk(1, f),
-        full_window_ansatz(window(-4, 4), window(-4, 4)),
-        window(-4, 4),
-        window(-2, 2),
+        afk(1, f), window(-4, 4), window(-4, 4), window(-2, 2)
     )
     assert verdict.matches
     assert verdict.core_dimension == verdict.expected_core_dimension == 26

@@ -14,7 +14,7 @@ from translie.checks import (
 from translie.elements import Element, L, M
 from translie import errors
 from translie.errors import BudgetExceededError, InvalidParamsError
-from translie.scalars import Scalar
+from translie.scalars import ZERO, Scalar
 from translie.tp import (
     POISSON_AND_TRANSPOSED,
     TRANSPOSED_ONLY,
@@ -54,7 +54,7 @@ def test_zero_params_valid():
 def test_example_family_instance_valid():
     p = example_instance()
     assert p.alpha == Scalar(5)
-    assert p.d_value(0, 0, 0) == Scalar(5)
+    assert p.d[0, 0, 0] == Scalar(5)
     assert validate_params(p).is_valid
 
 
@@ -172,7 +172,7 @@ def test_validated_product_transposed_leibniz():
     bdef = afk(p.k, p.f)
     assert check_tp_compatibility(bdef, prod, window(-1, 4)).passed
     assert check_tp_compatibility(
-        bdef, prod, window(-1, 4), mode="randomized", budget=500, seed=9
+        bdef, prod, window(-1, 4), samples=500, seed=9
     ).passed
 
 
@@ -253,7 +253,11 @@ def _dense_validation(params):
     """Every law at every index tuple of the support closure, in loop order:
     the reference the sparse joins must reproduce witness for witness."""
     idx = params.support_indices()
-    f, d = params.f, params.d_value
+    f = params.f
+
+    def d(i, j, q):
+        return params.d.get((i, j, q), ZERO)
+
     symmetry, weighted, exchange = [], [], []
     for i in idx:
         for j in idx:
