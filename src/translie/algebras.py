@@ -112,6 +112,11 @@ class BracketDef:
     k: int = 0
     f: FiniteFunctional | None = None
 
+    # _bracket_terms sorts its arguments, carries the permutation sign and
+    # gives no terms on a repeated symbol, so laws may evaluate one tuple
+    # per orbit of argument permutations
+    antisymmetric = True
+
     @property
     def integral(self):
         """True when int_terms() is defined for this bracket."""

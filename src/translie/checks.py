@@ -15,6 +15,17 @@ checker.  Each kernel remembers its recent results for the length of one
 check, because an exhaustive check asks for the same basis-level terms
 over and over.  Each tuple is evaluated once, and a violation lifts the
 sides that evaluation computed to Scalars.
+
+A law may declare slot groups in which it is alternating: permuting a
+group's arguments by sigma multiplies both sides by sgn sigma, because the
+bracket is.  The fundamental identity declares (x,y) and (u,v,t), the
+1/3-derivation law and relabel-intertwining (x,y,z), transposed Leibniz
+(x,y,z) and Poisson-Leibniz (x,y); skew-symmetry declares none, since it
+tests that premise.  When every bracket the law reads declares itself
+antisymmetric, an exhaustive run evaluates one tuple per orbit, the one
+increasing within each group, and replays a failure onto the orbit with
+signed sides.  Case counts and the budget still count ordered tuples, so
+reports are the same as an evaluation of every tuple.
 """
 
 from __future__ import annotations
@@ -116,13 +127,16 @@ class Law(NamedTuple):
 
     `sides(kernels, *tuple)` gives (lhs, rhs) as sparse maps, both `scale`
     times the sides the report shows; `inputs(tuple)`, when set, gives
-    the tuple a violation reports.
+    the tuple a violation reports.  `groups` are runs of consecutive
+    slots in which the law is alternating when the bracket is: permuting
+    a group's arguments by sigma multiplies both sides by sgn sigma.
     """
 
     sides: object
     arity: int
     scale: int = 1
     inputs: object = None
+    groups: tuple = ()
 
 
 class LawSpec(NamedTuple):
@@ -141,10 +155,10 @@ def _memoized(k):
     return Kernels(k.num, *(fn and memo(fn) for fn in k[1:]))
 
 
-def _violation(law, tup, lhs, rhs):
+def _violation(law, tup, lhs, rhs, sign=1):
     """The Violation of a failing tuple from the sides its case computed,
-    lifted to Scalars and divided by the law's scale."""
-    unit = from_int(1) / from_int(law.scale)
+    lifted to Scalars and multiplied by sign / the law's scale."""
+    unit = from_int(sign) / from_int(law.scale)
     lhs, rhs = (
         {s: (from_int(c) if type(c) is int else c) * unit for s, c in side.items()}
         for side in (lhs, rhs)
@@ -155,21 +169,96 @@ def _violation(law, tup, lhs, rhs):
     return Violation(inputs, Element(lhs), Element(rhs), Element(residual))
 
 
+def _representatives(symbols, arity, groups):
+    """The tuples increasing within each group, in product order: one
+    block per group (its combinations) and per free slot, in slot order."""
+    runs = {g[0]: len(g) for g in groups}
+    blocks, slot = [], 0
+    while slot < arity:
+        size = runs.get(slot, 1)
+        blocks.append(itertools.combinations(symbols, size))
+        slot += size
+    return (sum(parts, ()) for parts in itertools.product(*blocks))
+
+
+def _orbit(tup, groups):
+    """(sgn sigma, sigma tup) for every sigma permuting within the groups."""
+    perms = [
+        [(p, (-1) ** sum(a > b for a, b in itertools.combinations(p, 2)))
+         for p in itertools.permutations(g)]
+        for g in groups
+    ]
+    for choice in itertools.product(*perms):
+        member, sign = list(tup), 1
+        for g, (p, parity) in zip(groups, choice):
+            sign *= parity
+            for slot, source in zip(g, p):
+                member[slot] = tup[source]
+        yield sign, tuple(member)
+
+
+def _run_orbits(law, k, symbols, report, stop_at_first):
+    """Evaluate an exhaustive grouped law on one tuple per orbit; returns
+    True when `stop_at_first` ended the run.
+
+    Permuting a group by sigma multiplies both sides by sgn sigma, so a
+    representative's sides give every member's, and a tuple repeating a
+    symbol inside a group has sides equal to their own negatives, hence a
+    zero defect: it is never listed.  A failing representative yields
+    one Violation per member, which the caller sorts as ever.
+
+    With `stop_at_first` the run ends at the product-order-first failing
+    tuple, as an evaluation of every tuple would.  The failing tuples are
+    the members of failing representatives' orbits.  Sorting within each
+    group gives an orbit's lexicographic minimum, since the groups vary
+    independently and a sorted group puts its least symbol first; and the
+    representatives are listed in product order.  So if t is the first
+    failing tuple in product order, its orbit's representative r fails
+    and r <= t, hence r = t; every representative before t passes.  The
+    case count is then t's place in the ordered stream.
+    """
+    n = len(symbols)
+    for rep in _representatives(symbols, law.arity, law.groups):
+        lhs, rhs = law.sides(k, *rep)
+        if lhs == rhs:
+            continue
+        if stop_at_first:
+            rank = sum(symbols.index(s) * n ** (law.arity - 1 - i) for i, s in enumerate(rep))
+            report.cases_run += rank + 1
+            report.violations.append(_violation(law, rep, lhs, rhs))
+            return True
+        for sign, member in _orbit(rep, law.groups):
+            report.violations.append(_violation(law, member, lhs, rhs, sign))
+    report.cases_run += n**law.arity
+    return False
+
+
 def run_law(spec, defs, w, samples=None, seed=0, stop_at_first=False):
     """Check a law on basis tuples of a window.
 
     `defs` maps kernel names (bracket, product, op, source) to definitions,
     evaluated on algebras.kernels(defs); violations always carry Scalar
     witnesses.  With `samples` None the run is exhaustive over `w`, and its
-    case count is checked against the exhaustive cap; with `samples` N it
-    draws N seeded tuples from DEFAULT_RANDOM_WINDOW, `w` is not read, and
-    N is checked against the same cap.  Both checks come before anything
-    is enumerated.  With `stop_at_first` the run ends at the first
+    case count is checked against the exhaustive cap; with `samples` N >= 1
+    it draws N seeded tuples from DEFAULT_RANDOM_WINDOW, `w` is not read,
+    and N is checked against the same cap.  Both checks come before
+    anything is enumerated.  With `stop_at_first` the run ends at the first
     violation, unsorted.
+
+    An exhaustive part of one Law with `groups` (the fundamental
+    identity, 1/3-derivation, relabel-intertwining, transposed Leibniz and
+    Poisson-Leibniz laws), run when every bracket and source in `defs`
+    declares itself `antisymmetric`, evaluates one tuple per orbit of the
+    permutations within the groups (see _run_orbits); duck-typed brackets
+    without that declaration get every ordered tuple.  Either way the
+    budget and `cases_run` count ordered tuples, and the report is the one
+    every tuple's evaluation gives.
     """
     if samples is None:
         total = sum((2 * w.size) ** laws[0].arity for laws in spec.parts)
         require_budget(total, f"exhaustive run needs {total} cases")
+    elif samples < 1:
+        raise ValueError(f"a randomized run needs at least 1 sample, got {samples}")
     else:
         require_budget(samples, f"randomized run needs {samples} samples")
     rng = random.Random(seed)
@@ -180,7 +269,16 @@ def run_law(spec, defs, w, samples=None, seed=0, stop_at_first=False):
         seed=None if samples is None else seed,
     )
     k = _memoized(kernels(defs))
+    orbits = samples is None and all(
+        getattr(d, "antisymmetric", False)
+        for name, d in defs.items()
+        if name in ("bracket", "source")
+    )
     for laws in spec.parts:
+        if orbits and len(laws) == 1 and laws[0].groups:
+            if _run_orbits(laws[0], k, window_symbols(w), report, stop_at_first):
+                return report
+            continue
         for tup in _tuple_stream(w, laws[0].arity, samples, rng):
             report.cases_run += 1
             for law in laws:
@@ -235,7 +333,7 @@ SKEW_SYMMETRY = LawSpec(
 FUNDAMENTAL_IDENTITY = LawSpec(
     "fundamental-identity",
     "[x,y,[u,v,w]] = [[x,y,u],v,w] + [u,[x,y,v],w] + [u,v,[x,y,w]]",
-    ((Law(_fundamental_identity, 5),),),
+    ((Law(_fundamental_identity, 5, groups=((0, 1), (2, 3, 4))),),),
 )
 
 
@@ -317,7 +415,7 @@ def _intertwining(k, x, y, z):
 ONE_THIRD_DERIVATION = LawSpec(
     "one-third-derivation",
     "3 D([x,y,z]) = [D(x),y,z] + [x,D(y),z] + [x,y,D(z)]",
-    ((Law(_one_third_derivation, 3, scale=3),),),
+    ((Law(_one_third_derivation, 3, scale=3, groups=((0, 1, 2),)),),),
 )
 PRODUCT_DERIVATION = LawSpec(
     "product-derivation-rule",
@@ -332,7 +430,7 @@ INVOLUTIVE_MORPHISM = LawSpec(
 RELABEL_INTERTWINING = LawSpec(
     "relabel-intertwining",
     "relabel([x,y,z]) = [relabel(x),relabel(y),relabel(z)]",
-    ((Law(_intertwining, 3),),),
+    ((Law(_intertwining, 3, groups=((0, 1, 2),)),),),
 )
 
 
@@ -416,12 +514,12 @@ def _associativity(k, x, y, z):
 TRANSPOSED_LEIBNIZ = LawSpec(
     "transposed-leibniz",
     "3 u*[x,y,z] = [x*u,y,z] + [x,y*u,z] + [x,y,z*u]",
-    ((Law(_transposed_leibniz, 4),),),
+    ((Law(_transposed_leibniz, 4, groups=((1, 2, 3),)),),),
 )
 POISSON_LEIBNIZ = LawSpec(
     "poisson-leibniz",
     "[x,y,u*v] = u*[x,y,v] + [x,y,u]*v",
-    ((Law(_poisson_leibniz, 4),),),
+    ((Law(_poisson_leibniz, 4, groups=((0, 1),)),),),
 )
 COMMUTATIVE_ASSOCIATIVE = LawSpec(
     "commutative-associative",

@@ -238,8 +238,12 @@ def support_closure_window(params):
 def poisson_violation_witness(bdef, pdef, w):
     """First basis 4-tuple violating the classical Leibniz law, or None.
 
-    Scans 4-tuples in canonical order and stops at the first violation, so
+    Stops at the first failing 4-tuple in canonical (product) order, so
     products that are far from the classical law stay cheap to refute.
+    The law declares the group (x,y), so for an antisymmetric bracket the
+    scan evaluates one tuple per orbit, x < y: the sorted member of an
+    orbit is its least in that order, so the first failing representative
+    is the first failing 4-tuple of all.
     """
     report = run_law(POISSON_LEIBNIZ, {"bracket": bdef, "product": pdef}, w, stop_at_first=True)
     return report.violations[0] if report.violations else None

@@ -293,6 +293,29 @@ BATTERY = (
             "windows": {"domain": [-3, 3], "equation": [-3, 3], "core": [-2, 2], "image": [-3, 3]},
         },
     ),
+    # the exhaustive law paths on Scalar kernels with a 1+i f: a Poisson-Leibniz
+    # pass on the Poisson side, and its first witness on the transposed-only side
+    (
+        "verify-tp",
+        {
+            "algebra": {"kind": "a-f-k", "k": 1, "f": {"0": "1+i"}},
+            "tp_params": {"example_family": {"d_seq": {"1": "3"}}},
+        },
+    ),
+    (
+        "verify-tp",
+        {
+            "algebra": {"kind": "a-f-k", "k": 1, "f": {"0": "1+i"}},
+            "tp_params": {"example_family": {"d_seq": {"0": "3"}, "c": {"1": "2"}}},
+        },
+    ),
+    (
+        "check-laws",
+        {
+            "algebra": {"kind": "a-omega-delta-omega-form"},
+            "windows": {"domain": [-3, 3], "equation": [-2, 2]},
+        },
+    ),
 )
 
 # sha256 of each BATTERY report, in BATTERY order; a change to any report
@@ -308,6 +331,9 @@ BATTERY_SHA256 = (
     "43b603d323305ad0bdeb4840fff7452a1da3e89e754fc7ba8262629fa1623343",
     "0447db9694f79644f88fb7e23a5190ed6a533d2a62072ec9d472200240b1048b",
     "65c3a30bcf850a3e478f4d945e8c804fff6cc0d550e74bec2c638c8068a818a2",
+    "267b94473089a76a6ca1ee2ba851259b63c2b3d020d28b467c42d7508a879748",
+    "3499619b48a0c516cee5ee8d006bd63afa6a5aa232d820976a36b8078b23dbf3",
+    "13b84a719394dfd766785a4c8b18dc1aa71a0c79d4f4c3e9cfe46a05d53c60df",
 )
 
 
