@@ -20,6 +20,11 @@ give 0):
 All-L and all-M triples vanish in every bracket.  The a-f-k bracket is
 parameterized by an integer shift k and a nonzero linear functional f that
 vanishes on the whole L family and has finite support on the M family.
+
+Every definition gives its terms with Scalar coefficients (`terms`) and,
+when all its constants are Gaussian integers as given (`integral`), with
+coefficients in Z[i], ints and scalars.GaussInts (`int_terms`); `kernels`
+picks one of the two for a whole evaluation.
 """
 
 from __future__ import annotations
@@ -37,11 +42,15 @@ AFK = "a-f-k"
 
 @dataclass(frozen=True)
 class FiniteFunctional:
-    """Linear map with value 0 on every L_r and finite support on the M_r."""
+    """Linear map with value 0 on every L_r and finite support on the M_r.
+
+    `ints` holds the values in Z[i] (ints, and GaussInts for values with an
+    imaginary part), or None unless every value has integer real and
+    imaginary parts as given: f = 1+i has them, f = 1/2 and f = 1/2+i not.
+    """
 
     values: tuple  # sorted tuple of (index, Scalar) pairs, all nonzero
-    # the values by index, and as ints (None unless every value is an
-    # integer as given), bound once
+    # the values by index, and in Z[i] (see above), bound once
     by_index: dict = field(init=False, repr=False, compare=False)
     ints: dict | None = field(init=False, repr=False, compare=False)
 
@@ -127,7 +136,8 @@ class BracketDef:
         return _bracket_terms(self.kind, self.k, self.f and self.f.by_index, from_int, x, y, z)
 
     def int_terms(self, x, y, z):
-        """terms() with int structure constants; only for integral brackets."""
+        """terms() with structure constants in Z[i] (ints and GaussInts);
+        only for integral brackets."""
         return _bracket_terms(self.kind, self.k, self.f and self.f.ints, int, x, y, z)
 
 
@@ -286,17 +296,16 @@ class Kernels(NamedTuple):
     source: object = None
 
 
-def kernels(defs, real=True):
+def kernels(defs):
     """The one place a law's coefficient type is decided.
 
     `defs` maps kernel names (bracket, product, op, source) to definitions.
-    When `real` holds and every definition is `integral` (one without that
-    attribute is not), the kernels are their int_terms with num=int, else
-    their Scalar terms with num=from_int.  A definition is integral only
-    when all its constants are integers as given, so both give the same
-    values; `real` is false when something else the law meets, such as a
-    Gaussian generator, has an imaginary part.
+    When every definition is `integral` (one without that attribute is
+    not), the kernels are their int_terms with num=int, in Z[i], else their
+    Scalar terms with num=from_int.  A definition is integral only when all
+    its constants are Gaussian integers as given, so both give the same
+    values.
     """
-    if real and all(getattr(d, "integral", False) for d in defs.values()):
+    if all(getattr(d, "integral", False) for d in defs.values()):
         return Kernels(int, **{name: d.int_terms for name, d in defs.items()})
     return Kernels(from_int, **{name: d.terms for name, d in defs.items()})

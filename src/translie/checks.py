@@ -41,7 +41,7 @@ from .algebras import Kernels, a_omega_delta, algebra_a, kernels, m_negation, om
 from .elements import BasisSymbol, Element, L, M, add_terms, extend
 from .errors import BudgetExceededError, require_budget
 from .linalg import LeadSpan
-from .scalars import from_int
+from .scalars import from_int, lift
 
 # entries each kernel memo keeps: more than the ~12,000 distinct calls of
 # the largest exhaustive check the CLI and the benchmark run (the
@@ -155,18 +155,19 @@ def _memoized(k):
     return Kernels(k.num, *(fn and memo(fn) for fn in k[1:]))
 
 
-def _violation(law, tup, lhs, rhs, sign=1):
-    """The Violation of a failing tuple from the sides its case computed,
+def _witness(law, lhs, rhs, sign=1):
+    """(lhs, rhs, residual) Elements of the sides a failing case computed,
     lifted to Scalars and multiplied by sign / the law's scale."""
     unit = from_int(sign) / from_int(law.scale)
-    lhs, rhs = (
-        {s: (from_int(c) if type(c) is int else c) * unit for s, c in side.items()}
-        for side in (lhs, rhs)
-    )
+    lhs, rhs = ({s: lift(c) * unit for s, c in side.items()} for side in (lhs, rhs))
     residual = dict(lhs)
     add_terms(residual, from_int(-1), [(c, s) for s, c in rhs.items()])
-    inputs = law.inputs(tup) if law.inputs else tup
-    return Violation(inputs, Element(lhs), Element(rhs), Element(residual))
+    return Element(lhs), Element(rhs), Element(residual)
+
+
+def _violation(law, tup, witness):
+    """The Violation of a failing tuple with its _witness Elements."""
+    return Violation(law.inputs(tup) if law.inputs else tup, *witness)
 
 
 def _representatives(symbols, arity, groups):
@@ -216,6 +217,9 @@ def _run_orbits(law, k, symbols, report, stop_at_first):
     failing tuple in product order, its orbit's representative r fails
     and r <= t, hence r = t; every representative before t passes.  The
     case count is then t's place in the ordered stream.
+
+    A failing representative's sides are lifted to Scalars once per sign,
+    and its members share those (immutable) Elements.
     """
     n = len(symbols)
     for rep in _representatives(symbols, law.arity, law.groups):
@@ -225,10 +229,11 @@ def _run_orbits(law, k, symbols, report, stop_at_first):
         if stop_at_first:
             rank = sum(symbols.index(s) * n ** (law.arity - 1 - i) for i, s in enumerate(rep))
             report.cases_run += rank + 1
-            report.violations.append(_violation(law, rep, lhs, rhs))
+            report.violations.append(_violation(law, rep, _witness(law, lhs, rhs)))
             return True
+        witnesses = {sign: _witness(law, lhs, rhs, sign) for sign in (1, -1)}
         for sign, member in _orbit(rep, law.groups):
-            report.violations.append(_violation(law, member, lhs, rhs, sign))
+            report.violations.append(_violation(law, member, witnesses[sign]))
     report.cases_run += n**law.arity
     return False
 
@@ -284,7 +289,7 @@ def run_law(spec, defs, w, samples=None, seed=0, stop_at_first=False):
             for law in laws:
                 lhs, rhs = law.sides(k, *tup)
                 if lhs != rhs:
-                    report.violations.append(_violation(law, tup, lhs, rhs))
+                    report.violations.append(_violation(law, tup, _witness(law, lhs, rhs)))
                     if stop_at_first:
                         return report
     return report.sort_violations()
@@ -574,12 +579,13 @@ def generator_closure(bdef, gens, w, max_rounds=16, margin=None):
     true once every basis symbol of the window reduces to zero against the
     span, tested by exact row reduction.
 
-    The span basis is a linalg LeadSpan in the coefficient type of
-    algebras.kernels, real when no generator has an imaginary part: ints
-    for an integral bracket and real generators, else Scalars.  A kept row
-    in either type is a nonzero multiple of the monic row, so the result
-    does not depend on the coefficient type.  A round brackets the
-    rows it started with only, so each result is inserted as it comes.
+    The span basis is a linalg LeadSpan of rows in Z[i]: each generator
+    enters as its normal form, and bracket results come in Z[i] from an
+    integral bracket's kernel, or as Scalars, which the span scales to
+    Z[i], from one with a rational constant.  A kept row is a nonzero
+    multiple of the monic row, so the result does not depend on the
+    coefficient type.  A round brackets the rows it started with only, so
+    each result is inserted as it comes.
 
     Raises BudgetExceededError before listing a window of more target
     symbols than the exhaustive budget, before a round that would bracket
@@ -593,12 +599,11 @@ def generator_closure(bdef, gens, w, max_rounds=16, margin=None):
     extended = Window(w.lo - margin, w.hi + margin)
     require_budget(2 * w.size, f"generator closure needs {2 * w.size} target symbols")
     targets = window_symbols(w)
-    k = kernels({"bracket": bdef}, real=not any(c.im for g in gens for c in g.terms.values()))
-    one, kernel = k.num(1), k.bracket
-    span = LeadSpan(k.num is int)
+    kernel = kernels({"bracket": bdef}).bracket
+    span = LeadSpan()
 
     def missing():
-        return [t for t in targets if span.reduce({t: one})]
+        return [t for t in targets if span.reduce({t: 1})]
 
     for g in gens:
         if g:

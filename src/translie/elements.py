@@ -149,7 +149,9 @@ def extend(kernel, *maps):
     kernel(*symbols) gives a list of (coefficient, symbol) terms; each map
     is symbol -> coefficient.  Returns the sparse map of the sum, over one
     symbol from each map, of the product of their coefficients times the
-    kernel's terms.  Coefficients may be ints or Scalars, not mixed.
+    kernel's terms.  Coefficients may be Gaussian integers (ints and
+    GaussInts, mixed) or Scalars; Gaussian-integer maps also meet a Scalar
+    kernel (Scalar.__rmul__), giving Scalars.
     """
     first, *rest = maps
     prefixes = [((sym,), coeff) for sym, coeff in first.items()]

@@ -2,25 +2,29 @@
 
 Rows are sparse maps column -> coefficient over an ordered list of named
 unknowns.  A system keeps each row once, in its own coefficient type, plus
-a Scalar view of them, and the distinct normal forms of its rows: a real
-row becomes the primitive integer row with a positive leading coefficient,
-a row with an imaginary coefficient becomes monic.  Rows are homogeneous,
-so rows with one normal form impose one constraint; elimination and
-verification run on the distinct forms only.  Verification indexes the
-basis vectors by column and streams the distinct forms once, so each form
-is dotted only with the vectors that share a column with it: a vector that
-shares none leaves the form exactly zero.
+a Scalar view of them, and the distinct normal forms of its rows: the row
+scaled to a primitive row over the integers, or over the Gaussian integers
+Z[i] when it has an imaginary part, whose lead is in canonical form (see
+scalars.unit): a positive int, or re > 0 and im >= 0.  So a row, its
+multiples by i and 1+i and its rational multiples all have one form, and an
+integer row's form is the same primitive integer row whichever of them it
+came as.  Rows are homogeneous, so rows with one normal form impose one
+constraint; elimination and verification run on the distinct forms only,
+and the system notes at intake whether any form is Gaussian.  Verification
+indexes the basis vectors by column and streams the distinct forms once,
+so each form is dotted only with the vectors that share a column with it:
+a vector that shares none leaves the form exactly zero.
 
 Elimination is one incremental reduced row echelon form: each incoming row
 is cleared against the pivots, becomes a pivot at its smallest column, and
 is cleared out of the earlier pivots, so the pivots stay fully reduced as
-rows arrive.  Integer rows stay fraction-free (Bareiss, Math. Comp. 1968):
-clearing keeps a row's content, which is divided out once per reduced row,
-so every pivot is a primitive integer row.  When any row is Gaussian, all
-rows are lifted to monic rows over the Gaussian rationals.  The RREF is
-unique, so the output does not depend on row order: the nullspace basis has
-one sparse vector per free column, normalized so its first nonzero
-coordinate is 1.
+rows arrive.  It is fraction-free over Z, or over Z[i] for a system with a
+Gaussian form (Bareiss, Math. Comp. 1968; Z[i] is Euclidean too): clearing
+keeps a row's content, which is divided out once per reduced row, so every
+pivot is primitive with a canonical lead.  math.gcd or scalars.ggcd is
+chosen once per elimination.  The RREF is unique, so the output does not
+depend on row order: the nullspace basis has one sparse vector per free
+column, normalized so its first nonzero coordinate is 1.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from math import gcd, lcm
 from typing import NamedTuple
 
 from .errors import UnknownNotFoundError, VerificationError, require_budget
-from .scalars import Scalar, ONE, from_int
+from .scalars import GaussInt, Scalar, gauss, ggcd, lift, ratio, unit
 
 
 class UnknownId(NamedTuple):
@@ -52,18 +56,20 @@ def unknown(name, *subs):
 class ConstraintSystem:
     """Homogeneous linear system, rhs = 0.
 
-    Each row is kept once, as added, in its own coefficient type: a map
-    column -> int, or column -> Scalar, duplicates included; rows gives them
+    Each row is kept once, as added, in its own coefficient types: a map
+    column -> int, GaussInt or Scalar, duplicates included; rows gives them
     all as maps column -> Scalar, built on access.  provenance holds one
     tuple (name, *indices, symbol) or None per row; distinct maps each
-    distinct normal form (a tuple of (column, value) pairs sorted by column)
-    to the index of its first row.  Rows are added through add_columns only,
-    which keeps the three in step; add_row is its UnknownId form.
+    distinct normal form (a tuple of (column, value) pairs sorted by column,
+    the values ints or GaussInts) to the index of its first row; gaussian
+    is true once a form has a GaussInt.  Rows are added through add_columns
+    only, which keeps them in step; add_row is its UnknownId form.
     """
 
     unknowns: list = field(default_factory=list)
     provenance: list = field(default_factory=list)
     distinct: dict = field(default_factory=dict)
+    gaussian: bool = False
     _rows: list = field(default_factory=list, repr=False)
     _index: dict = field(default_factory=dict, repr=False)
 
@@ -84,29 +90,29 @@ class ConstraintSystem:
     @property
     def rows(self):
         """Every row as added, as a new map column -> Scalar."""
-        return [
-            {col: from_int(v) if type(v) is int else v for col, v in row.items()}
-            for row in self._rows
-        ]
+        return [{col: lift(v) for col, v in row.items()} for row in self._rows]
 
     def add_columns(self, row, provenance=None):
-        """row: map column -> nonzero coefficient, all ints or all Scalars,
-        kept as given (the caller gives it up); an empty row adds nothing."""
+        """row: map column -> nonzero int, GaussInt or Scalar, kept as given
+        (the caller gives it up); an empty row adds nothing."""
         if row:
             self._rows.append(row)
             self.provenance.append(provenance)
-            self.distinct.setdefault(_normal_form(row), len(self._rows) - 1)
+            try:
+                form = _int_form(row)
+            except TypeError:  # a GaussInt or a Scalar
+                form = _ring_form(row)
+                self.gaussian = self.gaussian or any(type(v) is GaussInt for _, v in form)
+            self.distinct.setdefault(form, len(self._rows) - 1)
         return row
 
     def add_row(self, coeffs, provenance=None):
-        """coeffs: map UnknownId -> int or Scalar; zero coefficients are
-        dropped, and ints are lifted when the row has a Scalar."""
+        """coeffs: map UnknownId -> int, GaussInt or Scalar; zero
+        coefficients are dropped."""
         try:
             row = {self._index[uid]: coeff for uid, coeff in coeffs.items() if coeff}
         except KeyError as exc:
             raise UnknownNotFoundError(f"unregistered unknown {exc.args[0]}") from None
-        if any(type(v) is not int for v in row.values()):
-            row = {col: from_int(v) if type(v) is int else v for col, v in row.items()}
         return self.add_columns(row, provenance)
 
     def describe(self, index):
@@ -123,7 +129,7 @@ class ConstraintSystem:
 
     def rank(self):
         """Rank of the system, read off its distinct normal forms."""
-        return len(_rref(*_lifted(list(self.distinct))))
+        return len(_rref(list(self.distinct), self.gaussian))
 
 
 @dataclass
@@ -163,16 +169,15 @@ class SolutionSpace:
         nonzero multiple of one of them, so this checks every row.  The
         vectors are indexed by column and the forms streamed once, in
         order: a form meets only the vectors that share a column with it,
-        as the others leave it exactly zero.  Integer forms are checked in
-        integers against the real and the imaginary part of each vector,
-        each scaled to integers; Gaussian forms against the vector itself.
+        as the others leave it exactly zero.  The forms of an integer system
+        are checked in integers against the real and the imaginary part of
+        each vector, each scaled to integers; those of a Gaussian system in
+        Z[i] against each vector scaled to Z[i].
         """
         col_map = [system.column_of(uid) for uid in self.unknowns]
-        integer = _column_index(self.basis, col_map, True)
-        gaussian = _column_index(self.basis, col_map, False)
+        by_column, owner = _column_index(self.basis, col_map, system.gaussian)
         first = [None] * len(self.basis)
         for form, row in system.distinct.items():
-            by_column, owner = integer if type(form[0][1]) is int else gaussian
             totals = {}
             for col, coeff in form:
                 for key, v in by_column.get(col, ()):
@@ -184,16 +189,17 @@ class SolutionSpace:
         return first
 
 
-def _column_index(vectors, col_map, integer):
+def _column_index(vectors, col_map, gaussian):
     """Sparse vectors by column col_map[c] for each of their columns c:
     ({column: [(key, value), ...]}, owner), owner[key] being the index of
-    the vector the entry belongs to.  With integer, each vector's nonzero
-    real and imaginary parts, scaled to integers, get a key of their own;
-    else a key is a vector index and the values are the vector's Scalars."""
+    the vector the entry belongs to.  Each vector's nonzero real and
+    imaginary parts, scaled to integers, get a key of their own; with
+    gaussian, a key is a vector index and the values are the vector
+    scaled to Z[i]."""
     by_column = {}
     owner = []
     for idx, vec in enumerate(vectors):
-        parts = [_int_part(vec, "re"), _int_part(vec, "im")] if integer else [vec]
+        parts = [_ring_part(vec)] if gaussian else [_int_part(vec, "re"), _int_part(vec, "im")]
         for part in parts:
             if part:
                 key = len(owner)
@@ -211,101 +217,106 @@ def _int_part(vec, attr):
     return {col: q.numerator * (den // q.denominator) for col, q in part.items() if q}
 
 
+def _ring_part(vec):
+    """A sparse Scalar vector times the lcm of its denominators, in Z[i]."""
+    den = lcm(*[q.denominator for v in vec.values() for q in (v.re, v.im)])
+    return {
+        col: gauss(v.re.numerator * (den // v.re.denominator),
+                    v.im.numerator * (den // v.im.denominator))
+        for col, v in vec.items()
+    }
+
+
 # ---------------------------------------------------------------------------
 # normal forms and elimination
 
 
+def _int_form(row):
+    """The normal form of a row of ints: the primitive row with a positive
+    lead, as (column, value) pairs; TypeError on any other value."""
+    items = sorted(row.items())
+    g = gcd(*row.values())
+    if items[0][1] < 0:
+        g = -g
+    return tuple(items) if g == 1 else tuple([(c, v // g) for c, v in items])
+
+
+def _ring_form(row):
+    """The normal form of a row of ints, GaussInts and Scalars: scaled by
+    the lcm of its denominators to Z[i], then made primitive over Z[i]."""
+    if any(type(v) is Scalar for v in row.values()):
+        row = _ring_part({c: lift(v) for c, v in row.items()})
+    else:
+        row = dict(row)
+    _make_primitive(row, row[min(row)], True)
+    return tuple(sorted(row.items()))
+
+
 def _normal_form(row):
     """The canonical multiple of a nonzero row, as (column, value) pairs:
-    primitive integers with a positive lead when the row is real, monic
-    Scalars otherwise."""
-    items = sorted(row.items())
-    lead = items[0][1]
-    if type(lead) is int:
-        g = gcd(*row.values())
-        if lead < 0:
-            g = -g
-        return tuple(items) if g == 1 else tuple([(c, v // g) for c, v in items])
-    if any(v.im for _, v in items):
-        return ((items[0][0], ONE),) + tuple((c, v / lead) for c, v in items[1:])
-    den = lcm(*[v.re.denominator for _, v in items])
-    return _normal_form({c: v.re.numerator * (den // v.re.denominator) for c, v in items})
+    primitive over Z or Z[i], its lead a positive int or canonical."""
+    try:
+        return _int_form(row)
+    except TypeError:  # a GaussInt or a Scalar
+        return _ring_form(row)
 
 
-def _lifted(forms):
-    """Normal forms ready for one elimination, and whether they are integer.
-
-    When any form is Gaussian, the integer forms are lifted to monic Scalar
-    forms and the result is deduplicated again.
-    """
-    if all(type(form[0][1]) is int for form in forms):
-        return forms, True
-    return list(dict.fromkeys(_monic(form) for form in forms)), False
-
-
-def _monic(form):
-    """A normal form as a monic Scalar form."""
-    lead = form[0][1]
-    if type(lead) is not int:
-        return form
-    return tuple((col, Scalar(Fraction(v, lead))) for col, v in form)
-
-
-def _rref(forms, integer):
+def _rref(forms, gaussian):
     """Reduced row echelon form of the span of the forms: {lead column: row}.
 
     Each pivot row's smallest column is its lead, and it is zero in every
-    other pivot's lead column.  Integer pivots are primitive with a positive
-    lead (the RREF row is the pivot divided by its lead); Scalar pivots are
-    monic; an integer row's content is divided out when it becomes a pivot
-    and after each clear of a later pivot out of it.
+    other pivot's lead column.  Pivots are primitive over Z, or over Z[i]
+    when `gaussian`, with a canonical lead (the RREF row is the pivot
+    divided by its lead); a row's content is divided out when it becomes a
+    pivot and after each clear of a later pivot out of it.
     """
+    divisor = ggcd if gaussian else gcd
     pivots = {}
     for form in forms:
         row = dict(form)
         for col in [c for c in row if c in pivots]:
-            _clear(row, col, pivots[col], integer)
+            _clear(row, col, pivots[col], divisor)
         if not row:
             continue
         lead = min(row)
-        a = row[lead]
-        if integer:
-            _make_primitive(row, a)
-        elif a != ONE:
-            for col in row:
-                row[col] = row[col] / a
+        _make_primitive(row, row[lead], gaussian)
         for prow in pivots.values():
             if lead in prow:
-                _clear(prow, lead, row, integer)
-                if integer:
-                    _make_primitive(prow, 1)
+                _clear(prow, lead, row, divisor)
+                # clearing scales an integer pivot's lead by a positive
+                # factor, a Gaussian one's by any nonzero Gaussian integer
+                _make_primitive(prow, prow[min(prow)] if gaussian else 1, gaussian)
         pivots[lead] = row
     return pivots
 
 
-def _make_primitive(row, lead_value):
-    """Divide an integer row in place by its content, signed like lead_value."""
-    g = gcd(*row.values())
-    if lead_value < 0:
-        g = -g
+def _make_primitive(row, lead_value, gaussian):
+    """Divide a row in place by its content, times the unit that leaves
+    lead_value canonical: the sign of lead_value over Z."""
+    if gaussian:
+        g = ggcd(*row.values())
+        g = unit(lead_value) if g == 1 else g * unit(lead_value // g)
+    else:
+        g = gcd(*row.values())
+        if lead_value < 0:
+            g = -g
     if g != 1:
         for c in row:
             row[c] //= g
 
 
-def _clear(row, col, pivot, integer):
+def _clear(row, col, pivot, divisor):
     """Zero row[col] in place by subtracting a multiple of pivot, whose lead
-    is col; an integer row is first scaled by the pivot's lead value over
-    their gcd, and keeps its content."""
+    is col: the row is first scaled by the pivot's lead value over their
+    gcd, `divisor` (math.gcd or scalars.ggcd), and keeps its content."""
     a = row[col]
-    if integer:
-        b = pivot[col]
-        g = gcd(a, b)
-        a //= g
-        b //= g
-        if b != 1:
-            for c in row:
-                row[c] *= b
+    b = pivot[col]
+    g = divisor(a, b)
+    a //= g
+    b //= g
+    if b != 1:
+        for c in row:
+            row[c] *= b
     for c, v in pivot.items():
         cur = row.get(c)
         if cur is None:
@@ -319,47 +330,65 @@ def _clear(row, col, pivot, integer):
 
 
 class LeadSpan:
-    """Rows kept one per leading column, in normal form (primitive ints when
-    `integer`, else monic Scalars), reduced by leading column only: the
-    generator closure brackets the kept rows and drops results that leave
-    its window, so its result depends on this basis."""
+    """Rows kept one per leading column, each in normal form (primitive
+    over Z or Z[i]), reduced by leading column only with _rref's _clear:
+    the generator closure brackets the kept rows and drops results that
+    leave its window, so its result depends on this basis.  Each clear
+    takes math.gcd, or scalars.ggcd when a Gaussian integer meets it."""
 
-    def __init__(self, integer):
-        self.integer = integer
-        self.rows = {}  # lead column -> row, a map column -> coefficient
+    def __init__(self):
+        self.rows = {}  # lead column -> row, a map column -> int or GaussInt
 
     def normalized(self, row):
-        """A nonzero row's normal form in this span's coefficient type."""
-        form = _normal_form(row)
-        return dict(form if self.integer else _monic(form))
+        """A nonzero row's normal form, as a new map."""
+        return dict(_normal_form(row))
 
     def reduce(self, row):
-        """Reduce a row of this span's type in place; empty when in the span."""
-        rows, integer = self.rows, self.integer
+        """Reduce a row of ints and GaussInts in place; empty when in the span."""
+        rows = self.rows
         while row and min(row) in rows:
             lead = min(row)
-            _clear(row, lead, rows[lead], integer)
+            try:
+                _clear(row, lead, rows[lead], gcd)
+            except TypeError:  # a GaussInt, which math.gcd refuses
+                _clear(row, lead, rows[lead], ggcd)
         return row
 
     def insert(self, row):
-        """Reduce a row and keep its normal form; False when it was in the span."""
-        if self.reduce(row):
+        """Reduce a row and keep its normal form; False when it was in the
+        span.  A row with Scalar values, as a kernel with a rational
+        constant gives, is replaced by its normal form first."""
+        try:
+            self.reduce(row)
+        except TypeError:  # a Scalar
+            row = self.reduce(self.normalized(row))
+        if row:
             self.rows[min(row)] = self.normalized(row)
         return bool(row)
 
 
-def _monic_vector(vec, integer):
-    """A sparse vector of ints, Fractions or Scalars as Scalars, divided by
-    its value at its smallest column."""
+def _monic_vector(vec, gaussian):
+    """A sparse vector as Scalars, divided by its value at its smallest
+    column: of ints or Fractions, or with gaussian, of pairs (n, d) of
+    Gaussian integers standing for n / d."""
     first = vec[min(vec)]
-    if integer:
-        return {col: Scalar(Fraction(v, first)) for col, v in vec.items()}
-    return {col: v / first for col, v in vec.items()}
+    if gaussian:
+        n0, d0 = first
+        return {col: ratio(n * d0, d * n0) for col, (n, d) in vec.items()}
+    return {col: Scalar(Fraction(v, first)) for col, v in vec.items()}
+
+
+def _forms(rows):
+    """The distinct normal forms of sparse rows, and whether one is Gaussian."""
+    system = ConstraintSystem()
+    for row in rows:
+        system.add_columns(row)
+    return list(system.distinct), system.gaussian
 
 
 def rank(rows):
     """Rank of a list of sparse Scalar rows (non-destructive)."""
-    return len(_rref(*_lifted([_normal_form(row) for row in rows if row])))
+    return len(_rref(*_forms(rows)))
 
 
 def nullspace(system):
@@ -394,21 +423,21 @@ def _nullspace_basis(system):
         f"nullspace basis needs at least {least} entries "
         f"({n} unknowns, {len(system.distinct)} distinct rows)",
     )
-    forms, integer = _lifted(list(system.distinct))
-    pivots = _rref(forms, integer)
+    gaussian = system.gaussian
+    pivots = _rref(list(system.distinct), gaussian)
     vectors = n - len(pivots)
     entries = vectors * n
     require_budget(
         entries, f"nullspace basis needs {entries} entries ({vectors} vectors of {n} unknowns)"
     )
-    one = 1 if integer else ONE
+    one = (1, 1) if gaussian else 1
     free = {j: {j: one} for j in range(n) if j not in pivots}
     for lead, prow in pivots.items():
         b = prow[lead]
         for col, v in prow.items():
             if col != lead:
-                free[col][lead] = Fraction(-v, b) if integer else -v
-    return [_monic_vector(vec, integer) for vec in free.values()]
+                free[col][lead] = (-v, b) if gaussian else Fraction(-v, b)
+    return [_monic_vector(vec, gaussian) for vec in free.values()]
 
 
 def project_solution(space, keep):
@@ -425,9 +454,11 @@ def project_solution(space, keep):
     cols = [i for i, uid in enumerate(space.unknowns) if uid in keep]
     position = {col: j for j, col in enumerate(cols)}
     rows = [{position[c]: v for c, v in vec.items() if c in position} for vec in space.basis]
-    forms, integer = _lifted([_normal_form(row) for row in rows if row])
-    pivots = _rref(forms, integer)
+    forms, gaussian = _forms(rows)
+    pivots = _rref(forms, gaussian)
+    if gaussian:
+        pivots = {lead: {c: (v, 1) for c, v in prow.items()} for lead, prow in pivots.items()}
     return SolutionSpace(
         unknowns=[space.unknowns[i] for i in cols],
-        basis=[_monic_vector(pivots[lead], integer) for lead in sorted(pivots)],
+        basis=[_monic_vector(pivots[lead], gaussian) for lead in sorted(pivots)],
     )

@@ -1,16 +1,27 @@
-"""Exact Gaussian-rational scalars.
+"""Exact Gaussian-rational scalars, and the Gaussian integers.
 
 A Scalar is a + b*i with a, b arbitrary-precision rationals held as
 `fractions.Fraction`, which keeps both parts in canonical reduced form
 (gcd(num, den) = 1, den > 0).  Equality is exact structural equality.
 All arithmetic is exact field arithmetic; division by zero raises the
 builtin ZeroDivisionError.
+
+The Gaussian integers Z[i] are the plain ints together with GaussInt, an
+integer pair re + im*i whose im is never 0: arithmetic that cancels the
+imaginary part gives a plain int, so a real value is always an int and an
+int computation never meets a GaussInt.  Z[i] is a Euclidean domain:
+`ggcd` is Euclid's algorithm with quotients rounded in integers, and every
+nonzero value has one associate (a unit multiple) with re > 0 and im >= 0,
+its canonical form.  Kernels, constraint rows and elimination run in Z[i]
+whenever the constants are Gaussian integers as given; `lift` turns a
+value into a Scalar for reports.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 
 _ZERO_FRACTION = Fraction(0)
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
@@ -61,6 +72,11 @@ class Scalar:
         norm = c * c + d * d
         a, b = self.re, self.im
         return Scalar((a * c + b * d) / norm, (b * c - a * d) / norm)
+
+    def __rmul__(self, other):
+        # an int or GaussInt times a Scalar, as when Z[i] rows meet a kernel
+        # with a rational constant
+        return self * lift(other)
 
     def scale_int(self, n):
         if n == 1:
@@ -133,8 +149,12 @@ _INT_CACHE: dict[int, Scalar] = {0: ZERO, 1: ONE, -1: MINUS_ONE}
 
 
 def as_int(v):
-    """A Scalar's value as an int when it is an integer, else None."""
-    return v.re.numerator if not v.im and v.re.denominator == 1 else None
+    """A Scalar's value in Z[i] (an int or a GaussInt) when both its parts
+    are integers, else None."""
+    re, im = v.re, v.im
+    if re.denominator != 1 or im.denominator != 1:
+        return None
+    return GaussInt(re.numerator, im.numerator) if im else re.numerator
 
 
 def from_int(n):
@@ -145,3 +165,174 @@ def from_int(n):
         if -256 <= n <= 256:
             _INT_CACHE[n] = s
     return s
+
+
+def lift(v):
+    """An int or a GaussInt as a Scalar; a Scalar is returned as it is."""
+    if type(v) is int:
+        return from_int(v)
+    if type(v) is GaussInt:
+        return Scalar(v.re, v.im)
+    return v
+
+
+# ---------------------------------------------------------------------------
+# the Gaussian integers
+
+
+class GaussInt:
+    """A Gaussian integer re + im*i with int parts and im != 0; treated as
+    immutable.  Results whose imaginary part is 0 are plain ints."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re, im):
+        self.re = re
+        self.im = im
+
+    def __add__(self, other):
+        if type(other) is int:
+            return GaussInt(self.re + other, self.im)
+        if type(other) is GaussInt:
+            im = self.im + other.im
+            return GaussInt(self.re + other.re, im) if im else self.re + other.re
+        return NotImplemented
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if type(other) is int:
+            return GaussInt(self.re - other, self.im)
+        if type(other) is GaussInt:
+            im = self.im - other.im
+            return GaussInt(self.re - other.re, im) if im else self.re - other.re
+        return NotImplemented
+
+    def __rsub__(self, other):
+        if type(other) is int:
+            return GaussInt(other - self.re, -self.im)
+        return NotImplemented
+
+    def __neg__(self):
+        return GaussInt(-self.re, -self.im)
+
+    def __mul__(self, other):
+        if type(other) is int:
+            return GaussInt(self.re * other, self.im * other) if other else 0
+        if type(other) is GaussInt:
+            a, b, c, d = self.re, self.im, other.re, other.im
+            im = a * d + b * c
+            return GaussInt(a * c - b * d, im) if im else a * c - b * d
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __floordiv__(self, other):
+        """The exact quotient; ValueError when other does not divide self."""
+        if type(other) is int:
+            re, r1 = divmod(self.re, other)
+            im, r2 = divmod(self.im, other)
+            if r1 or r2:
+                raise ValueError(f"{other!r} does not divide {self!r}")
+            return GaussInt(re, im)
+        if type(other) is GaussInt:
+            return _quotient(self.re, self.im, other.re, other.im)
+        return NotImplemented
+
+    def __rfloordiv__(self, other):
+        if type(other) is int:
+            return _quotient(other, 0, self.re, self.im)
+        return NotImplemented
+
+    def __eq__(self, other):
+        if type(other) is GaussInt:
+            return self.re == other.re and self.im == other.im
+        if type(other) is int:
+            return False
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.re, self.im))
+
+    def __repr__(self):
+        return f"GaussInt({self.re}, {self.im})"
+
+
+def gauss(re, im):
+    """re + im*i in Z[i]: an int when im is 0, else a GaussInt."""
+    return GaussInt(re, im) if im else re
+
+
+def _quotient(a, b, c, d):
+    """(a + bi) / (c + di) when exact; ValueError otherwise."""
+    norm = c * c + d * d
+    re, r1 = divmod(a * c + b * d, norm)
+    im, r2 = divmod(b * c - a * d, norm)
+    if r1 or r2:
+        raise ValueError(f"{gauss(c, d)!r} does not divide {gauss(a, b)!r}")
+    return GaussInt(re, im) if im else re
+
+
+def _parts(v):
+    if type(v) is int:
+        return v, 0
+    if type(v) is GaussInt:
+        return v.re, v.im
+    raise TypeError(f"not a Gaussian integer: {v!r}")
+
+
+def ggcd(*values):
+    """A greatest common divisor in Z[i] of ints and GaussInts, in
+    canonical form (see `unit`); 0 when every value is 0.
+
+    Euclid's algorithm with the quotient rounded to the nearest Gaussian
+    integer in integer arithmetic, so each remainder has at most half the
+    divisor's norm.  Stops early once the gcd is a unit.
+    """
+    a = b = 0
+    for v in values:
+        c, d = _parts(v)
+        if not b and not d:
+            a = gcd(a, c)
+        else:
+            while c or d:
+                n = c * c + d * d
+                x, y = a * c + b * d, b * c - a * d
+                qr, qi = (2 * x + n) // (2 * n), (2 * y + n) // (2 * n)
+                a, b, c, d = c, d, a - qr * c + qi * d, b - qr * d - qi * c
+        if a * a + b * b == 1:
+            return 1
+    if a <= 0 and b > 0:  # rotate by a unit into re > 0, im >= 0
+        a, b = b, -a
+    elif a < 0 and b <= 0:
+        a, b = -a, -b
+    elif a >= 0 and b < 0:
+        a, b = -b, a
+    return GaussInt(a, b) if b else a
+
+
+def unit(z):
+    """The unit u (1, i, -1 or -i) with z = u * c for c canonical: re > 0
+    and im >= 0; z is nonzero."""
+    if type(z) is int:
+        return 1 if z > 0 else -1
+    a, b = z.re, z.im
+    if a > 0 and b >= 0:
+        return 1
+    if a <= 0 and b > 0:
+        return I_UNIT
+    if a < 0 and b <= 0:
+        return -1
+    return MINUS_I_UNIT
+
+
+def ratio(n, d):
+    """n / d as a Scalar, for Gaussian integers n and d != 0."""
+    a, b = _parts(n)
+    c, e = _parts(d)
+    norm = c * c + e * e
+    return Scalar(Fraction(a * c + b * e, norm), Fraction(b * c - a * e, norm))
+
+
+I_UNIT = GaussInt(0, 1)
+MINUS_I_UNIT = GaussInt(0, -1)

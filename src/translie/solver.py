@@ -146,9 +146,10 @@ def assemble_system(bdef, ansatz, eq_window):
 
     Each basis-symbol coordinate of each qualifying relation instance
     contributes one homogeneous row, with provenance (pattern, r, s, t,
-    coordinate symbol), in the coefficient type of algebras.kernels: int
-    rows when every structure constant is an integer as given, Scalar rows
-    for a rational or Gaussian functional.
+    coordinate symbol), in the coefficient type of algebras.kernels: rows
+    in Z[i] (ints and GaussInts) when every structure constant is a
+    Gaussian integer as given, f = 1+i included, Scalar rows for a rational
+    or Gaussian-rational functional.
 
     When the ansatz shares one image-symbol list per family
     (Ansatz.shared_images: full window), the varied-slot brackets come from

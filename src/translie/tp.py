@@ -22,13 +22,14 @@ from .algebras import ProductDef, TP_FAMILY
 from .checks import POISSON_LEIBNIZ, run_law, window
 from .elements import L, M
 from .errors import InvalidParamsError, require_budget
-from .scalars import Scalar, ZERO, as_int
+from .scalars import Scalar, ZERO, as_int, lift
 
 POISSON_AND_TRANSPOSED = "poisson-and-transposed"
 TRANSPOSED_ONLY = "transposed-only"
 
 
 def _scalar(v):
+    v = lift(v)
     return v if isinstance(v, Scalar) else Scalar(v)
 
 
@@ -54,7 +55,7 @@ class TPParams:
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "k", int(k))
         # the constants product_terms reads, as Scalars and, when every one
-        # is an integer as given, as ints
+        # is a Gaussian integer as given, in Z[i]
         exact = (self.alpha, self.c, pairs, f.by_index)
         ints = None
         values = [self.alpha, *self.c.values(), *clean.values()]
@@ -73,7 +74,7 @@ class TPParams:
 
     @property
     def integral(self):
-        """True when every product constant is an integer as given."""
+        """True when every product constant is a Gaussian integer as given."""
         return self._ints is not None
 
     def support_indices(self):
@@ -84,8 +85,8 @@ class TPParams:
         return sorted(idx) if idx else [0]
 
     def product_terms(self, x, y, ints=False):
-        """Product of two basis symbols as (Scalar, symbol) terms, or as
-        (int, symbol) terms when `ints` (integral params only)."""
+        """Product of two basis symbols as (Scalar, symbol) terms, or with
+        coefficients in Z[i] when `ints` (integral params only)."""
         alpha, c, pairs, f_values = self._ints if ints else self._exact
         if x.family == "L" and y.family == "L":
             return []
@@ -129,7 +130,7 @@ def validate_params(params):
 
     Every term of the laws has a factor of d, or of alpha f(M_i) f(M_j), so
     each law is checked only where d's entries and f's support reach, by
-    sparse joins listing witnesses in sorted index order, in ints when the
+    sparse joins listing witnesses in sorted index order, in Z[i] when the
     params are integral (a witness's residual is a Scalar either way).  The
     work of each join is checked against the budget before it runs: the
     weighted sums meet at most |supp f|^2 pairs beyond d's, and the exchange
@@ -150,7 +151,7 @@ def validate_params(params):
         f"exchange identity needs {products} products of d entries over "
         f"{len(params.d)} entries",
     )
-    # d as {(i, j): {q: value}}, and the constants, as ints when integral
+    # d as {(i, j): {q: value}}, and the constants, in Z[i] when integral
     alpha, _, pairs, f_values = params._ints if params.integral else params._exact
     zero = 0 if params.integral else ZERO
     for i, j, q in sorted({(min(i, j), max(i, j), q) for i, j, q in params.d}):

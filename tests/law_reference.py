@@ -5,7 +5,7 @@ alternating slot groups when the brackets are antisymmetric."""
 import itertools
 
 from translie.algebras import kernels
-from translie.checks import CheckReport, _memoized, _violation, window_symbols
+from translie.checks import CheckReport, _memoized, _violation, _witness, window_symbols
 
 
 def run_law_ordered(spec, defs, w, stop_at_first=False):
@@ -19,7 +19,7 @@ def run_law_ordered(spec, defs, w, stop_at_first=False):
             for law in laws:
                 lhs, rhs = law.sides(k, *tup)
                 if lhs != rhs:
-                    report.violations.append(_violation(law, tup, lhs, rhs))
+                    report.violations.append(_violation(law, tup, _witness(law, lhs, rhs)))
                     if stop_at_first:
                         return report
     return report.sort_violations()

@@ -30,37 +30,27 @@ def assert_sparse_basis(space):
 
 
 def residuals_oracle(space, system):
-    """SolutionSpace.residuals by brute force: every vector is dotted with
-    every distinct form in order, integer forms in integers against each
-    vector's real and imaginary part scaled to integers."""
+    """SolutionSpace.residuals by brute force: every vector, scaled to
+    Gaussian integers held as pairs of ints, is dotted with every distinct
+    form in order, in pair arithmetic."""
     col_map = [system.column_of(uid) for uid in space.unknowns]
     out = []
     for vec in space.basis:
-        sparse = {col_map[col]: coeff for col, coeff in vec.items()}
-        parts = [p for p in (_int_part(sparse, "re"), _int_part(sparse, "im")) if p]
+        den = lcm(*[q.denominator for v in vec.values() for q in (v.re, v.im)])
+        pairs = {
+            col_map[col]: (int(v.re * den), int(v.im * den)) for col, v in vec.items()
+        }
         for form, row in system.distinct.items():
-            if type(form[0][1]) is int:
-                nonzero = any(_dot(form, part, 0) for part in parts)
-            else:
-                nonzero = _dot(form, sparse, ZERO)
-            if nonzero:
+            re = im = 0
+            for col, coeff in form:
+                if col in pairs:
+                    a, b = (coeff, 0) if type(coeff) is int else (coeff.re, coeff.im)
+                    c, d = pairs[col]
+                    re += a * c - b * d
+                    im += a * d + b * c
+            if re or im:
                 out.append(row)
                 break
         else:
             out.append(None)
     return out
-
-
-def _int_part(vec, attr):
-    part = {col: getattr(v, attr) for col, v in vec.items()}
-    den = lcm(*[q.denominator for q in part.values()])
-    return {col: q.numerator * (den // q.denominator) for col, q in part.items() if q}
-
-
-def _dot(items, vec, zero):
-    total = zero
-    for col, coeff in items:
-        v = vec.get(col)
-        if v is not None:
-            total = total + coeff * v
-    return total

@@ -293,8 +293,9 @@ BATTERY = (
             "windows": {"domain": [-3, 3], "equation": [-3, 3], "core": [-2, 2], "image": [-3, 3]},
         },
     ),
-    # the exhaustive law paths on Scalar kernels with a 1+i f: a Poisson-Leibniz
-    # pass on the Poisson side, and its first witness on the transposed-only side
+    # the exhaustive law paths on Gaussian-integer kernels with a 1+i f: a
+    # Poisson-Leibniz pass on the Poisson side, and its first witness on the
+    # transposed-only side
     (
         "verify-tp",
         {
@@ -316,6 +317,31 @@ BATTERY = (
             "windows": {"domain": [-3, 3], "equation": [-2, 2]},
         },
     ),
+    # a full-window solve on Gaussian-integer rows (f = 1+i), and one on rows
+    # scaled to Gaussian integers from a Gaussian-rational f (f = 1/2+i)
+    (
+        "solve-derivations",
+        {
+            "algebra": {"kind": "a-f-k", "k": 1, "f": {"0": "1+i", "1": "2"}},
+            "windows": {"domain": [-3, 3], "equation": [-3, 3], "core": [-2, 2], "image": [-3, 3]},
+        },
+    ),
+    (
+        "solve-derivations",
+        {
+            "algebra": {"kind": "a-f-k", "k": 1, "f": {"0": "1/2+i", "1": "-2/3"}},
+            "windows": {"domain": [-3, 3], "equation": [-3, 3], "core": [-2, 2], "image": [-3, 3]},
+        },
+    ),
+    # a Gaussian-rational f has no integer form: an exhaustive Poisson-Leibniz
+    # pass on the Scalar kernels
+    (
+        "verify-tp",
+        {
+            "algebra": {"kind": "a-f-k", "k": 1, "f": {"0": "1/2+i"}},
+            "tp_params": {"example_family": {"d_seq": {"1": "3"}}},
+        },
+    ),
 )
 
 # sha256 of each BATTERY report, in BATTERY order; a change to any report
@@ -334,6 +360,9 @@ BATTERY_SHA256 = (
     "267b94473089a76a6ca1ee2ba851259b63c2b3d020d28b467c42d7508a879748",
     "3499619b48a0c516cee5ee8d006bd63afa6a5aa232d820976a36b8078b23dbf3",
     "13b84a719394dfd766785a4c8b18dc1aa71a0c79d4f4c3e9cfe46a05d53c60df",
+    "ee1c448e07782506f7e6858722091ddf857f1bb2e966e3cab00e4cdae9313f54",
+    "20b7c6234cca5b137b107cada7de63f43ed9966ed840f00b626b0373bf9f2b6c",
+    "3935df596c98d78b8f853cc94afa11626b77deda708d7b4ec46c0d7f7783797c",
 )
 
 

@@ -1,5 +1,6 @@
 import itertools
 from functools import partial
+from fractions import Fraction
 
 import pytest
 
@@ -20,7 +21,7 @@ from translie.algebras import (
 from translie.checks import window, window_symbols
 from translie.elements import MAX_INDEX, BasisSymbol, Element, L, M
 from translie.errors import IndexOverflowError
-from translie.scalars import Scalar, from_int
+from translie.scalars import GaussInt, Scalar, from_int
 
 from families import ScalarMultiple, TableOperator
 from kernel_reference import _bracket_terms as reference_kernel
@@ -159,9 +160,10 @@ def test_bracket_table_matches_the_hand_written_tables(bdef):
         assert typed(bdef.terms(x, y, z)) == typed(reference_terms(bdef, x, y, z))
         if bdef.integral:
             assert typed(bdef.int_terms(x, y, z)) == typed(reference_int_terms(bdef, x, y, z))
-    # an integer form exactly when every structure constant is an integer as given
+    # a Z[i] form exactly when every structure constant is a Gaussian integer as given
     assert bdef.integral == (
-        bdef.f is None or all(v.re.denominator == 1 and not v.im for _, v in bdef.f.values)
+        bdef.f is None
+        or all(v.re.denominator == 1 and v.im.denominator == 1 for _, v in bdef.f.values)
     )
 
 
@@ -221,9 +223,14 @@ def test_bracket_kernel_matches_its_previous_form(name):
         ] * 2
 
 
-def test_gaussian_functional_has_no_int_terms():
-    bdef = afk(0, functional({0: Scalar(1, 1)}))
-    assert bdef.f.ints is None and not bdef.integral
+def test_gaussian_integer_functional_has_int_terms():
+    """f = 1+i has Gaussian-integer values, so its bracket has int_terms in
+    Z[i]; f = 1/2+i has none."""
+    bdef = afk(0, functional({0: Scalar(1, 1), 1: 2}))
+    assert bdef.f.ints == {0: GaussInt(1, 1), 1: 2} and bdef.integral
+    assert bdef.int_terms(L(1), L(2), M(0)) == [(GaussInt(-1, -1), L(3))]
+    rational = afk(0, functional({0: Scalar(Fraction(1, 2), 1)}))
+    assert rational.f.ints is None and not rational.integral
 
 
 def test_bracket_trilinear_on_elements():

@@ -442,14 +442,17 @@ def test_generator_closure_matches_recorded_results(case):
     [
         ("a-omega-delta", "fractional", "int_terms"),
         ("afk-half", "sparse-fractional", "terms"),
-        ("a-omega-delta", "gaussian", "terms"),
-        ("afk-gauss", "standard", "terms"),
+        ("afk-half", "gaussian", "terms"),
+        ("a-omega-delta", "gaussian", "int_terms"),
+        ("afk-gauss", "standard", "int_terms"),
+        ("afk-gauss", "gaussian", "int_terms"),
     ],
 )
 def test_generator_closure_kernel_follows_the_coefficients(bracket, gens, kernel):
-    """Integer structure constants serve only real generators on an
-    integral bracket; a Gaussian generator, or a functional with a
-    non-integer value, needs Scalars."""
+    """The generators enter the span as rows in Z[i] whatever their
+    coefficients, so the bracket alone picks the kernel: Z[i] structure
+    constants (f = 1+i included) serve every generator, and a functional
+    with a non-integer value needs Scalars."""
     counting = Counting(CLOSURE_BRACKETS[bracket])
     generator_closure(counting, CLOSURE_GENS[gens], window(-3, 3), max_rounds=6)
     assert counting.calls[kernel] > 0

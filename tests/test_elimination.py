@@ -3,7 +3,6 @@ path and sympy must agree on the nullspace of the same system and on its
 coordinate projections."""
 
 from fractions import Fraction
-from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +18,7 @@ from translie.linalg import (
     rank,
     unknown,
 )
-from translie.scalars import I, Scalar
+from translie.scalars import I, Scalar, gauss, ggcd, lift, unit
 
 from spaces import assert_sparse_basis, dense
 
@@ -109,23 +108,75 @@ def test_integer_gaussian_and_sympy_nullspaces_agree(case, kept):
     assert rank(scalar_rows) + real.dimension == n
 
 
-@given(systems())
-@settings(max_examples=150, deadline=None)
-def test_integer_pivots_are_primitive_and_span_rows_normal(case):
-    """Clearing leaves a row's content in it, so elimination divides it out
-    once per row: every integer RREF pivot is primitive with a positive
-    lead, and every row a LeadSpan keeps is in normal form."""
+@st.composite
+def gaussian_systems(draw):
+    """(n, rows): sparse Gaussian-integer rows, at least one with an
+    imaginary part, plus copies scaled by Gaussian rationals as Scalars."""
+    n = draw(st.integers(2, 6))
+    values = st.builds(gauss, st.integers(-3, 3), st.integers(-3, 3)).filter(bool)
+    rows = draw(
+        st.lists(st.dictionaries(st.integers(0, n - 1), values, min_size=1, max_size=3),
+                 min_size=1, max_size=6)
+    )
+    first, second = draw(st.permutations(range(n)))[:2]
+    rows.append({first: 1, second: gauss(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))})
+    copies = draw(st.lists(st.tuples(st.integers(0, len(rows) - 1), factors, factors), max_size=4))
+    rows += [{c: lift(v) * Scalar(p, q) for c, v in rows[i].items()} for i, p, q in copies]
+    order = draw(st.permutations(range(len(rows))))
+    return n, [rows[i] for i in order]
+
+
+def _sympy_gaussian_basis(n, rows):
+    """sympy's nullspace basis over Q(i), each vector divided by its first
+    nonzero entry, as Scalars."""
+    def value(v):
+        v = lift(v)
+        return sympy.Rational(str(v.re)) + sympy.I * sympy.Rational(str(v.im))
+
+    matrix = sympy.Matrix([[value(row.get(j, 0)) for j in range(n)] for row in rows])
+    basis = []
+    for vec in matrix.nullspace():
+        vec = [sympy.expand_complex(v) for v in vec]
+        first = next(v for v in vec if v != 0)
+        parts = [sympy.expand_complex(v / first) for v in vec]
+        basis.append([Scalar(Fraction(str(sympy.re(v))), Fraction(str(sympy.im(v)))) for v in parts])
+    return basis
+
+
+@given(gaussian_systems())
+@settings(max_examples=60, deadline=None)
+def test_gaussian_integer_and_sympy_nullspaces_agree(case):
+    """A system with imaginary coefficients eliminates in Z[i]: its
+    nullspace is sympy's over the Gaussian rationals, and its rank the
+    number of independent rows."""
     n, rows = case
-    forms, integer = linalg._lifted(list(_system(n, rows).distinct))
-    assert integer
-    for lead, row in linalg._rref(forms, integer).items():
+    system = _system(n, rows)
+    assert system.gaussian
+    space = nullspace(system)
+    assert_sparse_basis(space)
+    assert [dense(space, idx) for idx in range(space.dimension)] == _sympy_gaussian_basis(n, rows)
+    assert rank([{c: lift(v) for c, v in row.items()} for row in rows]) + space.dimension == n
+
+
+@given(st.one_of(systems(), gaussian_systems()))
+@settings(max_examples=150, deadline=None)
+def test_pivots_are_primitive_and_span_rows_normal(case):
+    """Clearing leaves a row's content in it, so elimination divides it out
+    once per row: every RREF pivot is primitive over Z, or over Z[i] in a
+    Gaussian system, with a canonical lead (a positive int, or re > 0 and
+    im >= 0), and every row a LeadSpan keeps is in normal form."""
+    n, rows = case
+    system = _system(n, rows)
+    for lead, row in linalg._rref(list(system.distinct), system.gaussian).items():
         assert lead == min(row)
-        assert row[lead] > 0
-        assert gcd(*row.values()) == 1
-    span = LeadSpan(integer=True)
+        assert unit(row[lead]) == 1
+        assert ggcd(*row.values()) == 1
+        if not system.gaussian:
+            assert all(type(v) is int for v in row.values())
+    span = LeadSpan()
     for row in rows:
-        if all(type(v) is int for v in row.values()):
-            span.insert(dict(row))
+        span.insert(dict(row))
     for lead, row in span.rows.items():
         assert lead == min(row)
         assert tuple(sorted(row.items())) == linalg._normal_form(row)
+    assert len(span.rows) == system.rank()

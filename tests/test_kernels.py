@@ -45,7 +45,7 @@ from translie.checks import (
     window,
     window_symbols,
 )
-from translie.scalars import Scalar, from_int
+from translie.scalars import GaussInt, Scalar, from_int, lift
 from translie.tp import build_example_family, tp_product
 
 from families import ScalarMultiple
@@ -84,6 +84,7 @@ def assert_paths_agree(spec, defs, w, **kwargs):
 RATIONAL_F = functional({0: Fraction(1, 2), 1: Fraction(-2, 3)})
 INT_F = functional({0: 2, 1: -3})
 GAUSSIAN_F = functional({0: Scalar(1, 1)})
+GAUSSIAN_RATIONAL_F = functional({0: Scalar(Fraction(1, 2), 1), 1: Fraction(-2, 3)})
 INT_FAMILY = tp_product(build_example_family(functional({0: 1}), {0: 5}, {1: 1}, 2))
 GAUSSIAN_FAMILY = tp_product(build_example_family(GAUSSIAN_F, {0: 2}, {1: 1}, 1))
 
@@ -106,10 +107,15 @@ GAUSSIAN_FAMILY = tp_product(build_example_family(GAUSSIAN_F, {0: 2}, {1: 1}, 1)
         ("poisson-leibniz", {"bracket": afk(2, functional({0: 1})), "product": INT_FAMILY},
          window(-1, 1), True, True),
         ("fundamental-identity", {"bracket": afk(-1, RATIONAL_F)}, window(-1, 0), False, False),
-        ("fundamental-identity", {"bracket": afk(0, GAUSSIAN_F)}, window(-1, 0), False, False),
+        # f = 1+i has its form in Z[i]
+        ("fundamental-identity", {"bracket": afk(0, GAUSSIAN_F)}, window(-1, 0), True, False),
         ("transposed-leibniz", {"bracket": afk(1, GAUSSIAN_F), "product": GAUSSIAN_FAMILY},
-         window(-1, 1), False, False),
+         window(-1, 1), True, False),
         ("poisson-leibniz", {"bracket": afk(1, GAUSSIAN_F), "product": GAUSSIAN_FAMILY},
+         window(-1, 1), True, True),
+        ("fundamental-identity", {"bracket": afk(0, GAUSSIAN_RATIONAL_F)}, window(-1, 0),
+         False, False),
+        ("one-third-derivation", {"bracket": afk(1, GAUSSIAN_RATIONAL_F), "op": index_scaling()},
          window(-1, 1), False, True),
         ("involutive-morphism", {"product": algebra_a(), "op": index_scaling()},
          window(-2, 2), True, True),
@@ -141,6 +147,7 @@ def _functionals(values):
 
 _rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 _gaussians = st.builds(Scalar, _rationals, _rationals)
+_gaussian_ints = st.builds(Scalar, st.integers(-3, 3), st.integers(-3, 3))
 
 BRACKETS = st.one_of(
     st.just(a_omega_delta()),
@@ -148,6 +155,7 @@ BRACKETS = st.one_of(
     st.builds(afk, st.integers(-2, 2), _functionals(st.integers(-3, 3))),
     st.builds(afk, st.integers(-2, 2), _functionals(_rationals)),
     st.builds(afk, st.integers(-2, 2), _functionals(_gaussians)),
+    st.builds(afk, st.integers(-2, 2), _functionals(_gaussian_ints)),
 )
 
 
@@ -160,7 +168,9 @@ PRODUCTS = st.one_of(
     st.just(zero_product()),
     st.builds(
         _family,
-        st.one_of(_functionals(st.integers(-3, 3)), _functionals(_gaussians)),
+        st.one_of(
+            _functionals(st.integers(-3, 3)), _functionals(_gaussians), _functionals(_gaussian_ints)
+        ),
         st.dictionaries(st.integers(-2, 2), st.integers(-3, 3), max_size=2),
         st.dictionaries(st.integers(-2, 2), st.integers(-3, 3), max_size=1),
         st.integers(-2, 2),
@@ -201,26 +211,28 @@ def test_random_definitions_agree_on_both_paths(data, law):
 # the kernel-set builder
 
 # each kernel name the builder is tested on, with the definitions drawn for
-# it (1+i f among the brackets; a duck-typed operator without `integral`
-# among the operators) and its arity
+# it (1+i and 1/2+i f among the brackets; a duck-typed operator without
+# `integral` among the operators) and its arity
 BUILDER_KERNELS = {
-    "bracket": (st.one_of(BRACKETS, st.just(afk(1, GAUSSIAN_F))), 3),
+    "bracket": (
+        st.one_of(BRACKETS, st.just(afk(1, GAUSSIAN_F)), st.just(afk(1, GAUSSIAN_RATIONAL_F))), 3
+    ),
     "product": (PRODUCTS, 2),
     "op": (OPERATORS, 1),
 }
 
 
 @settings(max_examples=60, deadline=None)
-@given(data=st.data(), real=st.booleans())
-def test_kernels_are_ints_exactly_when_every_definition_is_integral_and_real(data, real):
-    """kernels gives int_terms with num=int when `real` holds and every
-    definition is integral (one without `integral` is not), else terms with
+@given(data=st.data())
+def test_kernels_are_gaussian_integers_exactly_when_every_definition_is_integral(data):
+    """kernels gives int_terms with num=int, in Z[i], when every definition
+    is integral (one without `integral` is not), else terms with
     num=from_int; either way each kernel's values are terms()'s values, and
     a kernel no definition gives is None."""
     names = data.draw(st.sets(st.sampled_from(sorted(BUILDER_KERNELS)), min_size=1), label="names")
     defs = {name: data.draw(BUILDER_KERNELS[name][0], label=name) for name in sorted(names)}
-    ints = real and all(getattr(d, "integral", False) for d in defs.values())
-    k = kernels(defs, real)
+    ints = all(getattr(d, "integral", False) for d in defs.values())
+    k = kernels(defs)
     assert type(k) is Kernels and k.num is (int if ints else from_int)
     assert all(getattr(k, name) is None for name in ("bracket", "product", "op", "source")
                if name not in defs)
@@ -229,6 +241,6 @@ def test_kernels_are_ints_exactly_when_every_definition_is_integral_and_real(dat
         kernel = getattr(k, name)
         for args in itertools.product(symbols, repeat=BUILDER_KERNELS[name][1]):
             got = kernel(*args)
-            assert all(type(c) is (int if ints else Scalar) for c, _ in got)
-            assert [(Scalar(c) if ints else c, sym) for c, sym in got] == d.terms(*args)
+            assert all(type(c) in ((int, GaussInt) if ints else (Scalar,)) for c, _ in got)
+            assert [(lift(c), sym) for c, sym in got] == d.terms(*args)
 

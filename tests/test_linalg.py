@@ -16,7 +16,7 @@ from translie.linalg import (
     rank,
     unknown,
 )
-from translie.scalars import ONE, Scalar, ZERO
+from translie.scalars import GaussInt, ONE, Scalar, ZERO
 from translie.solver import assemble_system, full_window_ansatz
 
 from spaces import assert_sparse_basis, dense, residuals_oracle
@@ -143,23 +143,29 @@ def test_rows_are_kept_once_in_their_own_type():
     view[0][2] = ZERO  # the view is a copy
     assert sys_.rows[0] == {2: Scalar(6), 0: Scalar(-4)}
     assert sys_.provenance == [("p", 1), None, None]
+    # (1+i, 2) = (1+i) * (1, 1-i): a primitive Gaussian-integer form
     assert list(sys_.distinct) == [((0, 2), (2, -3)), ((1, 1), (2, -3)),
-                                   ((0, ONE), (2, Scalar(1, -1)))]
+                                   ((0, 1), (2, GaussInt(1, -1)))]
+    assert sys_.gaussian
 
 
-def test_mixed_rows_are_lifted_and_normalized():
+def test_mixed_rows_are_kept_as_given_and_normalized():
     """Rows mixing ints and Scalars, as the family relations write them, are
-    kept in Scalars and normalized like their all-Scalar form."""
+    kept as given and normalized like their all-Scalar form."""
     sys_, (x, y, z) = _system("xyz", [])
     sys_.add_row({x: 1, y: Scalar(-2)})  # a[r,i] = h, h's coefficient a Scalar
     sys_.add_row({y: Scalar(4), z: -2})
+    assert not sys_.gaussian
     sys_.add_row({x: 2, z: Scalar(0, 2)})
     assert sys_.rows == [
         {0: ONE, 1: Scalar(-2)}, {1: Scalar(4), 2: Scalar(-2)}, {0: Scalar(2), 2: Scalar(0, 2)}
     ]
-    assert all(type(v) is Scalar for row in sys_._rows for v in row.values())
+    assert [[type(v) for v in row.values()] for row in sys_._rows] == [
+        [int, Scalar], [Scalar, int], [int, Scalar]
+    ]
     assert list(sys_.distinct) == [((0, 1), (1, -2)), ((1, 2), (2, -1)),
-                                   ((0, ONE), (2, Scalar(0, 1)))]
+                                   ((0, 1), (2, GaussInt(0, 1)))]
+    assert sys_.gaussian
     scalar_only, _ = _system("xyz", [])
     for row in sys_.rows:
         scalar_only.add_columns(row)
@@ -178,17 +184,26 @@ def test_zero_empty_and_unregistered_rows_append_nothing():
 
 def test_lead_span_reduces_by_leading_column_only():
     """A kept row keeps its entries in later leads' columns; a row reduces
-    to zero exactly when it lies in the span."""
-    span = LeadSpan(integer=True)
+    to zero exactly when it lies in the span; every kept row is a normal
+    form, whether it came in ints, Gaussian integers or Scalars."""
+    span = LeadSpan()
     assert span.insert(span.normalized({0: Scalar(2), 1: Scalar(4)}))
     assert span.insert({1: -3, 2: 6})
     assert not span.insert({0: 5, 1: 11, 2: -2})
     assert span.rows == {0: {0: 1, 1: 2}, 1: {1: 1, 2: -2}}
     assert span.reduce({2: 1}) == {2: 1}
-    gaussian = LeadSpan(integer=False)
-    assert gaussian.insert(gaussian.normalized({0: Scalar(0, 2), 3: Scalar(1)}))
-    assert gaussian.rows == {0: {0: ONE, 3: Scalar(0, Fraction(-1, 2))}}
-    assert gaussian.reduce({0: Scalar(1), 3: Scalar(0, Fraction(-1, 2))}) == {}
+    # a Scalar row is normalized to 2 x0 - i x3, then reduced in Z[i]
+    assert span.insert({0: Scalar(0, 2), 3: Scalar(1)})
+    assert span.rows[2] == {2: 8, 3: GaussInt(0, 1)}
+    gaussian = LeadSpan()
+    assert gaussian.insert({0: Scalar(0, 2), 3: Scalar(1)})
+    assert gaussian.rows == {0: {0: 2, 3: GaussInt(0, -1)}}
+    assert gaussian.reduce({0: GaussInt(0, 2), 3: 1}) == {}
+    assert not gaussian.insert({0: Scalar(1), 3: Scalar(0, Fraction(-1, 2))})
+    # a Gaussian row meets an integer kept row: math.gcd gives way to ggcd
+    assert gaussian.insert({3: 1, 4: GaussInt(1, 1)})
+    assert not gaussian.insert({0: GaussInt(2, 2), 3: GaussInt(2, -2), 4: 2})
+    assert gaussian.rows[3] == {3: 1, 4: GaussInt(1, 1)}
 
 
 def test_verification_catches_bad_vector():
@@ -253,8 +268,8 @@ def test_dropped_pivot_raises_verification_error_naming_the_oracle_row(f_zero, m
     rref, verify = linalg._rref, SolutionSpace.verify_against
     checked = []
 
-    def drop_last_pivot(forms, integer):
-        pivots = rref(forms, integer)
+    def drop_last_pivot(forms, gaussian):
+        pivots = rref(forms, gaussian)
         del pivots[max(pivots)]
         return pivots
 

@@ -145,6 +145,18 @@ def test_violating_inputs_replay_every_orbit_member(spec, defs, w, failures):
         assert len(report.violations) == failures
 
 
+def test_orbit_members_share_their_lifted_sides():
+    """A failing representative's sides are lifted to Scalars once per
+    sign: the 72 violations, 12 orbits of 6 members, carry 24 Elements on
+    each side and as many residuals."""
+    report = run_law(
+        ONE_THIRD_DERIVATION, {"bracket": a_omega_delta(), "op": index_scaling()}, window(-1, 1)
+    )
+    assert len(report.violations) == 72
+    for side in ("lhs", "rhs", "residual"):
+        assert len({id(getattr(v, side)) for v in report.violations}) == 24
+
+
 WITNESS_CASES = [
     (b_name, pr_name, w)
     for b_name, pr_name in (

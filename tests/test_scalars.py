@@ -5,8 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from translie import linalg
 from translie.elements import Element, L
-from translie.scalars import I, ONE, Scalar, ZERO, from_int
+from translie.linalg import ConstraintSystem
+from translie.scalars import (
+    I, ONE, GaussInt, Scalar, ZERO, from_int, gauss, ggcd, lift, unit
+)
 
 
 def test_rational_product():
@@ -124,3 +128,104 @@ def test_a_real_scalar_is_one_set_member_with_its_number():
     assert len({1, Scalar(1)}) == 1
     assert len({Fraction(1, 2), Scalar(Fraction(1, 2))}) == 1
     assert hash(Element({L(0): 1})) == hash(Element({L(0): Scalar(1)}))
+
+
+# ---------------------------------------------------------------------------
+# the Gaussian integers
+
+_SMALL = st.integers(-6, 6)
+_GAUSS = st.builds(gauss, _SMALL, _SMALL)
+
+
+def _pair(z):
+    return (z, 0) if type(z) is int else (z.re, z.im)
+
+
+def _divides(d, z):
+    """d | z in Z[i], by integer pair arithmetic (d nonzero)."""
+    (a, b), (c, e) = _pair(z), _pair(d)
+    norm = c * c + e * e
+    return (a * c + b * e) % norm == 0 and (b * c - a * e) % norm == 0
+
+
+def _canonical(z):
+    re, im = _pair(z)
+    return re > 0 and im >= 0
+
+
+@given(_GAUSS, _GAUSS)
+def test_gaussian_arithmetic_matches_scalars(a, b):
+    """+, -, * and unary - agree with Scalar arithmetic, mixed with ints
+    either side; a result with no imaginary part is a plain int."""
+    for exact, lifted in (
+        (a + b, lift(a) + lift(b)),
+        (a - b, lift(a) - lift(b)),
+        (a * b, lift(a) * lift(b)),
+        (-a, -lift(a)),
+    ):
+        assert lift(exact) == lifted
+        assert type(exact) is (GaussInt if lifted.im else int)
+    assert (a == b) == (lift(a) == lift(b))
+    if a == b:
+        assert hash(a) == hash(b)
+
+
+@given(_GAUSS, _GAUSS.filter(bool))
+def test_gaussian_floor_division_is_exact(a, b):
+    """(a * b) // b is a; with a GaussInt on either side, a // b raises
+    unless b divides a (int // int stays Python's floor division)."""
+    assert (a * b) // b == a
+    if _divides(b, a):
+        assert (a // b) * b == a
+    elif GaussInt in (type(a), type(b)):
+        with pytest.raises(ValueError):
+            a // b
+
+
+@given(_GAUSS, _GAUSS)
+def test_ggcd_is_a_greatest_common_divisor(a, b):
+    """ggcd(a, b) is canonical, divides both, and every common divisor
+    found by brute force over the norms up to theirs divides it."""
+    g = ggcd(a, b)
+    if not a and not b:
+        assert g == 0
+        return
+    assert _canonical(g) and _divides(g, a) and _divides(g, b)
+    bound = max(abs(v) for v in (*_pair(a), *_pair(b)))
+    for d in (gauss(re, im) for re in range(-bound, bound + 1) for im in range(-bound, bound + 1)):
+        if d and _divides(d, a) and _divides(d, b):
+            assert _divides(d, g)
+
+
+@given(_GAUSS.filter(bool))
+def test_unit_and_canonical_associate(z):
+    u = unit(z)
+    assert u in (1, -1, GaussInt(0, 1), GaussInt(0, -1))
+    assert _canonical(z // u) and u * (z // u) == z
+
+
+_ROWS = st.dictionaries(st.integers(0, 5), _GAUSS.filter(bool), min_size=1, max_size=4)
+
+
+@given(_ROWS, _GAUSS.filter(bool))
+def test_associates_and_rational_multiples_share_one_normal_form(row, scale):
+    """r, i r, (1+i) r, 3 r, r/2 and any Gaussian-integer multiple of r
+    have one normal form, primitive with a canonical lead."""
+    form = linalg._normal_form(row)
+    values = [v for _, v in form]
+    assert _canonical(values[0]) and ggcd(*values) == 1
+    scalars = {c: lift(v) for c, v in row.items()}
+    for factor in (Scalar(0, 1), Scalar(1, 1), Scalar(3), Scalar(Fraction(1, 2))):
+        assert linalg._normal_form({c: v * factor for c, v in scalars.items()}) == form
+    assert linalg._normal_form({c: v * scale for c, v in row.items()}) == form
+    assert linalg._normal_form(scalars) == form
+
+
+@given(st.dictionaries(st.integers(0, 5), _SMALL.filter(bool), min_size=1, max_size=4),
+       st.sampled_from([GaussInt(0, 1), GaussInt(1, 1), GaussInt(-2, 3)]))
+def test_an_integer_row_and_its_gaussian_associate_are_one_distinct_form(row, scale):
+    system = ConstraintSystem()
+    system.add_columns(dict(row))
+    system.add_columns({c: v * scale for c, v in row.items()})
+    assert len(system.distinct) == 1 and not system.gaussian
+    assert all(type(v) is int for _, v in next(iter(system.distinct)))

@@ -329,13 +329,15 @@ def test_assembly_refuses_too_many_unknowns_before_registering(monkeypatch):
         (a_omega_delta(), "int_terms"),
         (afk(1, functional({0: 2, 1: -3})), "int_terms"),
         (afk(1, functional({0: "1/2", 1: "-2/3"})), "terms"),
-        (afk(1, functional({0: Scalar(1, 1)})), "terms"),
+        (afk(1, functional({0: Scalar(1, 1)})), "int_terms"),
+        (afk(1, functional({0: Scalar.parse("1/2+i")})), "terms"),
     ],
-    ids=["a-omega-delta", "afk-int", "afk-rational", "afk-gaussian"],
+    ids=["a-omega-delta", "afk-int", "afk-rational", "afk-gaussian", "afk-gaussian-rational"],
 )
 def test_assembly_kernel_follows_the_coefficients(bdef, kernel):
-    """Integer structure constants give int rows through int_terms; a
-    rational or Gaussian functional needs Scalars through terms."""
+    """Gaussian-integer structure constants (f = 1+i included) give rows in
+    Z[i] through int_terms; a rational or Gaussian-rational functional
+    needs Scalars through terms."""
     counting = Counting(bdef)
     assemble_system(counting, ansatz_for(bdef, window(-2, 2)), window(-2, 2))
     assert counting.calls[kernel] > 0

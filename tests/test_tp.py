@@ -1,5 +1,6 @@
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -290,36 +291,41 @@ def _dense_validation(params):
     return symmetry, weighted, exchange
 
 
-def _random_value(rng, gaussian):
-    return Scalar(rng.randint(-2, 2), rng.randint(-2, 2) if gaussian else 0)
+def _random_value(rng, kind):
+    """A small integer, Gaussian integer, or Gaussian rational (imaginary
+    part in halves)."""
+    if kind == "real":
+        return Scalar(rng.randint(-2, 2))
+    return Scalar(rng.randint(-2, 2), Fraction(rng.randint(-2, 2), 2 if kind == "rational" else 1))
 
 
 def _random_params(rng):
     """A rank-one family (valid), then perturbed: alpha shifted, d dropped
     under a nonzero alpha, d made asymmetric, or extra d entries that break
     the exchange identity."""
-    gaussian = rng.random() < 0.5
-    f = functional({i: _random_value(rng, gaussian) or 1 for i in rng.sample(range(-2, 3), 2)})
-    d_seq = {p: _random_value(rng, gaussian) for p in rng.sample(range(-2, 3), 2)}
+    values = rng.choice(["real", "gaussian", "rational"])
+    f = functional({i: _random_value(rng, values) or 1 for i in rng.sample(range(-2, 3), 2)})
+    d_seq = {p: _random_value(rng, values) for p in rng.sample(range(-2, 3), 2)}
     params = build_example_family(f, d_seq, {rng.randint(-3, 3): 1}, 1)
     alpha, d = params.alpha, dict(params.d)
     kind = rng.choice(["valid", "alpha", "no d", "asymmetric", "exchange"])
     if kind == "alpha":
-        alpha = alpha + _random_value(rng, gaussian)
+        alpha = alpha + _random_value(rng, values)
     elif kind == "no d":
         alpha, d = alpha or Scalar(1), {}
     elif kind == "asymmetric":
         i, j, q = rng.randint(-2, 2), rng.randint(3, 4), rng.randint(-2, 2)
-        d[i, j, q] = _random_value(rng, gaussian)
+        d[i, j, q] = _random_value(rng, values)
     elif kind == "exchange":
         for _ in range(3):
-            d[tuple(rng.randint(-2, 2) for _ in range(3))] = _random_value(rng, gaussian)
+            d[tuple(rng.randint(-2, 2) for _ in range(3))] = _random_value(rng, values)
     return TPParams(alpha=alpha, c=params.c, d=d, f=f, k=params.k)
 
 
 def test_sparse_validation_matches_the_dense_loops():
     """Witness for witness, each residual a Scalar with the dense loops'
-    text, on integral params (joined in ints) and Gaussian ones."""
+    text, on integral params (joined in Z[i]: real and Gaussian integers)
+    and Gaussian-rational ones (joined in Scalars)."""
     rng = random.Random(41)
     seen = [0, 0, 0]
     integral = [0, 0]
