@@ -11,10 +11,11 @@ A law is a small function giving the two sides of one basis tuple from a
 set of kernels: the term functions of the definitions it uses, built by
 algebras.kernels in one coefficient type.  One driver, run_law, owns the
 budget, the RNG, the tuple stream and the Violation building for every
-checker.  Each kernel remembers its recent results for the length of one
-check, because an exhaustive check asks for the same basis-level terms
-over and over.  Each tuple is evaluated once, and a violation lifts the
-sides that evaluation computed to Scalars.
+checker.  In an exhaustive check each kernel remembers its recent results
+for the length of the check, because it asks for the same basis-level
+terms over and over; random samples seldom repeat one, so a randomized
+check calls the kernels directly.  Each tuple is evaluated once, and a
+violation lifts the sides that evaluation computed to Scalars.
 
 A law may declare slot groups in which it is alternating: permuting a
 group's arguments by sigma multiplies both sides by sgn sigma, because the
@@ -38,15 +39,14 @@ from math import comb
 from typing import NamedTuple
 
 from .algebras import Kernels, a_omega_delta, algebra_a, kernels, m_negation, omega_form
-from .elements import BasisSymbol, Element, L, M, add_terms, extend
+from .elements import Element, L, M, add_terms, extend
 from .errors import BudgetExceededError, require_budget
 from .linalg import LeadSpan
 from .scalars import from_int, lift
 
-# entries each kernel memo keeps: more than the ~12,000 distinct calls of
-# the largest exhaustive check the CLI and the benchmark run (the
-# one-third derivation on [-4,4]), and a bound of about 9 MiB on a wide
-# randomized run, where few calls repeat
+# entries each kernel memo of an exhaustive check keeps: more than the
+# ~12,000 distinct calls of the largest exhaustive check the CLI and the
+# benchmark run (the one-third derivation on [-4,4])
 MEMO_SIZE = 2**14
 
 
@@ -82,6 +82,13 @@ def window_symbols(w):
     return [L(i) for i in w.indices()] + [M(i) for i in w.indices()]
 
 
+# the L and the M symbols of DEFAULT_RANDOM_WINDOW, which _random_symbol
+# draws from
+_RANDOM_SYMBOLS = tuple(
+    tuple(family(i) for i in DEFAULT_RANDOM_WINDOW.indices()) for family in (L, M)
+)
+
+
 @dataclass(frozen=True)
 class Violation:
     inputs: tuple
@@ -108,8 +115,10 @@ class CheckReport:
 
 
 def _random_symbol(rng):
-    fam = "L" if rng.random() < 0.5 else "M"
-    return BasisSymbol(fam, rng.randint(DEFAULT_RANDOM_WINDOW.lo, DEFAULT_RANDOM_WINDOW.hi))
+    """L or M with even odds, then an index of DEFAULT_RANDOM_WINDOW: the
+    draws of BasisSymbol(family, rng.randint(lo, hi)), since randint(lo,
+    hi) and choice(seq) each take one _randbelow of the window's size."""
+    return rng.choice(_RANDOM_SYMBOLS[rng.random() >= 0.5])
 
 
 def _tuple_stream(w, arity, samples, rng):
@@ -150,7 +159,7 @@ class LawSpec(NamedTuple):
 
 
 def _memoized(k):
-    """The kernels, each remembering its results for one check."""
+    """The kernels, each remembering its results for one exhaustive check."""
     memo = functools.lru_cache(maxsize=MEMO_SIZE)
     return Kernels(k.num, *(fn and memo(fn) for fn in k[1:]))
 
@@ -243,10 +252,11 @@ def run_law(spec, defs, w, samples=None, seed=0, stop_at_first=False):
 
     `defs` maps kernel names (bracket, product, op, source) to definitions,
     evaluated on algebras.kernels(defs); violations always carry Scalar
-    witnesses.  With `samples` None the run is exhaustive over `w`, and its
-    case count is checked against the exhaustive cap; with `samples` N >= 1
-    it draws N seeded tuples from DEFAULT_RANDOM_WINDOW, `w` is not read,
-    and N is checked against the same cap.  Both checks come before
+    witnesses.  With `samples` None the run is exhaustive over `w`, its
+    case count is checked against the exhaustive cap, and the kernels are
+    memoized; with `samples` N >= 1 it draws N seeded tuples from
+    DEFAULT_RANDOM_WINDOW on the kernels as they are, `w` is not read, and
+    N is checked against the same cap.  Both checks come before
     anything is enumerated.  With `stop_at_first` the run ends at the first
     violation, unsorted.
 
@@ -273,7 +283,9 @@ def run_law(spec, defs, w, samples=None, seed=0, stop_at_first=False):
         cases_run=0,
         seed=None if samples is None else seed,
     )
-    k = _memoized(kernels(defs))
+    k = kernels(defs)
+    if samples is None:
+        k = _memoized(k)
     orbits = samples is None and all(
         getattr(d, "antisymmetric", False)
         for name, d in defs.items()
@@ -587,10 +599,20 @@ def generator_closure(bdef, gens, w, max_rounds=16, margin=None):
     coefficient type.  A round brackets the rows it started with only, so
     each result is inserted as it comes.
 
+    The closure returns at the insert that spans the last target: the
+    targets still missing are kept in order with a front index, and each
+    insert that grows the span reduces the front target, advancing while
+    it reduces to zero.  The span only grows, so each target is dropped
+    once and a round costs O(grows + targets) reductions; the rest of the
+    list is filtered once at the end of the round, giving `missing`.  The
+    result is the one a test of every target after each whole round gives.
+
     Raises BudgetExceededError before listing a window of more target
     symbols than the exhaustive budget, before a round that would bracket
-    more triples than it, and when max_rounds elapse while
-    the span is still growing short of the target.
+    more triples than it (the whole round is counted, though it may stop
+    early), when the generators alone do not span the window and
+    max_rounds is 0, and when max_rounds elapse while the span is still
+    growing short of the target.
     """
     if not gens:
         raise ValueError("generator_closure requires at least one generator")
@@ -598,18 +620,18 @@ def generator_closure(bdef, gens, w, max_rounds=16, margin=None):
         margin = w.size
     extended = Window(w.lo - margin, w.hi + margin)
     require_budget(2 * w.size, f"generator closure needs {2 * w.size} target symbols")
-    targets = window_symbols(w)
     kernel = kernels({"bracket": bdef}).bracket
     span = LeadSpan()
-
-    def missing():
-        return [t for t in targets if span.reduce({t: 1})]
-
     for g in gens:
         if g:
             span.insert(span.normalized(g.terms))
-    if not missing():
+    left = [t for t in window_symbols(w) if span.reduce({t: 1})]
+    if not left:
         return ClosureResult(True, 0, [])
+    if not max_rounds:
+        raise BudgetExceededError(
+            f"the generators alone do not span the window {w}, and max_rounds is 0"
+        )
 
     old_start = 0
     for round_no in range(1, max_rounds + 1):
@@ -618,15 +640,19 @@ def generator_closure(bdef, gens, w, max_rounds=16, margin=None):
         triples = comb(n, 3) - comb(old_start, 3)
         require_budget(triples, f"closure round {round_no} needs {triples} bracket triples")
         grew = False
+        front = 0
         for i, j in itertools.combinations(range(n), 2):
             for k in range(max(j + 1, old_start), n):
                 br = extend(kernel, snapshot[i], snapshot[j], snapshot[k])
-                if br and all(extended.contains(sym.index) for sym in br):
-                    grew = span.insert(br) or grew
+                if br and all(extended.contains(sym.index) for sym in br) and span.insert(br):
+                    grew = True
+                    while not span.reduce({left[front]: 1}):
+                        front += 1
+                        if front == len(left):
+                            return ClosureResult(True, round_no, [])
         old_start = n
-        left = missing()
-        if not left:
-            return ClosureResult(True, round_no, [])
+        # never empty: the round's last grow stopped at a target still missing
+        left = [t for t in left[front:] if span.reduce({t: 1})]
         if not grew:
             return ClosureResult(False, round_no, left)
     raise BudgetExceededError(

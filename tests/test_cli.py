@@ -868,6 +868,21 @@ def test_generators_round_over_budget_exits_2_before_bracketing(tmp_path, capsys
     )
 
 
+def test_generators_with_zero_rounds_names_the_real_cause():
+    """No round runs, so the closure is not "still growing": the
+    generators alone fall short of the window and no round is allowed."""
+    code, err = _main_on(
+        "generators",
+        dict(command="generators", algebra={"kind": "a-omega-delta"},
+             windows={"domain": [-3, 3]}, max_rounds=0),
+    )
+    assert code == 2
+    assert "Traceback" not in err
+    assert err == (
+        "error: the generators alone do not span the window [-3,3], and max_rounds is 0\n"
+    )
+
+
 @pytest.mark.parametrize(
     "algebra, windows, message",
     [
