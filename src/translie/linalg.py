@@ -24,13 +24,16 @@ keeps a row's content, which is divided out once per reduced row, so every
 pivot is primitive with a canonical lead.  math.gcd or scalars.ggcd is
 chosen once per elimination.  The RREF is unique, so the output does not
 depend on row order: the nullspace basis has one sparse vector per free
-column, normalized so its first nonzero coordinate is 1.
+column, built in Z[i] and kept, like every basis vector of a
+SolutionSpace, as its normal form, the one rows get.  A projection
+re-reduces those vectors with the same elimination, and verification
+dots them with the forms exactly in Z[i]; Scalars appear only when a
+vector is reported, divided by its value at its smallest column.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import gcd, lcm
 from typing import NamedTuple
 
@@ -134,21 +137,30 @@ class ConstraintSystem:
 
 @dataclass
 class SolutionSpace:
-    """Exact basis of a nullspace: sparse maps column -> Scalar, a column
-    being a position in unknowns, storing no zeros; nullspace and
-    project_solution return vectors that are 1 at their smallest column."""
+    """Exact basis of a nullspace: sparse maps column -> int or GaussInt, a
+    column being a position in unknowns, storing no zeros.  Each nonzero
+    vector is kept as its normal form, the one rows get: primitive over Z,
+    or over Z[i] when it has an imaginary part, canonical at its smallest
+    column.  A vector given with Scalar entries is scaled to it, so equal
+    bases span equal lines vector by vector; vector_as_dict gives a vector
+    as Scalars, 1 at its smallest column."""
 
     unknowns: list
-    basis: list  # list[dict[int, Scalar]]
+    basis: list  # list[dict[int, int | GaussInt]]
+
+    def __post_init__(self):
+        self.basis = [dict(_normal_form(vec)) if vec else {} for vec in self.basis]
 
     @property
     def dimension(self):
         return len(self.basis)
 
     def vector_as_dict(self, vector_index):
-        """One basis vector by unknown, in column order."""
+        """One basis vector by unknown, in column order, as Scalars divided
+        by its value at its smallest column."""
         vec = self.basis[vector_index]
-        return {self.unknowns[col]: vec[col] for col in sorted(vec)}
+        cols = sorted(vec)
+        return {self.unknowns[col]: ratio(vec[col], vec[cols[0]]) for col in cols}
 
     def verify_against(self, system):
         """Substitute every basis vector into every row; exact zero required."""
@@ -169,52 +181,25 @@ class SolutionSpace:
         nonzero multiple of one of them, so this checks every row.  The
         vectors are indexed by column and the forms streamed once, in
         order: a form meets only the vectors that share a column with it,
-        as the others leave it exactly zero.  The forms of an integer system
-        are checked in integers against the real and the imaginary part of
-        each vector, each scaled to integers; those of a Gaussian system in
-        Z[i] against each vector scaled to Z[i].
+        as the others leave it exactly zero.  Forms and vectors are both in
+        Z[i], so every product is exact.
         """
         col_map = [system.column_of(uid) for uid in self.unknowns]
-        by_column, owner = _column_index(self.basis, col_map, system.gaussian)
+        by_column = {}
+        for idx, vec in enumerate(self.basis):
+            for col, v in vec.items():
+                by_column.setdefault(col_map[col], []).append((idx, v))
         first = [None] * len(self.basis)
         for form, row in system.distinct.items():
             totals = {}
             for col, coeff in form:
-                for key, v in by_column.get(col, ()):
-                    total = totals.get(key)
-                    totals[key] = coeff * v if total is None else total + coeff * v
-            for key, total in totals.items():
-                if total and first[owner[key]] is None:
-                    first[owner[key]] = row
+                for idx, v in by_column.get(col, ()):
+                    total = totals.get(idx)
+                    totals[idx] = coeff * v if total is None else total + coeff * v
+            for idx, total in totals.items():
+                if total and first[idx] is None:
+                    first[idx] = row
         return first
-
-
-def _column_index(vectors, col_map, gaussian):
-    """Sparse vectors by column col_map[c] for each of their columns c:
-    ({column: [(key, value), ...]}, owner), owner[key] being the index of
-    the vector the entry belongs to.  Each vector's nonzero real and
-    imaginary parts, scaled to integers, get a key of their own; with
-    gaussian, a key is a vector index and the values are the vector
-    scaled to Z[i]."""
-    by_column = {}
-    owner = []
-    for idx, vec in enumerate(vectors):
-        parts = [_ring_part(vec)] if gaussian else [_int_part(vec, "re"), _int_part(vec, "im")]
-        for part in parts:
-            if part:
-                key = len(owner)
-                owner.append(idx)
-                for col, v in part.items():
-                    by_column.setdefault(col_map[col], []).append((key, v))
-    return by_column, owner
-
-
-def _int_part(vec, attr):
-    """Real or imaginary part of a sparse Scalar vector, times the lcm of
-    its denominators."""
-    part = {col: getattr(v, attr) for col, v in vec.items()}
-    den = lcm(*[q.denominator for q in part.values()])
-    return {col: q.numerator * (den // q.denominator) for col, q in part.items() if q}
 
 
 def _ring_part(vec):
@@ -262,7 +247,8 @@ def _normal_form(row):
 
 
 def _rref(forms, gaussian):
-    """Reduced row echelon form of the span of the forms: {lead column: row}.
+    """Reduced row echelon form of the span of the forms, each a map or
+    (column, value) pairs of ints and GaussInts: {lead column: row}.
 
     Each pivot row's smallest column is its lead, and it is zero in every
     other pivot's lead column.  Pivots are primitive over Z, or over Z[i]
@@ -367,32 +353,18 @@ class LeadSpan:
         return bool(row)
 
 
-def _monic_vector(vec, gaussian):
-    """A sparse vector as Scalars, divided by its value at its smallest
-    column: of ints or Fractions, or with gaussian, of pairs (n, d) of
-    Gaussian integers standing for n / d."""
-    first = vec[min(vec)]
-    if gaussian:
-        n0, d0 = first
-        return {col: ratio(n * d0, d * n0) for col, (n, d) in vec.items()}
-    return {col: Scalar(Fraction(v, first)) for col, v in vec.items()}
-
-
-def _forms(rows):
-    """The distinct normal forms of sparse rows, and whether one is Gaussian."""
+def rank(rows):
+    """Rank of a list of sparse rows of ints, GaussInts or Scalars
+    (non-destructive)."""
     system = ConstraintSystem()
     for row in rows:
         system.add_columns(row)
-    return list(system.distinct), system.gaussian
-
-
-def rank(rows):
-    """Rank of a list of sparse Scalar rows (non-destructive)."""
-    return len(_rref(*_forms(rows)))
+    return system.rank()
 
 
 def nullspace(system):
-    """Exact basis of {v : Av = 0} for a homogeneous ConstraintSystem.
+    """Exact basis of {v : Av = 0} for a homogeneous ConstraintSystem, one
+    normal-form vector per free column of the RREF.
 
     dimension = num_unknowns - rank(A) by construction; every basis vector
     is substituted back into every row, and a residual raises
@@ -412,10 +384,16 @@ def nullspace(system):
 
 
 def _nullspace_basis(system):
-    """One sparse vector per free column of the RREF, 1 at its smallest
-    column; the elimination's rows are released on return, before the
-    basis is verified.  The rank is at most the number of distinct forms,
-    which bounds the basis size from below before eliminating."""
+    """One sparse vector in Z[i] per free column of the RREF; the
+    elimination's rows are released on return, before the basis is
+    verified.  The rank is at most the number of distinct forms, which
+    bounds the basis size from below before eliminating.
+
+    The free column j gets m, the lcm of the leads b of the pivots it
+    appears in, and each such pivot's lead column gets -v * (m // b), v
+    being the pivot's value at j: the pivot is zero in every other lead
+    column, so the vector leaves it zero.
+    """
     n = system.num_unknowns
     least = (n - len(system.distinct)) * n
     require_budget(
@@ -430,22 +408,31 @@ def _nullspace_basis(system):
     require_budget(
         entries, f"nullspace basis needs {entries} entries ({vectors} vectors of {n} unknowns)"
     )
-    one = (1, 1) if gaussian else 1
-    free = {j: {j: one} for j in range(n) if j not in pivots}
+    divisor = ggcd if gaussian else gcd
+    scale = {j: 1 for j in range(n) if j not in pivots}
+    for lead, prow in pivots.items():
+        b = prow[lead]
+        for col in prow:
+            if col != lead:
+                m = scale[col]
+                scale[col] = m * b // divisor(m, b)
+    free = {j: {j: m} for j, m in scale.items()}
     for lead, prow in pivots.items():
         b = prow[lead]
         for col, v in prow.items():
             if col != lead:
-                free[col][lead] = (-v, b) if gaussian else Fraction(-v, b)
-    return [_monic_vector(vec, gaussian) for vec in free.values()]
+                free[col][lead] = -v * (scale[col] // b)
+    return list(free.values())
 
 
 def project_solution(space, keep):
-    """Coordinate projection of a solution space, re-reduced to a basis.
+    """Coordinate projection of a solution space, re-reduced to a basis:
+    the RREF pivots of the restricted vectors, which are normal forms.
 
     keep: iterable of UnknownId; must be a subset of space.unknowns.  The
     kept coordinates stay in their original order, and each vector is
-    restricted to them before the re-reduction.
+    restricted to them before the re-reduction, in Z[i] when one of them
+    has an imaginary part.
     """
     keep = set(keep)
     missing = keep.difference(space.unknowns)
@@ -454,11 +441,9 @@ def project_solution(space, keep):
     cols = [i for i, uid in enumerate(space.unknowns) if uid in keep]
     position = {col: j for j, col in enumerate(cols)}
     rows = [{position[c]: v for c, v in vec.items() if c in position} for vec in space.basis]
-    forms, gaussian = _forms(rows)
-    pivots = _rref(forms, gaussian)
-    if gaussian:
-        pivots = {lead: {c: (v, 1) for c, v in prow.items()} for lead, prow in pivots.items()}
+    gaussian = any(type(v) is GaussInt for row in rows for v in row.values())
+    pivots = _rref(rows, gaussian)
     return SolutionSpace(
         unknowns=[space.unknowns[i] for i in cols],
-        basis=[_monic_vector(pivots[lead], gaussian) for lead in sorted(pivots)],
+        basis=[pivots[lead] for lead in sorted(pivots)],
     )

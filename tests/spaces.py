@@ -3,14 +3,15 @@ substitution loop that SolutionSpace.residuals is checked against."""
 
 from math import lcm
 
-from translie.linalg import SolutionSpace
-from translie.scalars import ONE, ZERO
+from translie.linalg import SolutionSpace, _normal_form
+from translie.scalars import ZERO, lift
 
 
 def dense(space, idx):
-    """Basis vector idx as a list with one Scalar per unknown, zeros included."""
-    vec = space.basis[idx]
-    return [vec.get(col, ZERO) for col in range(len(space.unknowns))]
+    """Basis vector idx as reported, a list with one Scalar per unknown,
+    zeros included."""
+    vec = space.vector_as_dict(idx)
+    return [vec.get(uid, ZERO) for uid in space.unknowns]
 
 
 def assignment_space(system, assignment):
@@ -21,21 +22,23 @@ def assignment_space(system, assignment):
 
 
 def assert_sparse_basis(space):
-    """Every vector stores no zero, is 1 at its smallest column, and has
-    its columns among the space's unknowns."""
+    """Every vector stores no zero, is its own normal form (primitive over
+    Z or Z[i], canonical at its smallest column), and has its columns
+    among the space's unknowns."""
     for vec in space.basis:
         assert vec and all(vec.values())
-        assert vec[min(vec)] == ONE
+        assert dict(_normal_form(vec)) == vec
         assert all(col in range(len(space.unknowns)) for col in vec)
 
 
 def residuals_oracle(space, system):
-    """SolutionSpace.residuals by brute force: every vector, scaled to
-    Gaussian integers held as pairs of ints, is dotted with every distinct
-    form in order, in pair arithmetic."""
+    """SolutionSpace.residuals by brute force: every vector, lifted to
+    Scalars and scaled to Gaussian integers held as pairs of ints, is
+    dotted with every distinct form in order, in pair arithmetic."""
     col_map = [system.column_of(uid) for uid in space.unknowns]
     out = []
     for vec in space.basis:
+        vec = {col: lift(v) for col, v in vec.items()}
         den = lcm(*[q.denominator for v in vec.values() for q in (v.re, v.im)])
         pairs = {
             col_map[col]: (int(v.re * den), int(v.im * den)) for col, v in vec.items()

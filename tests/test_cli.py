@@ -1010,6 +1010,14 @@ MISMATCH_WINDOWS = {"domain": [-4, 4], "image": [-4, 4], "equation": [-1, 1], "c
             35,
             "c4cf7e29f41316ad4a9cf9b78e54a6923fef325a663c35449fb11977e5590368",
         ),
+        (
+            dict(
+                algebra={"kind": "a-f-k", "k": 1, "f": {"0": "1/2+i", "1": "-2/3"}},
+                windows=MISMATCH_WINDOWS,
+            ),
+            35,
+            "31256c8e72fa7a1811ab9034b8dcd221650fe1ae8fe8ebe824091b39962305a6",
+        ),
     ],
 )
 def test_mismatching_classification_reports_match_recorded_digests(doc, offending, digest):

@@ -23,6 +23,7 @@ from translie.scalars import I, Scalar, gauss, ggcd, lift, unit
 from spaces import assert_sparse_basis, dense
 
 sympy = pytest.importorskip("sympy")
+from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 sparse_rows = st.lists(
     st.dictionaries(st.integers(0, 6), st.integers(-4, 4).filter(bool), min_size=1, max_size=3),
@@ -96,7 +97,7 @@ def test_integer_gaussian_and_sympy_nullspaces_agree(case, kept):
     keep = [uid for uid, k in zip(real.unknowns, kept) if k]
     projected = project_solution(real, keep)
     turned = SolutionSpace(
-        real.unknowns, [{c: I * v for c, v in vec.items()} for vec in real.basis]
+        real.unknowns, [{c: I * lift(v) for c, v in vec.items()} for vec in real.basis]
     )
     assert project_solution(turned, keep).basis == projected.basis
     cols = [j for j in range(n) if kept[j]]
@@ -126,14 +127,15 @@ def gaussian_systems(draw):
     return n, [rows[i] for i in order]
 
 
+def _sympy_value(v):
+    v = lift(v)
+    return sympy.Rational(str(v.re)) + sympy.I * sympy.Rational(str(v.im))
+
+
 def _sympy_gaussian_basis(n, rows):
     """sympy's nullspace basis over Q(i), each vector divided by its first
     nonzero entry, as Scalars."""
-    def value(v):
-        v = lift(v)
-        return sympy.Rational(str(v.re)) + sympy.I * sympy.Rational(str(v.im))
-
-    matrix = sympy.Matrix([[value(row.get(j, 0)) for j in range(n)] for row in rows])
+    matrix = sympy.Matrix([[_sympy_value(row.get(j, 0)) for j in range(n)] for row in rows])
     basis = []
     for vec in matrix.nullspace():
         vec = [sympy.expand_complex(v) for v in vec]
@@ -143,19 +145,43 @@ def _sympy_gaussian_basis(n, rows):
     return basis
 
 
-@given(gaussian_systems())
+def _sympy_gaussian_projection(vectors, cols):
+    """The nonzero rows of sympy's RREF over Q(i) of the Scalar vectors
+    restricted to cols, as Scalars."""
+    if not vectors or not cols:
+        return []
+    matrix = sympy.Matrix([[_sympy_value(vec[c]) for c in cols] for vec in vectors])
+    reduced, pivots = DomainMatrix.from_Matrix(matrix).convert_to(sympy.QQ_I).rref()
+    reduced = reduced.to_Matrix()
+    return [
+        [Scalar(Fraction(str(sympy.re(v))), Fraction(str(sympy.im(v)))) for v in reduced.row(i)]
+        for i in range(len(pivots))
+    ]
+
+
+@given(gaussian_systems(), st.lists(st.booleans(), min_size=6, max_size=6))
 @settings(max_examples=60, deadline=None)
-def test_gaussian_integer_and_sympy_nullspaces_agree(case):
+def test_gaussian_integer_and_sympy_nullspaces_agree(case, kept):
     """A system with imaginary coefficients eliminates in Z[i]: its
-    nullspace is sympy's over the Gaussian rationals, and its rank the
-    number of independent rows."""
+    nullspace is sympy's over the Gaussian rationals, its rank the number
+    of independent rows, and a coordinate projection of it sympy's RREF
+    over the Gaussian rationals of the restricted vectors."""
     n, rows = case
     system = _system(n, rows)
     assert system.gaussian
     space = nullspace(system)
     assert_sparse_basis(space)
-    assert [dense(space, idx) for idx in range(space.dimension)] == _sympy_gaussian_basis(n, rows)
+    vectors = [dense(space, idx) for idx in range(space.dimension)]
+    assert vectors == _sympy_gaussian_basis(n, rows)
     assert rank([{c: lift(v) for c, v in row.items()} for row in rows]) + space.dimension == n
+
+    keep = [uid for uid, k in zip(space.unknowns, kept) if k]
+    projected = project_solution(space, keep)
+    assert_sparse_basis(projected)
+    cols = [j for j in range(n) if kept[j]]
+    assert [dense(projected, idx) for idx in range(projected.dimension)] == (
+        _sympy_gaussian_projection(vectors, cols)
+    )
 
 
 @given(st.one_of(systems(), gaussian_systems()))

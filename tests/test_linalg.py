@@ -16,7 +16,7 @@ from translie.linalg import (
     rank,
     unknown,
 )
-from translie.scalars import GaussInt, ONE, Scalar, ZERO
+from translie.scalars import GaussInt, ONE, Scalar, ZERO, lift
 from translie.solver import assemble_system, full_window_ansatz
 
 from spaces import assert_sparse_basis, dense, residuals_oracle
@@ -210,7 +210,7 @@ def test_verification_catches_bad_vector():
     sys_, uids = _system("xy", [{0: 1, 1: 1}])
     bad = SolutionSpace(unknowns=uids, basis=[{0: ONE, 1: ONE}])
     assert not bad.verify_against(sys_)
-    # an integer row is checked against both parts of a Gaussian vector
+    # an integer row is checked against a Gaussian vector in Z[i]
     assert not SolutionSpace(uids, [{0: ONE, 1: Scalar(-1, 1)}]).verify_against(sys_)
     assert SolutionSpace(uids, [{0: Scalar(0, 1), 1: Scalar(0, -1)}]).verify_against(sys_)
 
@@ -308,3 +308,45 @@ def test_gaussian_rational_rows():
     assert_sparse_basis(space)
     x, y = dense(space, 0)
     assert x == ONE and y == Scalar(0, -1)
+
+
+@pytest.mark.parametrize("f_zero", [Scalar(3), Scalar(1, 1)], ids=["real", "gaussian"])
+def test_a_space_stores_the_normal_form_nullspace_stores(f_zero):
+    """A space given v, v/2, i*v, (1+i)*v, or v times a rational or 1/2+i
+    as Scalars, for every vector v of a nullspace, stores that nullspace's
+    basis."""
+    system = _full_window_system(f_zero)
+    space = nullspace(system)
+    multiples = [
+        lambda v: v,
+        lambda v: lift(v) * Scalar(Fraction(1, 2)),
+        lambda v: GaussInt(0, 1) * v,
+        lambda v: GaussInt(1, 1) * v,
+        lambda v: lift(v) * Scalar(Fraction(-2, 3)),
+        lambda v: lift(v) * Scalar(Fraction(1, 2), 1),
+    ]
+    for scale in multiples:
+        given = [{col: scale(v) for col, v in vec.items()} for vec in space.basis]
+        assert SolutionSpace(space.unknowns, given).basis == space.basis
+
+
+def test_vector_as_dict_is_one_at_the_smallest_column():
+    """Real, rational and 1+i vectors are stored as normal forms and
+    reported in column order, divided by their value at their smallest
+    column."""
+    uids = [unknown("x", j) for j in range(4)]
+    space = SolutionSpace(
+        uids,
+        [
+            {3: 4, 1: -6},
+            {2: Scalar(Fraction(3, 4)), 0: Scalar(Fraction(-1, 2)), 3: Scalar(5)},
+            {2: 2, 1: GaussInt(1, 1)},
+        ],
+    )
+    assert space.basis == [{1: 3, 3: -2}, {0: 2, 2: -3, 3: -20}, {1: 1, 2: GaussInt(1, -1)}]
+    reported = [space.vector_as_dict(idx) for idx in range(space.dimension)]
+    assert [list(vec.items()) for vec in reported] == [
+        [(uids[1], ONE), (uids[3], Scalar(Fraction(-2, 3)))],
+        [(uids[0], ONE), (uids[2], Scalar(Fraction(-3, 2))), (uids[3], Scalar(-10))],
+        [(uids[1], ONE), (uids[2], Scalar(1, -1))],
+    ]
