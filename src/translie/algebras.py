@@ -21,10 +21,14 @@ All-L and all-M triples vanish in every bracket.  The a-f-k bracket is
 parameterized by an integer shift k and a nonzero linear functional f that
 vanishes on the whole L family and has finite support on the M family.
 
-Every definition gives its terms with Scalar coefficients (`terms`) and,
-when all its constants are Gaussian integers as given (`integral`), with
-coefficients in Z[i], ints and scalars.GaussInts (`int_terms`); `kernels`
-picks one of the two for a whole evaluation.
+Every definition gives its terms through one method, `terms`, reading its
+constants in their narrowest exact type, narrowed once at construction
+(scalars.narrow): the index-built structure constants are ints, and a
+value of f or of a product parameter is an int or a scalars.GaussInt when
+both its parts are integers as given (f = 1+i included), else a Scalar.
+So a definition whose constants are Gaussian integers gives coefficients
+in Z[i], and a rational constant gives Scalars in the terms it touches
+only; the types mix in arithmetic.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .elements import BasisSymbol, Element, L, M, check_index, extend
-from .scalars import Scalar, ZERO, ONE, as_int, from_int
+from .scalars import Scalar, lift, narrow
 
 A_OMEGA_DELTA = "a-omega-delta"
 OMEGA_FORM = "a-omega-delta-omega-form"
@@ -44,20 +48,16 @@ AFK = "a-f-k"
 class FiniteFunctional:
     """Linear map with value 0 on every L_r and finite support on the M_r.
 
-    `ints` holds the values in Z[i] (ints, and GaussInts for values with an
-    imaginary part), or None unless every value has integer real and
-    imaginary parts as given: f = 1+i has them, f = 1/2 and f = 1/2+i not.
+    `by_index` holds the values by index, each narrowed: an int or a
+    GaussInt when both its parts are integers as given (f = 1+i has them,
+    f = 1/2 and f = 1/2+i not), else the Scalar.  m_value gives Scalars.
     """
 
     values: tuple  # sorted tuple of (index, Scalar) pairs, all nonzero
-    # the values by index, and in Z[i] (see above), bound once
     by_index: dict = field(init=False, repr=False, compare=False)
-    ints: dict | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ints = {i: as_int(v) for i, v in self.values}
-        object.__setattr__(self, "by_index", dict(self.values))
-        object.__setattr__(self, "ints", None if None in ints.values() else ints)
+        object.__setattr__(self, "by_index", {i: narrow(v) for i, v in self.values})
 
     @staticmethod
     def from_map(mapping):
@@ -70,7 +70,7 @@ class FiniteFunctional:
         return FiniteFunctional(tuple(sorted(items)))
 
     def m_value(self, index):
-        return self.by_index.get(index, ZERO)
+        return lift(self.by_index.get(index, 0))
 
     @property
     def support(self):
@@ -84,9 +84,9 @@ def functional(mapping):
     return FiniteFunctional.from_map(mapping)
 
 
-def _bracket_terms(kind, k, f_values, num, x, y, z):
+def _bracket_terms(kind, k, f_values, x, y, z):
     """The bracket table: [x,y,z] as (coefficient, symbol) terms, f's values
-    found in f_values and every other structure constant made by num.  The
+    found in f_values and every other structure constant an int.  The
     arguments are put in canonical order x < y < z, the sign counting the
     swaps; a repeated symbol gives no terms."""
     sign = 1
@@ -103,15 +103,15 @@ def _bracket_terms(kind, k, f_values, num, x, y, z):
         return []
     if kind == A_OMEGA_DELTA:
         if fb == "L":
-            return [(num(sign * (s - r)), L(r + s + t))]
-        return [(num(sign * (s - t)), M(r + s + t))]
+            return [(sign * (s - r), L(r + s + t))]
+        return [(sign * (s - t), M(r + s + t))]
     if kind == OMEGA_FORM:
         if fb == "L":
-            return [(num(sign * (s - r)), L(r + s - t))]
-        return [(num(sign * (t - s)), M(s + t - r))]
+            return [(sign * (s - r), L(r + s - t))]
+        return [(sign * (t - s), M(s + t - r))]
     if kind == AFK:
         fv = f_values.get(t) if fb == "L" else None
-        return [(fv * num(sign * (r - s)), L(r + s + k))] if fv else []
+        return [(fv * (sign * (r - s)), L(r + s + k))] if fv else []
     raise ValueError(f"unknown bracket kind {kind!r}")
 
 
@@ -126,19 +126,10 @@ class BracketDef:
     # per orbit of argument permutations
     antisymmetric = True
 
-    @property
-    def integral(self):
-        """True when int_terms() is defined for this bracket."""
-        return self.f is None or self.f.ints is not None
-
     def terms(self, x, y, z):
-        """Bracket of three basis symbols as a list of (Scalar, symbol) terms."""
-        return _bracket_terms(self.kind, self.k, self.f and self.f.by_index, from_int, x, y, z)
-
-    def int_terms(self, x, y, z):
-        """terms() with structure constants in Z[i] (ints and GaussInts);
-        only for integral brackets."""
-        return _bracket_terms(self.kind, self.k, self.f and self.f.ints, int, x, y, z)
+        """Bracket of three basis symbols as a list of (coefficient, symbol)
+        terms."""
+        return _bracket_terms(self.kind, self.k, self.f and self.f.by_index, x, y, z)
 
 
 def a_omega_delta():
@@ -170,30 +161,18 @@ class ProductDef:
     kind: str
     params: object = None  # TPParams for kind "tp-family"
 
-    @property
-    def integral(self):
-        """True when int_terms() is defined for this product."""
-        return self.kind != TP_FAMILY or self.params.integral
-
     def terms(self, x, y):
-        """Product of two basis symbols as a list of (Scalar, symbol) terms."""
-        return self._terms(x, y, ints=False)
-
-    def int_terms(self, x, y):
-        """terms() with int coefficients; only for integral products."""
-        return self._terms(x, y, ints=True)
-
-    def _terms(self, x, y, ints):
+        """Product of two basis symbols as a list of (coefficient, symbol)
+        terms."""
         kind = self.kind
         if kind == ALGEBRA_A:
             if x.family != y.family:
                 return []
-            sym = BasisSymbol(x.family, check_index(x.index + y.index))
-            return [(1 if ints else ONE, sym)]
+            return [(1, BasisSymbol(x.family, check_index(x.index + y.index)))]
         if kind == ZERO_PRODUCT:
             return []
         if kind == TP_FAMILY:
-            return self.params.product_terms(x, y, ints)
+            return self.params.product_terms(x, y)
         raise ValueError(f"unknown product kind {kind!r}")
 
 
@@ -222,33 +201,24 @@ class LinearOperator:
     kind: str
     k: int = 0
 
-    integral = True  # every kind has int coefficients, so int_terms() is defined
-
     def terms(self, sym):
-        """Image of a basis symbol as a list of (Scalar, symbol) terms."""
-        return self._terms(sym, from_int)
-
-    def int_terms(self, sym):
-        """terms() with int coefficients; only for integral operators."""
-        return self._terms(sym, int)
-
-    def _terms(self, sym, num):
+        """Image of a basis symbol as a list of (int, symbol) terms."""
         kind = self.kind
         if kind == INDEX_SCALING:
             if sym.index == 0:
                 return []
-            return [(num(sym.index), sym)]
+            return [(sym.index, sym)]
         if kind == FAMILY_SWAP:
             fam = "M" if sym.family == "L" else "L"
-            return [(num(1), BasisSymbol(fam, check_index(-sym.index)))]
+            return [(1, BasisSymbol(fam, check_index(-sym.index)))]
         if kind == SCALED_L_SHIFT:
             if sym.family != "L" or sym.index == 0:
                 return []
-            return [(num(sym.index), L(sym.index + self.k))]
+            return [(sym.index, L(sym.index + self.k))]
         if kind == UNIFORM_SHIFT:
-            return [(num(1), BasisSymbol(sym.family, check_index(sym.index + self.k)))]
+            return [(1, BasisSymbol(sym.family, check_index(sym.index + self.k)))]
         if kind == M_NEGATION:
-            return [(num(1), M(-sym.index) if sym.family == "M" else sym)]
+            return [(1, M(-sym.index) if sym.family == "M" else sym)]
         raise ValueError(f"unknown operator kind {kind!r}")
 
     def apply(self, element):
@@ -286,10 +256,8 @@ def relabel_m_negation(element):
 
 
 class Kernels(NamedTuple):
-    """The term functions of one evaluation by kernel name, all in one
-    coefficient type; num turns an int into that type."""
+    """The term functions of one evaluation by kernel name."""
 
-    num: object
     bracket: object = None
     product: object = None
     op: object = None
@@ -297,15 +265,6 @@ class Kernels(NamedTuple):
 
 
 def kernels(defs):
-    """The one place a law's coefficient type is decided.
-
-    `defs` maps kernel names (bracket, product, op, source) to definitions.
-    When every definition is `integral` (one without that attribute is
-    not), the kernels are their int_terms with num=int, in Z[i], else their
-    Scalar terms with num=from_int.  A definition is integral only when all
-    its constants are Gaussian integers as given, so both give the same
-    values.
-    """
-    if all(getattr(d, "integral", False) for d in defs.values()):
-        return Kernels(int, **{name: d.int_terms for name, d in defs.items()})
-    return Kernels(from_int, **{name: d.terms for name, d in defs.items()})
+    """The Kernels of `defs`, a map from kernel names (bracket, product, op,
+    source) to definitions: each definition's terms."""
+    return Kernels(**{name: d.terms for name, d in defs.items()})

@@ -8,8 +8,10 @@ case count exceeds the exhaustive cap instead of silently sampling;
 randomized runs refuse a sample count over the same cap.
 
 A law is a small function giving the two sides of one basis tuple from a
-set of kernels: the term functions of the definitions it uses, built by
-algebras.kernels in one coefficient type.  One driver, run_law, owns the
+set of kernels: the term functions of the definitions it uses, gathered by
+algebras.kernels.  Its integer constants are plain ints, and the sides are
+in Z[i] where every constant the tuple meets is a Gaussian integer, with
+Scalars where a rational one enters.  One driver, run_law, owns the
 budget, the RNG, the tuple stream and the Violation building for every
 checker.  In an exhaustive check each kernel remembers its recent results
 for the length of the check, because it asks for the same basis-level
@@ -161,7 +163,7 @@ class LawSpec(NamedTuple):
 def _memoized(k):
     """The kernels, each remembering its results for one exhaustive check."""
     memo = functools.lru_cache(maxsize=MEMO_SIZE)
-    return Kernels(k.num, *(fn and memo(fn) for fn in k[1:]))
+    return Kernels(*(fn and memo(fn) for fn in k))
 
 
 def _witness(law, lhs, rhs, sign=1):
@@ -319,9 +321,9 @@ def _transposition(i, j):
 
     def sides(k, *xyz):
         lhs = {}
-        add_terms(lhs, k.num(1), k.bracket(*xyz))
+        add_terms(lhs, 1, k.bracket(*xyz))
         rhs = {}
-        add_terms(rhs, k.num(-1), k.bracket(*swap(xyz)))
+        add_terms(rhs, -1, k.bracket(*swap(xyz)))
         return lhs, rhs
 
     return Law(sides, 3, inputs=lambda xyz: (*xyz, *swap(xyz)))
@@ -370,10 +372,9 @@ def check_fundamental_identity(bdef, w, samples=None, seed=0):
 
 def _one_third_derivation(k, x, y, z):
     br, op = k.bracket, k.op
-    three = k.num(3)
     lhs = {}
     for c0, s0 in br(x, y, z):
-        add_terms(lhs, three * c0, op(s0))
+        add_terms(lhs, 3 * c0, op(s0))
     rhs = {}
     for c0, s0 in op(x):
         add_terms(rhs, c0, br(s0, y, z))
@@ -401,7 +402,7 @@ def _involution(k, x):
     lhs = {}
     for c0, s0 in k.op(x):
         add_terms(lhs, c0, k.op(s0))
-    return lhs, {x: k.num(1)}
+    return lhs, {x: 1}
 
 
 def _morphism(k, x, y):
@@ -482,10 +483,9 @@ def check_relabel_intertwining(w):
 
 def _transposed_leibniz(k, u, x, y, z):
     br, pr = k.bracket, k.product
-    three = k.num(3)
     lhs = {}
     for cb, sb in br(x, y, z):
-        add_terms(lhs, three * cb, pr(u, sb))
+        add_terms(lhs, 3 * cb, pr(u, sb))
     rhs = {}
     for cp, sp in pr(x, u):
         add_terms(rhs, cp, br(sp, y, z))
@@ -511,9 +511,9 @@ def _poisson_leibniz(k, x, y, u, v):
 
 def _commutativity(k, x, y):
     lhs = {}
-    add_terms(lhs, k.num(1), k.product(x, y))
+    add_terms(lhs, 1, k.product(x, y))
     rhs = {}
-    add_terms(rhs, k.num(1), k.product(y, x))
+    add_terms(rhs, 1, k.product(y, x))
     return lhs, rhs
 
 
@@ -592,12 +592,12 @@ def generator_closure(bdef, gens, w, max_rounds=16, margin=None):
     span, tested by exact row reduction.
 
     The span basis is a linalg LeadSpan of rows in Z[i]: each generator
-    enters as its normal form, and bracket results come in Z[i] from an
-    integral bracket's kernel, or as Scalars, which the span scales to
-    Z[i], from one with a rational constant.  A kept row is a nonzero
-    multiple of the monic row, so the result does not depend on the
-    coefficient type.  A round brackets the rows it started with only, so
-    each result is inserted as it comes.
+    enters as its normal form, and bracket results come in Z[i] where the
+    bracket's constants are Gaussian integers, with Scalars where a
+    rational value of f enters, which the span scales to Z[i].  A kept row
+    is a nonzero multiple of the monic row, so the result does not depend
+    on the coefficient type.  A round brackets the rows it started with
+    only, so each result is inserted as it comes.
 
     The closure returns at the insert that spans the last target: the
     targets still missing are kept in order with a front index, and each
@@ -620,7 +620,7 @@ def generator_closure(bdef, gens, w, max_rounds=16, margin=None):
         margin = w.size
     extended = Window(w.lo - margin, w.hi + margin)
     require_budget(2 * w.size, f"generator closure needs {2 * w.size} target symbols")
-    kernel = kernels({"bracket": bdef}).bracket
+    kernel = bdef.terms
     span = LeadSpan()
     for g in gens:
         if g:

@@ -149,9 +149,10 @@ def extend(kernel, *maps):
     kernel(*symbols) gives a list of (coefficient, symbol) terms; each map
     is symbol -> coefficient.  Returns the sparse map of the sum, over one
     symbol from each map, of the product of their coefficients times the
-    kernel's terms.  Coefficients may be Gaussian integers (ints and
-    GaussInts, mixed) or Scalars; Gaussian-integer maps also meet a Scalar
-    kernel (Scalar.__rmul__), giving Scalars.
+    kernel's terms.  Coefficients, of the maps and of the kernel alike,
+    may be ints, GaussInts and Scalars, mixed: a product or sum that meets
+    a Scalar is a Scalar, so Scalar maps (Elements) give Scalars, and
+    Gaussian-integer maps give Gaussian integers wherever the kernel does.
     """
     first, *rest = maps
     prefixes = [((sym,), coeff) for sym, coeff in first.items()]

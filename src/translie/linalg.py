@@ -141,15 +141,16 @@ class SolutionSpace:
     column being a position in unknowns, storing no zeros.  Each nonzero
     vector is kept as its normal form, the one rows get: primitive over Z,
     or over Z[i] when it has an imaginary part, canonical at its smallest
-    column.  A vector given with Scalar entries is scaled to it, so equal
-    bases span equal lines vector by vector; vector_as_dict gives a vector
-    as Scalars, 1 at its smallest column."""
+    column.  A vector given with Scalar entries is scaled to it, and zero
+    entries are dropped, so equal bases span equal lines vector by vector;
+    vector_as_dict gives a vector as Scalars, 1 at its smallest column."""
 
     unknowns: list
     basis: list  # list[dict[int, int | GaussInt]]
 
     def __post_init__(self):
-        self.basis = [dict(_normal_form(vec)) if vec else {} for vec in self.basis]
+        nonzero = ({c: v for c, v in vec.items() if v} for vec in self.basis)
+        self.basis = [dict(_normal_form(vec)) if vec else {} for vec in nonzero]
 
     @property
     def dimension(self):
@@ -342,8 +343,9 @@ class LeadSpan:
 
     def insert(self, row):
         """Reduce a row and keep its normal form; False when it was in the
-        span.  A row with Scalar values, as a kernel with a rational
-        constant gives, is replaced by its normal form first."""
+        span.  A row with Scalar values, as a bracket with a rational value
+        of f gives, is replaced by its normal form once a Scalar reaches its
+        lead: the clears before only rescale it along its line mod the span."""
         try:
             self.reduce(row)
         except TypeError:  # a Scalar

@@ -2,9 +2,10 @@
 
 A Scalar is a + b*i with a, b arbitrary-precision rationals held as
 `fractions.Fraction`, which keeps both parts in canonical reduced form
-(gcd(num, den) = 1, den > 0).  Equality is exact structural equality.
-All arithmetic is exact field arithmetic; division by zero raises the
-builtin ZeroDivisionError.
+(gcd(num, den) = 1, den > 0).  Equality is exact: a Scalar equals the int,
+Fraction or GaussInt of the same value, and hashes as it.  All arithmetic
+is exact field arithmetic; division by zero raises the builtin
+ZeroDivisionError.
 
 The Gaussian integers Z[i] are the plain ints together with GaussInt, an
 integer pair re + im*i whose im is never 0: arithmetic that cancels the
@@ -12,9 +13,15 @@ imaginary part gives a plain int, so a real value is always an int and an
 int computation never meets a GaussInt.  Z[i] is a Euclidean domain:
 `ggcd` is Euclid's algorithm with quotients rounded in integers, and every
 nonzero value has one associate (a unit multiple) with re > 0 and im >= 0,
-its canonical form.  Kernels, constraint rows and elimination run in Z[i]
-whenever the constants are Gaussian integers as given; `lift` turns a
-value into a Scalar for reports.
+its canonical form.
+
+The three types mix in + - * and /: a Scalar takes an int or a GaussInt
+on either side, lifting it, and the result is a Scalar.  A definition's
+constants are narrowed once (`narrow`): to Z[i] when both parts are
+integers, else kept as Scalars.  So kernels, constraint rows and
+elimination run in Z[i] wherever the constants are Gaussian integers as
+given, and a rational constant brings Scalars only into the terms it
+multiplies; `lift` turns a value into a Scalar for reports.
 """
 
 from __future__ import annotations
@@ -48,15 +55,21 @@ class Scalar:
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
+        if type(other) is int:
+            return Scalar(self.re + other, self.im)
         return Scalar(self.re + other.re, self.im + other.im)
 
     def __sub__(self, other):
+        if type(other) is int:
+            return Scalar(self.re - other, self.im)
         return Scalar(self.re - other.re, self.im - other.im)
 
     def __neg__(self):
         return Scalar(-self.re, -self.im)
 
     def __mul__(self, other):
+        if type(other) is int:
+            return Scalar(self.re * other, self.im * other)
         a, b, c, d = self.re, self.im, other.re, other.im
         if not b and not d:
             return Scalar(a * c, _ZERO_FRACTION)
@@ -65,6 +78,9 @@ class Scalar:
         return Scalar(a * c - b * d, a * d + b * c)
 
     def __truediv__(self, other):
+        if type(other) is int:
+            # ZeroDivisionError propagates when other == 0
+            return Scalar(self.re / other, self.im / other)
         c, d = other.re, other.im
         if not d:
             # purely real divisor; ZeroDivisionError propagates when c == 0
@@ -73,10 +89,21 @@ class Scalar:
         a, b = self.re, self.im
         return Scalar((a * c + b * d) / norm, (b * c - a * d) / norm)
 
+    # an int or a GaussInt on the left, as when Z[i] values meet a rational
+    # constant: lifted, then the Scalar method runs (called directly, so an
+    # operand lift leaves as it is fails there instead of recursing)
+
+    def __radd__(self, other):
+        return Scalar.__add__(lift(other), self)
+
+    def __rsub__(self, other):
+        return Scalar.__sub__(lift(other), self)
+
     def __rmul__(self, other):
-        # an int or GaussInt times a Scalar, as when Z[i] rows meet a kernel
-        # with a rational constant
-        return self * lift(other)
+        return Scalar.__mul__(lift(other), self)
+
+    def __rtruediv__(self, other):
+        return Scalar.__truediv__(lift(other), self)
 
     def scale_int(self, n):
         if n == 1:
@@ -86,14 +113,15 @@ class Scalar:
     # -- comparisons and hashing ------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, Scalar):
+        if isinstance(other, Scalar) or type(other) is GaussInt:
             return self.re == other.re and self.im == other.im
         if isinstance(other, (int, Fraction)):
             return self.im == 0 and self.re == other
         return NotImplemented
 
     def __hash__(self):
-        # equal to an int or a Fraction when real, so hash as that number
+        # equal to an int or a Fraction when real, so hash as that number,
+        # and to a GaussInt otherwise, which hashes as the pair of its parts
         return hash(self.re) if not self.im else hash((self.re, self.im))
 
     # -- formatting --------------------------------------------------------
@@ -148,12 +176,12 @@ I = Scalar(0, 1)
 _INT_CACHE: dict[int, Scalar] = {0: ZERO, 1: ONE, -1: MINUS_ONE}
 
 
-def as_int(v):
+def narrow(v):
     """A Scalar's value in Z[i] (an int or a GaussInt) when both its parts
-    are integers, else None."""
+    are integers, else the Scalar itself."""
     re, im = v.re, v.im
     if re.denominator != 1 or im.denominator != 1:
-        return None
+        return v
     return GaussInt(re.numerator, im.numerator) if im else re.numerator
 
 

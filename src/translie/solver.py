@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import comb
 
-from .algebras import AFK, A_OMEGA_DELTA, kernels
+from .algebras import AFK, A_OMEGA_DELTA
 from .checks import Window
 from .elements import BasisSymbol, L, M
 from .errors import EmptySystemError, require_budget
@@ -146,10 +146,10 @@ def assemble_system(bdef, ansatz, eq_window):
 
     Each basis-symbol coordinate of each qualifying relation instance
     contributes one homogeneous row, with provenance (pattern, r, s, t,
-    coordinate symbol), in the coefficient type of algebras.kernels: rows
-    in Z[i] (ints and GaussInts) when every structure constant is a
-    Gaussian integer as given, f = 1+i included, Scalar rows for a rational
-    or Gaussian-rational functional.
+    coordinate symbol), in the coefficients of the bracket's terms: in Z[i]
+    (ints and GaussInts) where every structure constant is a Gaussian
+    integer as given, f = 1+i included, with Scalars where a rational or
+    Gaussian-rational value of f enters.
 
     When the ansatz shares one image-symbol list per family
     (Ansatz.shared_images: full window), the varied-slot brackets come from
@@ -168,8 +168,7 @@ def assemble_system(bdef, ansatz, eq_window):
     system = ConstraintSystem()
     for uid in ansatz.unknown_ids():
         system.register(uid)
-    k = kernels({"bracket": bdef})
-    bracket, three = k.bracket, k.num(3)
+    bracket = bdef.terms
 
     image_cache = {}
 
@@ -205,7 +204,7 @@ def assemble_system(bdef, ansatz, eq_window):
                         if img_out is None:
                             ok = False
                             break
-                        lhs_images.append((three * coeff, img_out))
+                        lhs_images.append((3 * coeff, img_out))
                     if not ok:
                         continue
                     qualifying += 1

@@ -22,7 +22,7 @@ from .algebras import ProductDef, TP_FAMILY
 from .checks import POISSON_LEIBNIZ, run_law, window
 from .elements import L, M
 from .errors import InvalidParamsError, require_budget
-from .scalars import Scalar, ZERO, as_int, lift
+from .scalars import Scalar, ZERO, lift, narrow
 
 POISSON_AND_TRANSPOSED = "poisson-and-transposed"
 TRANSPOSED_ONLY = "transposed-only"
@@ -34,9 +34,14 @@ def _scalar(v):
 
 
 class TPParams:
-    """Product family parameters; immutable after construction."""
+    """Product family parameters; immutable after construction.
 
-    __slots__ = ("alpha", "c", "d", "f", "k", "_exact", "_ints")
+    alpha, c and d hold Scalars, as given.  `narrowed` holds the constants
+    product_terms and validate_params read, each narrowed once
+    (scalars.narrow): (alpha, c, d as {(i, j): {q: value}}, f's values).
+    """
+
+    __slots__ = ("alpha", "c", "d", "f", "k", "narrowed")
 
     def __init__(self, alpha, c, d, f, k):
         object.__setattr__(self, "alpha", _scalar(alpha))
@@ -50,32 +55,15 @@ class TPParams:
             if v:
                 key = (int(i), int(j), int(q))
                 clean[key] = v
-                pairs.setdefault(key[:2], {})[key[2]] = v
+                pairs.setdefault(key[:2], {})[key[2]] = narrow(v)
         object.__setattr__(self, "d", clean)
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "k", int(k))
-        # the constants product_terms reads, as Scalars and, when every one
-        # is a Gaussian integer as given, in Z[i]
-        exact = (self.alpha, self.c, pairs, f.by_index)
-        ints = None
-        values = [self.alpha, *self.c.values(), *clean.values()]
-        if f.ints is not None and all(as_int(v) is not None for v in values):
-            ints = (
-                as_int(self.alpha),
-                {p: as_int(v) for p, v in self.c.items()},
-                {ij: {q: as_int(v) for q, v in row.items()} for ij, row in pairs.items()},
-                f.ints,
-            )
-        object.__setattr__(self, "_exact", exact)
-        object.__setattr__(self, "_ints", ints)
+        c_values = {p: narrow(v) for p, v in self.c.items()}
+        object.__setattr__(self, "narrowed", (narrow(self.alpha), c_values, pairs, f.by_index))
 
     def __setattr__(self, name, value):
         raise AttributeError("TPParams is immutable")
-
-    @property
-    def integral(self):
-        """True when every product constant is a Gaussian integer as given."""
-        return self._ints is not None
 
     def support_indices(self):
         idx = set(self.f.support)
@@ -84,10 +72,10 @@ class TPParams:
             idx.update((i, j, q))
         return sorted(idx) if idx else [0]
 
-    def product_terms(self, x, y, ints=False):
-        """Product of two basis symbols as (Scalar, symbol) terms, or with
-        coefficients in Z[i] when `ints` (integral params only)."""
-        alpha, c, pairs, f_values = self._ints if ints else self._exact
+    def product_terms(self, x, y):
+        """Product of two basis symbols as (coefficient, symbol) terms, the
+        coefficients made from the narrowed constants."""
+        alpha, c, pairs, f_values = self.narrowed
         if x.family == "L" and y.family == "L":
             return []
         if x.family == "M" and y.family == "M":
@@ -130,12 +118,12 @@ def validate_params(params):
 
     Every term of the laws has a factor of d, or of alpha f(M_i) f(M_j), so
     each law is checked only where d's entries and f's support reach, by
-    sparse joins listing witnesses in sorted index order, in Z[i] when the
-    params are integral (a witness's residual is a Scalar either way).  The
-    work of each join is checked against the budget before it runs: the
-    weighted sums meet at most |supp f|^2 pairs beyond d's, and the exchange
-    join makes one product per d entry (a,b,q) and entry of d(q,.,.), a
-    count read off d in O(|d|).
+    sparse joins listing witnesses in sorted index order, on the narrowed
+    constants (in Z[i] where they are Gaussian integers), each witness's
+    residual lifted to a Scalar.  The work of each join is checked against
+    the budget before it runs: the weighted sums meet at most |supp f|^2
+    pairs beyond d's, and the exchange join makes one product per d entry
+    (a,b,q) and entry of d(q,.,.), a count read off d in O(|d|).
     """
     report = TPValidationReport()
     support = params.f.support
@@ -151,11 +139,9 @@ def validate_params(params):
         f"exchange identity needs {products} products of d entries over "
         f"{len(params.d)} entries",
     )
-    # d as {(i, j): {q: value}}, and the constants, in Z[i] when integral
-    alpha, _, pairs, f_values = params._ints if params.integral else params._exact
-    zero = 0 if params.integral else ZERO
+    alpha, _, pairs, f_values = params.narrowed
     for i, j, q in sorted({(min(i, j), max(i, j), q) for i, j, q in params.d}):
-        residual = pairs.get((i, j), {}).get(q, zero) - pairs.get((j, i), {}).get(q, zero)
+        residual = pairs.get((i, j), {}).get(q, 0) - pairs.get((j, i), {}).get(q, 0)
         if residual:
             report.eq_symmetry_violations.append(((i, j, q), _scalar(residual)))
 
@@ -163,10 +149,10 @@ def validate_params(params):
     if alpha:
         candidates.update((i, j) for i in support for j in support)
     for i, j in sorted(candidates):
-        total = zero
+        total = 0
         for q, v in pairs.get((i, j), {}).items():
-            total = total + f_values.get(q, zero) * v
-        residual = total - alpha * f_values.get(i, zero) * f_values.get(j, zero)
+            total = total + f_values.get(q, 0) * v
+        residual = total - alpha * f_values.get(i, 0) * f_values.get(j, 0)
         if residual:
             report.eq_weighted_sum_violations.append(((i, j), _scalar(residual)))
 
@@ -180,8 +166,8 @@ def validate_params(params):
         for q, v in row.items():
             for c, out in by_first.get(q, ()):
                 for p, w in out.items():
-                    sums[a, b, c, p] = sums.get((a, b, c, p), zero) + v * w
-                    sums[c, a, b, p] = sums.get((c, a, b, p), zero) - v * w
+                    sums[a, b, c, p] = sums.get((a, b, c, p), 0) + v * w
+                    sums[c, a, b, p] = sums.get((c, a, b, p), 0) - v * w
     report.eq_exchange_violations = [(key, _scalar(v)) for key, v in sorted(sums.items()) if v]
     return report
 

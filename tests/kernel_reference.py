@@ -30,9 +30,9 @@ def _sort3(a, b, c):
     return a, b, c, sign
 
 
-def _bracket_terms(kind, k, f_values, num, x, y, z):
+def _bracket_terms(kind, k, f_values, x, y, z):
     """The bracket table: [x,y,z] as (coefficient, symbol) terms, f's values
-    found in f_values and every other structure constant made by num."""
+    found in f_values and every other structure constant an int."""
     if x == y or y == z or x == z:
         return []
     a, b, c, sign = _sort3(x, y, z)
@@ -41,13 +41,13 @@ def _bracket_terms(kind, k, f_values, num, x, y, z):
     r, s, t = a.index, b.index, c.index
     if kind == A_OMEGA_DELTA:
         if b.family == "L":
-            return [(num(sign * (s - r)), L(r + s + t))]
-        return [(num(sign * (s - t)), M(r + s + t))]
+            return [(sign * (s - r), L(r + s + t))]
+        return [(sign * (s - t), M(r + s + t))]
     if kind == OMEGA_FORM:
         if b.family == "L":
-            return [(num(sign * (s - r)), L(r + s - t))]
-        return [(num(sign * (t - s)), M(s + t - r))]
+            return [(sign * (s - r), L(r + s - t))]
+        return [(sign * (t - s), M(s + t - r))]
     if kind == AFK:
         fv = f_values.get(t) if b.family == "L" else None
-        return [(fv * num(sign * (r - s)), L(r + s + k))] if fv else []
+        return [(fv * (sign * (r - s)), L(r + s + k))] if fv else []
     raise ValueError(f"unknown bracket kind {kind!r}")

@@ -342,6 +342,25 @@ BATTERY = (
             "tp_params": {"example_family": {"d_seq": {"1": "3"}}},
         },
     ),
+    # a mixed f, f(M_0) = 1/2 outside Z[i] and f(M_1) = 2 in it: one kernel
+    # gives ints and Scalars, and one system rows of both
+    (
+        "check-laws",
+        {
+            "algebra": {"kind": "a-f-k", "k": 1, "f": {"0": "1/2", "1": "2"}},
+            "windows": {"domain": [-3, 3], "equation": [-2, 2]},
+            "mode": "randomized",
+            "budget": 2000,
+            "seed": 11,
+        },
+    ),
+    (
+        "solve-derivations",
+        {
+            "algebra": {"kind": "a-f-k", "k": 1, "f": {"0": "1/2", "1": "2"}},
+            "windows": {"domain": [-4, 4], "equation": [-4, 4], "core": [-2, 2], "image": [-4, 4]},
+        },
+    ),
 )
 
 # sha256 of each BATTERY report, in BATTERY order; a change to any report
@@ -363,6 +382,8 @@ BATTERY_SHA256 = (
     "ee1c448e07782506f7e6858722091ddf857f1bb2e966e3cab00e4cdae9313f54",
     "20b7c6234cca5b137b107cada7de63f43ed9966ed840f00b626b0373bf9f2b6c",
     "3935df596c98d78b8f853cc94afa11626b77deda708d7b4ec46c0d7f7783797c",
+    "a19ae3f9e8c8ea7ea87e5598c3defc6af04f4ae62c2f0cc6799b7db2681bbe3e",
+    "5262a631221464548c68e0688fb9ff5dc684da318c055eb448203da716b366db",
 )
 
 

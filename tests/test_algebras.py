@@ -21,7 +21,7 @@ from translie.algebras import (
 from translie.checks import window, window_symbols
 from translie.elements import MAX_INDEX, BasisSymbol, Element, L, M
 from translie.errors import IndexOverflowError
-from translie.scalars import GaussInt, Scalar, from_int
+from translie.scalars import GaussInt, Scalar, from_int, lift
 
 from families import ScalarMultiple, TableOperator
 from kernel_reference import _bracket_terms as reference_kernel
@@ -75,21 +75,9 @@ def test_unshifted_form_bracket():
     assert ev(bdef, L(3), M(1), M(4)) == Element({M(2): Scalar(3)})
 
 
-@pytest.mark.parametrize(
-    "bdef",
-    [a_omega_delta(), omega_form(), afk(2, functional({0: 2, 1: -3, 3: 5}))],
-    ids=["a-omega-delta", "omega-form", "a-f-k"],
-)
-def test_int_terms_are_terms(bdef):
-    """The integer structure constants are terms()'s values on every triple."""
-    symbols = window_symbols(window(-3, 3))
-    for x, y, z in itertools.product(symbols, repeat=3):
-        assert [(Scalar(c), sym) for c, sym in bdef.int_terms(x, y, z)] == bdef.terms(x, y, z)
-
-
-# The bracket written out twice, once per coefficient type, with its own
-# dispatch in each: the oracle for the one table behind terms() and
-# int_terms().
+# The bracket written out twice, once in Scalars and once on the narrowed
+# values of f, each with its own dispatch: the oracles for the one table
+# behind terms().
 
 
 def reference_terms(bdef, x, y, z):
@@ -118,7 +106,7 @@ def reference_terms(bdef, x, y, z):
     return []
 
 
-def reference_int_terms(bdef, x, y, z):
+def reference_narrowed_terms(bdef, x, y, z):
     if x == y or y == z or x == z:
         return []
     a, b, c, sign = _sort3(x, y, z)
@@ -133,7 +121,7 @@ def reference_int_terms(bdef, x, y, z):
         if b.family == "L":
             return [(sign * (s - r), L(r + s - t))]
         return [(sign * (t - s), M(s + t - r))]
-    fv = bdef.f.ints.get(t) if b.family == "L" else None
+    fv = bdef.f.by_index.get(t) if b.family == "L" else None
     return [(fv * sign * (r - s), L(r + s + bdef.k))] if fv else []
 
 
@@ -147,24 +135,30 @@ def typed(terms):
     + [
         afk(k, functional(f))
         for k in (-2, 0, 3)
-        for f in ({0: 1}, {0: "1/2", 1: "-2/3", -3: 5}, {0: Scalar(1, 1), 1: 2})
+        for f in (
+            {0: 1},
+            {0: 2, 1: -3, 3: 5},
+            {0: "1/2", 1: "-2/3", -3: 5},
+            {0: Scalar(1, 1), 1: 2},
+            {0: "1/2", 1: 2},
+        )
     ],
     ids=["a-omega-delta", "omega-form"]
-    + [f"a-f-k-{k}-{f}" for k in (-2, 0, 3) for f in ("one", "fractional", "gaussian")],
+    + [
+        f"a-f-k-{k}-{f}"
+        for k in (-2, 0, 3)
+        for f in ("one", "int", "fractional", "gaussian", "mixed")
+    ],
 )
 def test_bracket_table_matches_the_hand_written_tables(bdef):
-    """terms() and int_terms() give the lists, coefficient types included,
-    of the two tables they replace, on every ordered triple of [-4,4]."""
+    """terms() gives the lists, coefficient types included, of the table on
+    the narrowed values of f, and the values of the Scalar table, on every
+    ordered triple of [-4,4]."""
     symbols = window_symbols(window(-4, 4))
     for x, y, z in itertools.product(symbols, repeat=3):
-        assert typed(bdef.terms(x, y, z)) == typed(reference_terms(bdef, x, y, z))
-        if bdef.integral:
-            assert typed(bdef.int_terms(x, y, z)) == typed(reference_int_terms(bdef, x, y, z))
-    # a Z[i] form exactly when every structure constant is a Gaussian integer as given
-    assert bdef.integral == (
-        bdef.f is None
-        or all(v.re.denominator == 1 and v.im.denominator == 1 for _, v in bdef.f.values)
-    )
+        terms = bdef.terms(x, y, z)
+        assert typed(terms) == typed(reference_narrowed_terms(bdef, x, y, z))
+        assert [(lift(c), sym) for c, sym in terms] == reference_terms(bdef, x, y, z)
 
 
 KERNEL_BRACKETS = {
@@ -190,13 +184,9 @@ def _kernel_outcomes(kernel, x, y, z):
 
 
 def _kernels(bdef):
-    """(kernel, reference) pairs: terms(), and int_terms() when integral."""
-    reference = partial(reference_kernel, bdef.kind, bdef.k)
+    """(kernel, reference): terms() and the table that sorts through _sort3."""
     f = bdef.f
-    pairs = [(bdef.terms, partial(reference, f and f.by_index, from_int))]
-    if bdef.integral:
-        pairs.append((bdef.int_terms, partial(reference, f and f.ints, int)))
-    return pairs
+    return bdef.terms, partial(reference_kernel, bdef.kind, bdef.k, f and f.by_index)
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_BRACKETS))
@@ -211,26 +201,28 @@ def test_bracket_kernel_matches_its_previous_form(name):
     raised = 0
     for symbols in (window_symbols(window(-4, 4)), edge_symbols):
         for x, y, z in itertools.product(symbols, repeat=3):
-            for pair in _kernels(bdef):
-                new, old = _kernel_outcomes(pair, x, y, z)
-                assert new == old, (x, y, z)
-                raised += isinstance(new, tuple)
+            new, old = _kernel_outcomes(_kernels(bdef), x, y, z)
+            assert new == old, (x, y, z)
+            raised += isinstance(new, tuple)
     assert raised > 0
     shifted = afk(MAX_INDEX, functional({0: 1}))
-    for pair in _kernels(shifted):
-        assert _kernel_outcomes(pair, L(0), L(1), M(0)) == [
-            ("IndexOverflowError", f"basis index {MAX_INDEX + 1} out of range")
-        ] * 2
+    assert _kernel_outcomes(_kernels(shifted), L(0), L(1), M(0)) == [
+        ("IndexOverflowError", f"basis index {MAX_INDEX + 1} out of range")
+    ] * 2
 
 
-def test_gaussian_integer_functional_has_int_terms():
-    """f = 1+i has Gaussian-integer values, so its bracket has int_terms in
-    Z[i]; f = 1/2+i has none."""
-    bdef = afk(0, functional({0: Scalar(1, 1), 1: 2}))
-    assert bdef.f.ints == {0: GaussInt(1, 1), 1: 2} and bdef.integral
-    assert bdef.int_terms(L(1), L(2), M(0)) == [(GaussInt(-1, -1), L(3))]
-    rational = afk(0, functional({0: Scalar(Fraction(1, 2), 1)}))
-    assert rational.f.ints is None and not rational.integral
+def test_functional_values_are_narrowed_once():
+    """f's values are kept as Gaussian integers where both parts are
+    integers, f = 1+i included, and as Scalars elsewhere, so one bracket
+    gives both; m_value gives Scalars either way."""
+    bdef = afk(0, functional({0: Scalar(1, 1), 1: 2, 2: "1/2"}))
+    assert bdef.f.by_index == {0: GaussInt(1, 1), 1: 2, 2: Scalar(Fraction(1, 2))}
+    assert [type(v) for v in bdef.f.by_index.values()] == [GaussInt, int, Scalar]
+    assert typed(bdef.terms(L(1), L(2), M(0))) == [(GaussInt, GaussInt(-1, -1), L(3))]
+    assert typed(bdef.terms(L(1), L(2), M(1))) == [(int, -2, L(3))]
+    assert typed(bdef.terms(L(1), L(2), M(2))) == [(Scalar, Scalar(Fraction(-1, 2)), L(3))]
+    assert [type(bdef.f.m_value(t)) for t in range(4)] == [Scalar] * 4
+    assert bdef.f.m_value(0) == Scalar(1, 1) and bdef.f.m_value(3) == 0
 
 
 def test_bracket_trilinear_on_elements():

@@ -14,6 +14,7 @@ from translie.algebras import (
     zero_product,
 )
 from translie.checks import (
+    ONE_THIRD_DERIVATION,
     check_commutative_associative,
     check_derivation,
     check_fundamental_identity,
@@ -24,6 +25,7 @@ from translie.checks import (
     check_skew_symmetry,
     check_tp_compatibility,
     generator_closure,
+    run_law,
     window,
 )
 from translie.elements import Element, L, M
@@ -204,15 +206,25 @@ def test_commutative_associative_base_product():
 
 
 def test_each_failing_tuple_is_evaluated_once():
-    """A violation is built from the sides its case computed on the
-    integer kernels: no Scalar terms() call rebuilds it, and its witness
-    is in Scalars all the same."""
-    bracket, op = Counting(a_omega_delta()), Counting(index_scaling())
-    report = check_one_third_derivation(bracket, op, window(-1, 1))
-    assert len(report.violations) == 72
-    assert bracket.calls["terms"] == op.calls["terms"] == 0
-    assert bracket.calls["int_terms"] > 0 and op.calls["int_terms"] > 0
-    assert report == check_one_third_derivation(a_omega_delta(), index_scaling(), window(-1, 1))
+    """A violation is built from the sides its case computed, on the
+    integer terms: no tuple's law is evaluated twice, and the witness is in
+    Scalars all the same."""
+    evaluated = []
+
+    def sides(k, *xyz):
+        evaluated.append(xyz)
+        return ONE_THIRD_DERIVATION.parts[0][0].sides(k, *xyz)
+
+    spec = ONE_THIRD_DERIVATION._replace(
+        parts=((ONE_THIRD_DERIVATION.parts[0][0]._replace(sides=sides),),)
+    )
+    for bracket in (a_omega_delta(), Counting(a_omega_delta())):
+        evaluated.clear()
+        defs = {"bracket": bracket, "op": index_scaling()}
+        report = run_law(spec, defs, window(-1, 1))
+        assert len(report.violations) == 72
+        assert len(evaluated) == len(set(evaluated)) > 0
+        assert report == check_one_third_derivation(a_omega_delta(), index_scaling(), window(-1, 1))
     assert all(
         type(c) is Scalar
         for v in report.violations
@@ -289,7 +301,7 @@ def test_generator_closure_round_budget():
     with pytest.raises(BudgetExceededError) as exc:
         generator_closure(counting, gens, window(-1, 1))
     assert str(exc.value) == "closure round 1 needs 2001460 bracket triples, budget is 2000000"
-    assert counting.calls == {"terms": 0, "int_terms": 0}
+    assert counting.calls == 0
 
 
 # Closure results recorded with the Element-row closure this one replaced,
@@ -435,28 +447,6 @@ def test_generator_closure_matches_recorded_results(case):
     )
     spanned, rounds_used, missing = CLOSURE_EXPECTED[case]
     assert result == (spanned, rounds_used, [_symbol(t) for t in missing.split()])
-
-
-@pytest.mark.parametrize(
-    "bracket, gens, kernel",
-    [
-        ("a-omega-delta", "fractional", "int_terms"),
-        ("afk-half", "sparse-fractional", "terms"),
-        ("afk-half", "gaussian", "terms"),
-        ("a-omega-delta", "gaussian", "int_terms"),
-        ("afk-gauss", "standard", "int_terms"),
-        ("afk-gauss", "gaussian", "int_terms"),
-    ],
-)
-def test_generator_closure_kernel_follows_the_coefficients(bracket, gens, kernel):
-    """The generators enter the span as rows in Z[i] whatever their
-    coefficients, so the bracket alone picks the kernel: Z[i] structure
-    constants (f = 1+i included) serve every generator, and a functional
-    with a non-integer value needs Scalars."""
-    counting = Counting(CLOSURE_BRACKETS[bracket])
-    generator_closure(counting, CLOSURE_GENS[gens], window(-3, 3), max_rounds=6)
-    assert counting.calls[kernel] > 0
-    assert sum(counting.calls.values()) == counting.calls[kernel]
 
 
 def _symbol(text):

@@ -244,17 +244,20 @@ def _full_window_system(f_zero):
 def test_residuals_match_the_oracle_on_full_window_systems(f_zero):
     """The column-indexed loop and the all-rows loop agree on a solved
     many-vector space and on the same space with every vector perturbed
-    at one coordinate."""
+    at a coordinate it has and, for two vectors in three, at one it may
+    lack."""
     system = _full_window_system(f_zero)
     space = nullspace(system)
     assert space.dimension > 50
     assert space.residuals(system) == residuals_oracle(space, system) == [None] * space.dimension
     n = system.num_unknowns
-    perturbed = SolutionSpace(
-        space.unknowns,
-        [{**vec, (7 * i) % n: vec.get((7 * i) % n, ZERO) + Scalar(1, i % 2)}
-         for i, vec in enumerate(space.basis)],
-    )
+
+    def perturb(i, vec):
+        own = sorted(vec)[i % len(vec)]
+        cols = {own, (7 * i) % n} if i % 3 else {own}
+        return {**vec, **{c: vec.get(c, 0) + Scalar(1, i % 2) for c in cols}}
+
+    perturbed = SolutionSpace(space.unknowns, [perturb(i, vec) for i, vec in enumerate(space.basis)])
     expected = residuals_oracle(perturbed, system)
     assert perturbed.residuals(system) == expected
     assert sum(row is not None for row in expected) > space.dimension // 2
@@ -328,6 +331,16 @@ def test_a_space_stores_the_normal_form_nullspace_stores(f_zero):
     for scale in multiples:
         given = [{col: scale(v) for col, v in vec.items()} for vec in space.basis]
         assert SolutionSpace(space.unknowns, given).basis == space.basis
+
+
+def test_a_space_drops_zero_entries():
+    """A vector given with a zero entry, of any coefficient type, is stored
+    and reported without it; an all-zero vector is stored empty."""
+    uids = [unknown("x", j) for j in range(3)]
+    space = SolutionSpace(uids, [{0: Scalar(0), 1: ONE}, {0: 0, 2: GaussInt(1, 1)}, {1: ZERO}])
+    assert space.basis == [{1: 1}, {2: 1}, {}]
+    assert space.vector_as_dict(0) == {uids[1]: ONE}
+    assert space.vector_as_dict(1) == {uids[2]: ONE}
 
 
 def test_vector_as_dict_is_one_at_the_smallest_column():

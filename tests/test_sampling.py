@@ -87,7 +87,7 @@ def test_a_randomized_run_calls_the_kernels_without_a_memo(monkeypatch):
     counting = Counting(a_omega_delta())
     report = run_law(TWICE, {"bracket": counting}, window(0, 0), samples=500, seed=5)
     assert report.passed and report.cases_run == 500
-    assert counting.calls == {"terms": 0, "int_terms": 1000}
+    assert counting.calls == 1000
 
     def no_memo(k):
         raise AssertionError("a randomized run memoized its kernels")
@@ -102,4 +102,4 @@ def test_an_exhaustive_run_memoizes_its_kernels():
     w = window(-1, 1)
     report = run_law(TWICE, {"bracket": counting}, w)
     assert report.cases_run == 6**3
-    assert counting.calls == {"terms": 0, "int_terms": 6**3}
+    assert counting.calls == 6**3

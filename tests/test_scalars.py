@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ from translie import linalg
 from translie.elements import Element, L
 from translie.linalg import ConstraintSystem
 from translie.scalars import (
-    I, ONE, GaussInt, Scalar, ZERO, from_int, gauss, ggcd, lift, unit
+    I, ONE, GaussInt, Scalar, ZERO, from_int, gauss, ggcd, lift, narrow, unit
 )
 
 
@@ -101,7 +102,8 @@ _RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=4)
 @st.composite
 def _equal_numbers(draw):
     """Two forms of one number: a Scalar, and when it is real the Fraction,
-    and when it is an integer the int."""
+    and when it is an integer the int; when it is a Gaussian integer off the
+    real line, the GaussInt."""
     re = draw(_RATIONALS)
     im = draw(st.one_of(st.just(Fraction(0)), _RATIONALS))
     forms = [Scalar(re, im)]
@@ -109,10 +111,14 @@ def _equal_numbers(draw):
         forms.append(re)
         if re.denominator == 1:
             forms.append(int(re))
+    elif re.denominator == im.denominator == 1:
+        forms.append(GaussInt(int(re), int(im)))
     return draw(st.sampled_from(forms)), draw(st.sampled_from(forms))
 
 
-_NUMBERS = st.one_of(st.integers(-4, 4), _RATIONALS, st.builds(Scalar, _RATIONALS, _RATIONALS))
+_SCALARS = st.builds(Scalar, _RATIONALS, _RATIONALS)
+_GAUSSIAN_INTS = st.builds(gauss, st.integers(-4, 4), st.integers(-4, 4))
+_NUMBERS = st.one_of(st.integers(-4, 4), _RATIONALS, _SCALARS, _GAUSSIAN_INTS)
 
 
 @given(st.one_of(_equal_numbers(), st.tuples(_NUMBERS, _NUMBERS)))
@@ -124,10 +130,39 @@ def test_equal_numbers_have_equal_hashes(pair):
         assert hash(a) == hash(b)
 
 
-def test_a_real_scalar_is_one_set_member_with_its_number():
+def test_a_scalar_is_one_set_member_with_its_number():
     assert len({1, Scalar(1)}) == 1
     assert len({Fraction(1, 2), Scalar(Fraction(1, 2))}) == 1
+    assert len({GaussInt(2, -3), Scalar(2, -3)}) == 1
     assert hash(Element({L(0): 1})) == hash(Element({L(0): Scalar(1)}))
+
+
+@given(_SCALARS, st.one_of(st.integers(-4, 4), _GAUSSIAN_INTS, _SCALARS), st.booleans())
+def test_mixed_arithmetic_matches_the_scalar_computation(scalar, other, scalar_first):
+    """With a Scalar on either side and an int, a GaussInt or a Scalar on
+    the other, + - * and / give the Scalar the all-Scalar computation
+    gives; dividing by zero raises ZeroDivisionError either way."""
+    a, b = (scalar, other) if scalar_first else (other, scalar)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        if op is operator.truediv and not b:
+            for x, y in ((a, b), (lift(a), lift(b))):
+                with pytest.raises(ZeroDivisionError):
+                    op(x, y)
+            continue
+        got = op(a, b)
+        assert type(got) is Scalar and got == op(lift(a), lift(b)), op
+
+
+@given(_SCALARS)
+def test_narrow_keeps_the_value_in_the_narrowest_exact_type(v):
+    """An int or a GaussInt when both parts are integers (an int when the
+    imaginary part is 0), else the Scalar itself."""
+    n = narrow(v)
+    assert lift(n) == v
+    if v.re.denominator == v.im.denominator == 1:
+        assert type(n) is (GaussInt if v.im else int)
+    else:
+        assert n is v
 
 
 # ---------------------------------------------------------------------------

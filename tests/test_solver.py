@@ -29,7 +29,6 @@ from translie.solver import (
 )
 
 from families import (
-    Counting,
     afk_family_operator,
     full_window_family_assignment,
     graded_family_assignment,
@@ -207,10 +206,7 @@ def _reference_assembly(bdef, ansatz, eq_window):
     system = ConstraintSystem()
     for uid in ansatz.unknown_ids():
         system.register(uid)
-    if bdef.integral:
-        bracket, three = bdef.int_terms, 3
-    else:
-        bracket, three = bdef.terms, Scalar(3)
+    bracket = bdef.terms
     lo, hi = eq_window.lo, eq_window.hi + 1
     for pattern_name, (fx, fy, fz) in _PATTERNS:
         for r in range(lo, hi):
@@ -228,7 +224,7 @@ def _reference_assembly(bdef, ansatz, eq_window):
                     img_z = ansatz.images(z)
                     if img_z is None:
                         continue
-                    lhs = [(three * coeff, ansatz.images(out)) for coeff, out in bracket(x, y, z)]
+                    lhs = [(3 * coeff, ansatz.images(out)) for coeff, out in bracket(x, y, z)]
                     if any(img_out is None for _, img_out in lhs):
                         continue
                     form = {}
@@ -321,27 +317,6 @@ def test_assembly_refuses_too_many_unknowns_before_registering(monkeypatch):
     with pytest.raises(BudgetExceededError) as exc:
         assemble_system(afk(1, functional({0: 1})), ansatz, window(-1, 1))
     assert str(exc.value) == "ansatz needs 4008004 unknowns, budget is 2000000"
-
-
-@pytest.mark.parametrize(
-    "bdef, kernel",
-    [
-        (a_omega_delta(), "int_terms"),
-        (afk(1, functional({0: 2, 1: -3})), "int_terms"),
-        (afk(1, functional({0: "1/2", 1: "-2/3"})), "terms"),
-        (afk(1, functional({0: Scalar(1, 1)})), "int_terms"),
-        (afk(1, functional({0: Scalar.parse("1/2+i")})), "terms"),
-    ],
-    ids=["a-omega-delta", "afk-int", "afk-rational", "afk-gaussian", "afk-gaussian-rational"],
-)
-def test_assembly_kernel_follows_the_coefficients(bdef, kernel):
-    """Gaussian-integer structure constants (f = 1+i included) give rows in
-    Z[i] through int_terms; a rational or Gaussian-rational functional
-    needs Scalars through terms."""
-    counting = Counting(bdef)
-    assemble_system(counting, ansatz_for(bdef, window(-2, 2)), window(-2, 2))
-    assert counting.calls[kernel] > 0
-    assert sum(counting.calls.values()) == counting.calls[kernel]
 
 
 def test_ansatz_for_pairs_each_algebra_with_its_kind():

@@ -324,8 +324,9 @@ def _random_params(rng):
 
 def test_sparse_validation_matches_the_dense_loops():
     """Witness for witness, each residual a Scalar with the dense loops'
-    text, on integral params (joined in Z[i]: real and Gaussian integers)
-    and Gaussian-rational ones (joined in Scalars)."""
+    text, on params whose constants are all Gaussian integers (joined in
+    Z[i]: real and Gaussian integers) and on ones with a Gaussian-rational
+    constant (joined in Scalars where it enters)."""
     rng = random.Random(41)
     seen = [0, 0, 0]
     integral = [0, 0]
@@ -343,7 +344,10 @@ def test_sparse_validation_matches_the_dense_loops():
             assert all(type(v) is Scalar for _, v in found)
             assert [(key, str(v)) for key, v in found] == [(key, str(v)) for key, v in expected]
         seen = [n + bool(violations) for n, violations in zip(seen, lists)]
-        integral[params.integral] += not report.is_valid
+        alpha, c, pairs, f_values = params.narrowed
+        constants = [alpha, *c.values(), *f_values.values()]
+        constants += [v for row in pairs.values() for v in row.values()]
+        integral[all(type(v) is not Scalar for v in constants)] += not report.is_valid
     assert all(n >= 5 for n in seen), seen
     assert all(n >= 5 for n in integral), integral
 
