@@ -12,8 +12,9 @@ set of kernels: the term functions of the definitions it uses, gathered by
 algebras.kernels.  Its integer constants are plain ints, and the sides are
 in Z[i] where every constant the tuple meets is a Gaussian integer, with
 Scalars where a rational one enters.  One driver, run_law, owns the
-budget, the RNG, the tuple stream and the Violation building for every
-checker.  In an exhaustive check each kernel remembers its recent results
+budget, the RNG and the Violation building for every checker, with one
+loop per part of a law: over the seeded samples, or over the tuples of
+the window.  In an exhaustive check each kernel remembers its recent results
 for the length of the check, because it asks for the same basis-level
 terms over and over; random samples seldom repeat one, so a randomized
 check calls the kernels directly.  Each tuple is evaluated once, and a
@@ -25,9 +26,10 @@ bracket is.  The fundamental identity declares (x,y) and (u,v,t), the
 1/3-derivation law and relabel-intertwining (x,y,z), transposed Leibniz
 (x,y,z) and Poisson-Leibniz (x,y); skew-symmetry declares none, since it
 tests that premise.  When every bracket the law reads declares itself
-antisymmetric, an exhaustive run evaluates one tuple per orbit, the one
+antisymmetric, an exhaustive run lists one tuple per orbit, the one
 increasing within each group, and replays a failure onto the orbit with
-signed sides.  Case counts and the budget still count ordered tuples, so
+signed sides; otherwise it lists every ordered tuple, the orbits of no
+groups.  Case counts and the budget still count ordered tuples, so
 reports are the same as an evaluation of every tuple.
 """
 
@@ -123,12 +125,6 @@ def _random_symbol(rng):
     return rng.choice(_RANDOM_SYMBOLS[rng.random() >= 0.5])
 
 
-def _tuple_stream(w, arity, samples, rng):
-    if samples is None:
-        return itertools.product(window_symbols(w), repeat=arity)
-    return (tuple(_random_symbol(rng) for _ in range(arity)) for _ in range(samples))
-
-
 # ---------------------------------------------------------------------------
 # the law driver
 
@@ -183,7 +179,10 @@ def _violation(law, tup, witness):
 
 def _representatives(symbols, arity, groups):
     """The tuples increasing within each group, in product order: one
-    block per group (its combinations) and per free slot, in slot order."""
+    block per group (its combinations) and per free slot, in slot order;
+    every tuple when there are no groups."""
+    if not groups:
+        return itertools.product(symbols, repeat=arity)
     runs = {g[0]: len(g) for g in groups}
     blocks, slot = [], 0
     while slot < arity:
@@ -209,46 +208,6 @@ def _orbit(tup, groups):
         yield sign, tuple(member)
 
 
-def _run_orbits(law, k, symbols, report, stop_at_first):
-    """Evaluate an exhaustive grouped law on one tuple per orbit; returns
-    True when `stop_at_first` ended the run.
-
-    Permuting a group by sigma multiplies both sides by sgn sigma, so a
-    representative's sides give every member's, and a tuple repeating a
-    symbol inside a group has sides equal to their own negatives, hence a
-    zero defect: it is never listed.  A failing representative yields
-    one Violation per member, which the caller sorts as ever.
-
-    With `stop_at_first` the run ends at the product-order-first failing
-    tuple, as an evaluation of every tuple would.  The failing tuples are
-    the members of failing representatives' orbits.  Sorting within each
-    group gives an orbit's lexicographic minimum, since the groups vary
-    independently and a sorted group puts its least symbol first; and the
-    representatives are listed in product order.  So if t is the first
-    failing tuple in product order, its orbit's representative r fails
-    and r <= t, hence r = t; every representative before t passes.  The
-    case count is then t's place in the ordered stream.
-
-    A failing representative's sides are lifted to Scalars once per sign,
-    and its members share those (immutable) Elements.
-    """
-    n = len(symbols)
-    for rep in _representatives(symbols, law.arity, law.groups):
-        lhs, rhs = law.sides(k, *rep)
-        if lhs == rhs:
-            continue
-        if stop_at_first:
-            rank = sum(symbols.index(s) * n ** (law.arity - 1 - i) for i, s in enumerate(rep))
-            report.cases_run += rank + 1
-            report.violations.append(_violation(law, rep, _witness(law, lhs, rhs)))
-            return True
-        witnesses = {sign: _witness(law, lhs, rhs, sign) for sign in (1, -1)}
-        for sign, member in _orbit(rep, law.groups):
-            report.violations.append(_violation(law, member, witnesses[sign]))
-    report.cases_run += n**law.arity
-    return False
-
-
 def run_law(spec, defs, w, samples=None, seed=0, stop_at_first=False):
     """Check a law on basis tuples of a window.
 
@@ -262,14 +221,26 @@ def run_law(spec, defs, w, samples=None, seed=0, stop_at_first=False):
     anything is enumerated.  With `stop_at_first` the run ends at the first
     violation, unsorted.
 
-    An exhaustive part of one Law with `groups` (the fundamental
-    identity, 1/3-derivation, relabel-intertwining, transposed Leibniz and
-    Poisson-Leibniz laws), run when every bracket and source in `defs`
-    declares itself `antisymmetric`, evaluates one tuple per orbit of the
-    permutations within the groups (see _run_orbits); duck-typed brackets
-    without that declaration get every ordered tuple.  Either way the
-    budget and `cases_run` count ordered tuples, and the report is the one
-    every tuple's evaluation gives.
+    Each part is one loop over its tuples, every law of the part evaluated
+    on each.  An exhaustive part lists _representatives: of its one Law's
+    `groups` when every bracket and source in `defs` declares itself
+    `antisymmetric`, else of no groups, every ordered tuple.  Permuting a
+    group by sigma multiplies both sides by sgn sigma, and a tuple repeating
+    a symbol inside a group has a zero defect.  So a failing tuple yields
+    one Violation per member of its _orbit, those of one sign sharing one
+    lifted witness, and each part counts n**arity ordered tuples, or its
+    samples: the report is the one an evaluation of every tuple gives.
+
+    With `stop_at_first` the run ends at the product-order-first failing
+    tuple, as an evaluation of every tuple would.  The failing tuples are
+    the members of failing representatives' orbits.  Sorting within each
+    group gives an orbit's lexicographic minimum, since the groups vary
+    independently and a sorted group puts its least symbol first; and the
+    representatives are listed in product order.  So if t is the first
+    failing tuple in product order, its orbit's representative r fails
+    and r <= t, hence r = t; every representative before t passes.  The
+    part's case count is then t's place in the ordered stream, or the
+    failing sample's number.
     """
     if samples is None:
         total = sum((2 * w.size) ** laws[0].arity for laws in spec.parts)
@@ -293,19 +264,33 @@ def run_law(spec, defs, w, samples=None, seed=0, stop_at_first=False):
         for name, d in defs.items()
         if name in ("bracket", "source")
     )
+    symbols = window_symbols(w) if samples is None else []
+    n = len(symbols)
     for laws in spec.parts:
-        if orbits and len(laws) == 1 and laws[0].groups:
-            if _run_orbits(laws[0], k, window_symbols(w), report, stop_at_first):
-                return report
-            continue
-        for tup in _tuple_stream(w, laws[0].arity, samples, rng):
-            report.cases_run += 1
+        arity = laws[0].arity
+        groups = laws[0].groups if orbits and len(laws) == 1 else ()
+        if samples is None:
+            tuples = _representatives(symbols, arity, groups)
+        else:
+            tuples = (tuple(_random_symbol(rng) for _ in range(arity)) for _ in range(samples))
+        for number, tup in enumerate(tuples, 1):
             for law in laws:
                 lhs, rhs = law.sides(k, *tup)
-                if lhs != rhs:
+                if lhs == rhs:
+                    continue
+                if stop_at_first:
+                    if samples is None:
+                        number = 1 + sum(
+                            symbols.index(s) * n ** (arity - 1 - i) for i, s in enumerate(tup)
+                        )
+                    report.cases_run += number
                     report.violations.append(_violation(law, tup, _witness(law, lhs, rhs)))
-                    if stop_at_first:
-                        return report
+                    return report
+                orbit = list(_orbit(tup, groups))
+                witnesses = {sign: _witness(law, lhs, rhs, sign) for sign in {s for s, _ in orbit}}
+                for sign, member in orbit:
+                    report.violations.append(_violation(law, member, witnesses[sign]))
+        report.cases_run += n**arity if samples is None else samples
     return report.sort_violations()
 
 
@@ -624,7 +609,7 @@ def generator_closure(bdef, gens, w, max_rounds=16, margin=None):
     span = LeadSpan()
     for g in gens:
         if g:
-            span.insert(span.normalized(g.terms))
+            span.insert(dict(g.terms))
     left = [t for t in window_symbols(w) if span.reduce({t: 1})]
     if not left:
         return ClosureResult(True, 0, [])

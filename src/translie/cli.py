@@ -601,7 +601,7 @@ def main(argv=None):
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
 
@@ -616,8 +616,12 @@ def main(argv=None):
         return 2
 
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json(include_timing=args.timing))
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(report.to_json(include_timing=args.timing))
+        except OSError as exc:
+            print(f"error: cannot write report: {exc}", file=sys.stderr)
+            return 2
     if not args.quiet:
         _print_summary(report, sys.stdout, timing=args.timing)
     return 0 if report.verdict == "pass" else 1

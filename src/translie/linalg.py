@@ -9,26 +9,26 @@ scalars.unit): a positive int, or re > 0 and im >= 0.  So a row, its
 multiples by i and 1+i and its rational multiples all have one form, and an
 integer row's form is the same primitive integer row whichever of them it
 came as.  Rows are homogeneous, so rows with one normal form impose one
-constraint; elimination and verification run on the distinct forms only,
-and the system notes at intake whether any form is Gaussian.  Verification
-indexes the basis vectors by column and streams the distinct forms once,
-so each form is dotted only with the vectors that share a column with it:
-a vector that shares none leaves the form exactly zero.
+constraint; elimination and verification run on the distinct forms only.
+Verification indexes the basis vectors by column and streams the distinct
+forms once, so each form is dotted only with the vectors that share a
+column with it: a vector that shares none leaves the form exactly zero.
 
 Elimination is one incremental reduced row echelon form: each incoming row
 is cleared against the pivots, becomes a pivot at its smallest column, and
 is cleared out of the earlier pivots, so the pivots stay fully reduced as
-rows arrive.  It is fraction-free over Z, or over Z[i] for a system with a
-Gaussian form (Bareiss, Math. Comp. 1968; Z[i] is Euclidean too): clearing
+rows arrive.  It is fraction-free over Z, and over Z[i] where a Gaussian
+integer enters (Bareiss, Math. Comp. 1968; Z[i] is Euclidean too): clearing
 keeps a row's content, which is divided out once per reduced row, so every
-pivot is primitive with a canonical lead.  math.gcd or scalars.ggcd is
-chosen once per elimination.  The RREF is unique, so the output does not
-depend on row order: the nullspace basis has one sparse vector per free
-column, built in Z[i] and kept, like every basis vector of a
-SolutionSpace, as its normal form, the one rows get.  A projection
-re-reduces those vectors with the same elimination, and verification
-dots them with the forms exactly in Z[i]; Scalars appear only when a
-vector is reported, divided by its value at its smallest column.
+pivot is primitive with a canonical lead.  The values say which ring they
+are in: each gcd is math.gcd, or scalars.ggcd when math.gcd refuses a
+GaussInt.  The RREF is unique, so the output does not depend on row
+order: the nullspace basis has one sparse vector per free column, built in
+Z[i] and kept, like every basis vector of a SolutionSpace, as its normal
+form, the one rows get.  A projection re-reduces those vectors with the
+same elimination, and verification dots them with the forms exactly in
+Z[i]; Scalars appear only when a vector is reported, divided by its value
+at its smallest column.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from math import gcd, lcm
 from typing import NamedTuple
 
 from .errors import UnknownNotFoundError, VerificationError, require_budget
-from .scalars import GaussInt, Scalar, gauss, ggcd, lift, ratio, unit
+from .scalars import Scalar, gauss, ggcd, lift, ratio, unit
 
 
 class UnknownId(NamedTuple):
@@ -64,15 +64,14 @@ class ConstraintSystem:
     all as maps column -> Scalar, built on access.  provenance holds one
     tuple (name, *indices, symbol) or None per row; distinct maps each
     distinct normal form (a tuple of (column, value) pairs sorted by column,
-    the values ints or GaussInts) to the index of its first row; gaussian
-    is true once a form has a GaussInt.  Rows are added through add_columns
-    only, which keeps them in step; add_row is its UnknownId form.
+    the values ints or GaussInts) to the index of its first row.  Rows are
+    added through add_columns only, which keeps them in step; add_row is
+    its UnknownId form.
     """
 
     unknowns: list = field(default_factory=list)
     provenance: list = field(default_factory=list)
     distinct: dict = field(default_factory=dict)
-    gaussian: bool = False
     _rows: list = field(default_factory=list, repr=False)
     _index: dict = field(default_factory=dict, repr=False)
 
@@ -101,12 +100,7 @@ class ConstraintSystem:
         if row:
             self._rows.append(row)
             self.provenance.append(provenance)
-            try:
-                form = _int_form(row)
-            except TypeError:  # a GaussInt or a Scalar
-                form = _ring_form(row)
-                self.gaussian = self.gaussian or any(type(v) is GaussInt for _, v in form)
-            self.distinct.setdefault(form, len(self._rows) - 1)
+            self.distinct.setdefault(_normal_form(row), len(self._rows) - 1)
         return row
 
     def add_row(self, coeffs, provenance=None):
@@ -132,7 +126,7 @@ class ConstraintSystem:
 
     def rank(self):
         """Rank of the system, read off its distinct normal forms."""
-        return len(_rref(list(self.distinct), self.gaussian))
+        return len(_rref(list(self.distinct)))
 
 
 @dataclass
@@ -234,7 +228,7 @@ def _ring_form(row):
         row = _ring_part({c: lift(v) for c, v in row.items()})
     else:
         row = dict(row)
-    _make_primitive(row, row[min(row)], True)
+    _make_primitive(row, min(row))
     return tuple(sorted(row.items()))
 
 
@@ -247,58 +241,58 @@ def _normal_form(row):
         return _ring_form(row)
 
 
-def _rref(forms, gaussian):
+def _rref(forms):
     """Reduced row echelon form of the span of the forms, each a map or
     (column, value) pairs of ints and GaussInts: {lead column: row}.
 
     Each pivot row's smallest column is its lead, and it is zero in every
     other pivot's lead column.  Pivots are primitive over Z, or over Z[i]
-    when `gaussian`, with a canonical lead (the RREF row is the pivot
-    divided by its lead); a row's content is divided out when it becomes a
-    pivot and after each clear of a later pivot out of it.
+    when they have a GaussInt, with a canonical lead (the RREF row is the
+    pivot divided by its lead); a row's content is divided out when it
+    becomes a pivot and after each clear of a later pivot out of it.
     """
-    divisor = ggcd if gaussian else gcd
     pivots = {}
     for form in forms:
         row = dict(form)
         for col in [c for c in row if c in pivots]:
-            _clear(row, col, pivots[col], divisor)
+            _clear(row, col, pivots[col])
         if not row:
             continue
         lead = min(row)
-        _make_primitive(row, row[lead], gaussian)
+        _make_primitive(row, lead)
         for prow in pivots.values():
             if lead in prow:
-                _clear(prow, lead, row, divisor)
-                # clearing scales an integer pivot's lead by a positive
-                # factor, a Gaussian one's by any nonzero Gaussian integer
-                _make_primitive(prow, prow[min(prow)] if gaussian else 1, gaussian)
+                _clear(prow, lead, row)
+                _make_primitive(prow, min(prow))
         pivots[lead] = row
     return pivots
 
 
-def _make_primitive(row, lead_value, gaussian):
+def _gcd(*values):
+    """math.gcd of the values, or scalars.ggcd when one is a GaussInt."""
+    try:
+        return gcd(*values)
+    except TypeError:  # a GaussInt, which math.gcd refuses
+        return ggcd(*values)
+
+
+def _make_primitive(row, lead):
     """Divide a row in place by its content, times the unit that leaves
-    lead_value canonical: the sign of lead_value over Z."""
-    if gaussian:
-        g = ggcd(*row.values())
-        g = unit(lead_value) if g == 1 else g * unit(lead_value // g)
-    else:
-        g = gcd(*row.values())
-        if lead_value < 0:
-            g = -g
+    its value at column lead canonical: its sign over Z."""
+    g = _gcd(*row.values())
+    g *= unit(row[lead] // g)
     if g != 1:
         for c in row:
             row[c] //= g
 
 
-def _clear(row, col, pivot, divisor):
+def _clear(row, col, pivot):
     """Zero row[col] in place by subtracting a multiple of pivot, whose lead
     is col: the row is first scaled by the pivot's lead value over their
-    gcd, `divisor` (math.gcd or scalars.ggcd), and keeps its content."""
+    gcd, and keeps its content."""
     a = row[col]
     b = pivot[col]
-    g = divisor(a, b)
+    g = _gcd(a, b)
     a //= g
     b //= g
     if b != 1:
@@ -320,25 +314,17 @@ class LeadSpan:
     """Rows kept one per leading column, each in normal form (primitive
     over Z or Z[i]), reduced by leading column only with _rref's _clear:
     the generator closure brackets the kept rows and drops results that
-    leave its window, so its result depends on this basis.  Each clear
-    takes math.gcd, or scalars.ggcd when a Gaussian integer meets it."""
+    leave its window, so its result depends on this basis."""
 
     def __init__(self):
         self.rows = {}  # lead column -> row, a map column -> int or GaussInt
-
-    def normalized(self, row):
-        """A nonzero row's normal form, as a new map."""
-        return dict(_normal_form(row))
 
     def reduce(self, row):
         """Reduce a row of ints and GaussInts in place; empty when in the span."""
         rows = self.rows
         while row and min(row) in rows:
             lead = min(row)
-            try:
-                _clear(row, lead, rows[lead], gcd)
-            except TypeError:  # a GaussInt, which math.gcd refuses
-                _clear(row, lead, rows[lead], ggcd)
+            _clear(row, lead, rows[lead])
         return row
 
     def insert(self, row):
@@ -349,9 +335,9 @@ class LeadSpan:
         try:
             self.reduce(row)
         except TypeError:  # a Scalar
-            row = self.reduce(self.normalized(row))
+            row = self.reduce(dict(_normal_form(row)))
         if row:
-            self.rows[min(row)] = self.normalized(row)
+            self.rows[min(row)] = dict(_normal_form(row))
         return bool(row)
 
 
@@ -403,21 +389,19 @@ def _nullspace_basis(system):
         f"nullspace basis needs at least {least} entries "
         f"({n} unknowns, {len(system.distinct)} distinct rows)",
     )
-    gaussian = system.gaussian
-    pivots = _rref(list(system.distinct), gaussian)
+    pivots = _rref(list(system.distinct))
     vectors = n - len(pivots)
     entries = vectors * n
     require_budget(
         entries, f"nullspace basis needs {entries} entries ({vectors} vectors of {n} unknowns)"
     )
-    divisor = ggcd if gaussian else gcd
     scale = {j: 1 for j in range(n) if j not in pivots}
     for lead, prow in pivots.items():
         b = prow[lead]
         for col in prow:
             if col != lead:
                 m = scale[col]
-                scale[col] = m * b // divisor(m, b)
+                scale[col] = m * b // _gcd(m, b)
     free = {j: {j: m} for j, m in scale.items()}
     for lead, prow in pivots.items():
         b = prow[lead]
@@ -433,8 +417,7 @@ def project_solution(space, keep):
 
     keep: iterable of UnknownId; must be a subset of space.unknowns.  The
     kept coordinates stay in their original order, and each vector is
-    restricted to them before the re-reduction, in Z[i] when one of them
-    has an imaginary part.
+    restricted to them before the re-reduction.
     """
     keep = set(keep)
     missing = keep.difference(space.unknowns)
@@ -443,8 +426,7 @@ def project_solution(space, keep):
     cols = [i for i, uid in enumerate(space.unknowns) if uid in keep]
     position = {col: j for j, col in enumerate(cols)}
     rows = [{position[c]: v for c, v in vec.items() if c in position} for vec in space.basis]
-    gaussian = any(type(v) is GaussInt for row in rows for v in row.values())
-    pivots = _rref(rows, gaussian)
+    pivots = _rref(rows)
     return SolutionSpace(
         unknowns=[space.unknowns[i] for i in cols],
         basis=[pivots[lead] for lead in sorted(pivots)],

@@ -31,7 +31,7 @@ def generator_closure_full_rounds(bdef, gens, w, max_rounds=16, margin=None):
 
     for g in gens:
         if g:
-            span.insert(span.normalized(g.terms))
+            span.insert(dict(g.terms))
     if not missing():
         return ClosureResult(True, 0, [])
 

@@ -4,7 +4,7 @@ substitution loop that SolutionSpace.residuals is checked against."""
 from math import lcm
 
 from translie.linalg import SolutionSpace, _normal_form
-from translie.scalars import ZERO, lift
+from translie.scalars import ZERO, GaussInt, lift
 
 
 def dense(space, idx):
@@ -12,6 +12,12 @@ def dense(space, idx):
     zeros included."""
     vec = space.vector_as_dict(idx)
     return [vec.get(uid, ZERO) for uid in space.unknowns]
+
+
+def has_gaussian_form(system):
+    """Whether a distinct form of the system has a GaussInt, which makes
+    its elimination run in Z[i]."""
+    return any(type(v) is GaussInt for form in system.distinct for _, v in form)
 
 
 def assignment_space(system, assignment):

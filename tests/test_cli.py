@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import io
 import json
@@ -332,6 +333,33 @@ def test_main_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_a_config_that_is_not_utf8_exits_2_with_one_error_line(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(b"\xff\xfe")
+    assert main(["tp-triviality", "--config", str(path), "--quiet"]) == 2
+    assert capsys.readouterr().err == (
+        "error: cannot read config: 'utf-8' codec can't decode byte 0xff in position 0: "
+        "invalid start byte\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "out, errno_name", [("missing/report.json", "ENOENT"), (".", "EISDIR")],
+    ids=["missing-directory", "directory"],
+)
+def test_an_unwritable_report_path_exits_2_with_one_error_line(tmp_path, capsys, out, errno_name):
+    """The report is computed, then its path is refused: exit 2 with the
+    OS error, not a traceback and exit 1, which would read as a violation."""
+    path = tmp_path / "cfg.json"
+    path.write_text(cfg_text(command="tp-triviality", windows={"domain": [-2, 2]}))
+    target = str(tmp_path / out)
+    assert main(["tp-triviality", "--config", str(path), "--out", target, "--quiet"]) == 2
+    code = getattr(errno, errno_name)
+    assert capsys.readouterr().err == (
+        f"error: cannot write report: [Errno {code}] {os.strerror(code)}: {target!r}\n"
+    )
+
+
 def test_main_seed_override(tmp_path):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(
@@ -440,8 +468,8 @@ def test_failed_verification_exits_2_naming_the_row(tmp_path, capsys, monkeypatc
     """A basis vector that misses a constraint is a typed error, not a traceback."""
     rref = linalg._rref
 
-    def drop_last_pivot(forms, integer):
-        pivots = rref(forms, integer)
+    def drop_last_pivot(forms):
+        pivots = rref(forms)
         del pivots[max(pivots)]
         return pivots
 
@@ -485,7 +513,7 @@ def test_check_laws_domain_over_budget_exits_2_before_enumerating(tmp_path, caps
     def no_enumeration(*args):
         raise AssertionError("enumerated a window over budget")
 
-    monkeypatch.setattr(checks, "_tuple_stream", no_enumeration)
+    monkeypatch.setattr(checks, "_representatives", no_enumeration)
     path = tmp_path / "wide.json"
     path.write_text(
         cfg_text(command="check-laws", algebra={"kind": "a-omega-delta"}, windows={"domain": [-200, 200]})
@@ -499,14 +527,11 @@ def test_check_laws_domain_over_budget_exits_2_before_enumerating(tmp_path, caps
 def test_randomized_budget_over_cap_exits_2_before_sampling(tmp_path, capsys, monkeypatch):
     """A randomized budget is a sample count, held to the exhaustive cap
     before the first sample is drawn."""
-    stream = checks._tuple_stream
 
-    def no_sampling(w, arity, samples, *args):
-        if samples is not None:
-            raise AssertionError("sampled over budget")
-        return stream(w, arity, samples, *args)
+    def no_sampling(*args):
+        raise AssertionError("sampled over budget")
 
-    monkeypatch.setattr(checks, "_tuple_stream", no_sampling)
+    monkeypatch.setattr(checks, "_random_symbol", no_sampling)
     path = tmp_path / "many.json"
     path.write_text(
         cfg_text(

@@ -1,11 +1,14 @@
-"""The law driver's orbit path against the every-ordered-tuple driver.
+"""The law driver against the every-ordered-tuple driver.
 
 An exhaustive law with alternating slot groups is evaluated on one tuple
 per orbit when every bracket is declared antisymmetric, and each failing
-orbit is replayed with signed sides.  These tests compare run_law with
+orbit is replayed with signed sides; any other exhaustive part lists every
+ordered tuple.  These tests compare run_law with
 law_reference.run_law_ordered field by field (cases_run and every
 Violation, in order) on every grouped law, with integer, rational and
-1+i functionals, on passing and violating inputs, and with stop_at_first.
+1+i functionals, on passing and violating inputs, and with stop_at_first;
+and on every law of checks.LAWS, with a definition that passes it and one
+that fails it, stop_at_first both ways.
 """
 
 from fractions import Fraction
@@ -16,6 +19,7 @@ from translie.algebras import (
     a_omega_delta,
     afk,
     algebra_a,
+    family_swap,
     functional,
     index_scaling,
     m_negation,
@@ -26,6 +30,7 @@ from translie.algebras import (
 )
 from translie.checks import (
     FUNDAMENTAL_IDENTITY,
+    LAWS,
     ONE_THIRD_DERIVATION,
     POISSON_LEIBNIZ,
     RELABEL_INTERTWINING,
@@ -35,6 +40,7 @@ from translie.checks import (
     run_law,
     window,
 )
+from translie.elements import L
 from translie.scalars import Scalar
 from translie.tp import build_example_family, poisson_violation_witness, tp_product
 
@@ -213,3 +219,61 @@ def test_skew_symmetry_is_checked_on_every_ordered_tuple():
 def test_a_randomized_run_needs_a_sample(samples):
     with pytest.raises(ValueError, match=f"at least 1 sample, got {samples}"):
         check_fundamental_identity(a_omega_delta(), window(-1, 1), samples=samples)
+
+
+class LeftFactor:
+    """x*y = x: associative, not commutative."""
+
+    def terms(self, x, y):
+        return [(1, x)]
+
+
+class IndexSum:
+    """x*y = (index x + index y) L_0: commutative, not associative, so a
+    failure comes only in the second part of commutative-associative."""
+
+    def terms(self, x, y):
+        c = x.index + y.index
+        return [(c, L(0))] if c else []
+
+
+AOD_RELABEL = {"source": omega_form(), "bracket": a_omega_delta(), "op": m_negation()}
+# per law of checks.LAWS, definitions that pass it and definitions that fail it
+LAW_DEFS = [
+    ("skew-symmetry", "passes", {"bracket": a_omega_delta()}),
+    ("skew-symmetry", "fails", {"bracket": Unsorted()}),
+    ("fundamental-identity", "passes", {"bracket": a_omega_delta()}),
+    ("fundamental-identity", "fails", {"bracket": SortedCorrupted()}),
+    ("one-third-derivation", "passes", {"bracket": a_omega_delta(), "op": uniform_shift(1)}),
+    ("one-third-derivation", "fails", {"bracket": a_omega_delta(), "op": index_scaling()}),
+    ("product-derivation-rule", "passes", {"product": algebra_a(), "op": index_scaling()}),
+    ("product-derivation-rule", "fails", {"product": algebra_a(), "op": family_swap()}),
+    ("involutive-morphism", "passes", {"product": algebra_a(), "op": family_swap()}),
+    ("involutive-morphism", "fails", {"product": algebra_a(), "op": index_scaling()}),
+    ("relabel-intertwining", "passes", AOD_RELABEL),
+    ("relabel-intertwining", "fails", {**AOD_RELABEL, "bracket": Unsorted()}),
+    ("transposed-leibniz", "passes", {"bracket": a_omega_delta(), "product": zero_product()}),
+    ("transposed-leibniz", "fails", {"bracket": a_omega_delta(), "product": algebra_a()}),
+    ("poisson-leibniz", "passes", {"bracket": a_omega_delta(), "product": zero_product()}),
+    ("poisson-leibniz", "fails", {"bracket": a_omega_delta(), "product": algebra_a()}),
+    ("commutative-associative", "passes", {"product": algebra_a()}),
+    ("commutative-associative", "fails", {"product": LeftFactor()}),
+    ("commutative-associative", "fails-second-part", {"product": IndexSum()}),
+]
+
+
+def test_every_law_has_a_passing_and_a_failing_definition():
+    assert {name for name, outcome, _ in LAW_DEFS if outcome == "passes"} == LAWS.keys()
+    assert {name for name, outcome, _ in LAW_DEFS if outcome != "passes"} == LAWS.keys()
+
+
+@pytest.mark.parametrize("stop_at_first", [False, True], ids=["all", "stop-at-first"])
+@pytest.mark.parametrize(
+    "name, outcome, defs", LAW_DEFS, ids=[f"{name}-{outcome}" for name, outcome, _ in LAW_DEFS]
+)
+def test_every_law_matches_every_ordered_tuple(name, outcome, defs, stop_at_first):
+    report = assert_orbits_match(LAWS[name], defs, window(-1, 1), stop_at_first)
+    assert report.passed == (outcome == "passes")
+    if outcome == "fails-second-part":
+        assert report.cases_run > 6**2
+        assert all(len(v.inputs) == 3 for v in report.violations)

@@ -97,6 +97,18 @@ def test_a_randomized_run_calls_the_kernels_without_a_memo(monkeypatch):
                    samples=50, seed=5).passed
 
 
+def test_a_randomized_run_does_not_list_its_window(monkeypatch):
+    """`w` is not read by a randomized run, so its size costs nothing."""
+
+    def no_listing(w):
+        raise AssertionError("a randomized run listed its window")
+
+    monkeypatch.setattr(checks, "window_symbols", no_listing)
+    report = run_law(FUNDAMENTAL_IDENTITY, {"bracket": a_omega_delta()},
+                     window(-10**12, 10**12), samples=20, seed=5)
+    assert report.passed and report.cases_run == 20
+
+
 def test_an_exhaustive_run_memoizes_its_kernels():
     counting = Counting(a_omega_delta())
     w = window(-1, 1)
