@@ -22,10 +22,11 @@ parameterized by an integer shift k and a nonzero linear functional f that
 vanishes on the whole L family and has finite support on the M family.
 
 Every definition gives its terms through one method, `terms`, reading its
-constants in their narrowest exact type, narrowed once at construction
-(scalars.narrow): the index-built structure constants are ints, and a
-value of f or of a product parameter is an int or a scalars.GaussInt when
-both its parts are integers as given (f = 1+i included), else a Scalar.
+constants in their narrowest exact type, the only form they are stored in,
+narrowed once at construction (scalars.narrow): the index-built structure
+constants are ints, and a value of f or of a product parameter is an int
+or a scalars.GaussInt when both its parts are integers as given (f = 1+i
+included), else a Scalar.
 So a definition whose constants are Gaussian integers gives coefficients
 in Z[i], and a rational constant gives Scalars in the terms it touches
 only; the types mix in arithmetic.
@@ -37,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .elements import BasisSymbol, Element, L, M, check_index, extend
-from .scalars import Scalar, lift, narrow
+from .scalars import narrow
 
 A_OMEGA_DELTA = "a-omega-delta"
 OMEGA_FORM = "a-omega-delta-omega-form"
@@ -48,29 +49,20 @@ AFK = "a-f-k"
 class FiniteFunctional:
     """Linear map with value 0 on every L_r and finite support on the M_r.
 
-    `by_index` holds the values by index, each narrowed: an int or a
-    GaussInt when both its parts are integers as given (f = 1+i has them,
-    f = 1/2 and f = 1/2+i not), else the Scalar.  m_value gives Scalars.
+    `values` holds the nonzero values as sorted (index, value) pairs, each
+    value narrowed once, here (scalars.narrow): an int or a GaussInt when
+    both its parts are integers as given (f = 1+i has them, f = 1/2 and
+    f = 1/2+i not), else the Scalar; `by_index` is dict(values).
     """
 
-    values: tuple  # sorted tuple of (index, Scalar) pairs, all nonzero
+    values: tuple
     by_index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "by_index", {i: narrow(v) for i, v in self.values})
-
-    @staticmethod
-    def from_map(mapping):
-        items = []
-        for idx, val in mapping.items():
-            if not isinstance(val, Scalar):
-                val = Scalar(val)
-            if val:
-                items.append((int(idx), val))
-        return FiniteFunctional(tuple(sorted(items)))
-
-    def m_value(self, index):
-        return lift(self.by_index.get(index, 0))
+        narrowed = ((int(i), narrow(v)) for i, v in self.values)
+        values = tuple(sorted((i, v) for i, v in narrowed if v))
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "by_index", dict(values))
 
     @property
     def support(self):
@@ -81,7 +73,8 @@ class FiniteFunctional:
 
 
 def functional(mapping):
-    return FiniteFunctional.from_map(mapping)
+    """The FiniteFunctional with f(M_i) = mapping[i]; zero values dropped."""
+    return FiniteFunctional(tuple(mapping.items()))
 
 
 def _bracket_terms(kind, k, f_values, x, y, z):

@@ -46,7 +46,7 @@ from .algebras import Kernels, a_omega_delta, algebra_a, kernels, m_negation, om
 from .elements import Element, L, M, add_terms, extend
 from .errors import BudgetExceededError, require_budget
 from .linalg import LeadSpan
-from .scalars import from_int, lift
+from .scalars import Scalar, lift
 
 # entries each kernel memo of an exhaustive check keeps: more than the
 # ~12,000 distinct calls of the largest exhaustive check the CLI and the
@@ -165,10 +165,10 @@ def _memoized(k):
 def _witness(law, lhs, rhs, sign=1):
     """(lhs, rhs, residual) Elements of the sides a failing case computed,
     lifted to Scalars and multiplied by sign / the law's scale."""
-    unit = from_int(sign) / from_int(law.scale)
+    unit = Scalar(sign) / Scalar(law.scale)  # bench/layers.py reads both operands' parts
     lhs, rhs = ({s: lift(c) * unit for s, c in side.items()} for side in (lhs, rhs))
     residual = dict(lhs)
-    add_terms(residual, from_int(-1), [(c, s) for s, c in rhs.items()])
+    add_terms(residual, -1, [(c, s) for s, c in rhs.items()])
     return Element(lhs), Element(rhs), Element(residual)
 
 

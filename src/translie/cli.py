@@ -7,13 +7,16 @@ byte-identical across runs (wall-clock timing is only included on
 request, since it would break that guarantee).
 
 Exit codes: 0 all checks passed, 1 at least one violation or mismatch,
-2 configuration or domain errors.
+2 configuration or domain errors, an unwritable report path and a config
+key or window the command does not read among them, refused before a run.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -127,6 +130,19 @@ _INT_FIELDS = {
     "seed": (None, "seed must be an integer"),
     "degree": (None, "degree must be an integer"),
     "max_rounds": (0, "max_rounds must be a non-negative integer"),
+}
+
+
+# the keys every command reads, and what each command reads beside them:
+# its windows, its other keys, and whether it has a randomized pass
+_COMMON = ("command", "windows", "mode", "budget", "seed")
+_READS = {
+    "check-laws": (("domain", "equation"), ("algebra",), True),
+    "solve-derivations": (("domain", "equation", "core", "image"), ("algebra", "degree"), False),
+    "tp-triviality": (("index", "basis", "domain"), (), False),
+    "build-tp": ((), ("algebra", "tp_params"), False),
+    "verify-tp": ((), ("algebra", "tp_params"), True),
+    "generators": (("domain",), ("algebra", "generators", "max_rounds"), False),
 }
 
 
@@ -264,31 +280,28 @@ def parse_config(text, command=None):
         f"config command {doc_command!r} does not match requested {command!r}",
     )
 
-    _check_keys(
-        data, ("command", "algebra", "windows", "mode", "tp_params", "generators", *_INT_FIELDS),
-        "config",
-    )
+    windows_read, keys_read, randomized = _READS[command]
+    for key in data:
+        _require(key in _COMMON + keys_read, f"config: {command} does not read the key {key!r}")
 
     cfg = RunConfig(command=command)
 
     if "algebra" in data:
         cfg.algebra = _parse_algebra(data["algebra"])
     _require(
-        cfg.algebra is not None or command == "tp-triviality",
+        cfg.algebra is not None or "algebra" not in keys_read,
         f"{command} requires an 'algebra' section",
     )
 
     windows_obj = data.get("windows", {})
     _require(isinstance(windows_obj, dict), "windows: expected an object")
     for name, value in windows_obj.items():
-        _require(
-            name in ("domain", "equation", "core", "image", "index", "basis"),
-            f"windows.{name}: unknown window name",
-        )
+        _require(name in windows_read, f"windows.{name}: {command} does not read this window")
         cfg.windows[name] = _parse_window(value, f"windows.{name}")
 
     cfg.mode = data.get("mode", "exhaustive")
     _require(cfg.mode in ("exhaustive", "randomized"), "mode must be exhaustive or randomized")
+    _require(cfg.mode == "exhaustive" or randomized, f"mode: {command} has no randomized pass")
     for name, (least, message) in _INT_FIELDS.items():
         if name in data:
             value = data[name]
@@ -580,6 +593,16 @@ def _print_summary(report, stream, timing=False):
         print(f"  elapsed: {report.timing_ms} ms", file=stream)
 
 
+def _report_path_refusal(path):
+    """The OSError opening path to write would raise when it is a directory
+    or in a missing one, else None; path is not opened."""
+    if os.path.isdir(path):
+        return OSError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if not os.path.isdir(os.path.dirname(path) or os.curdir):
+        return OSError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    return None
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="translie",
@@ -598,6 +621,10 @@ def main(argv=None):
     )
     args = parser.parse_args(argv)
 
+    refusal = args.out and _report_path_refusal(args.out)
+    if refusal:
+        print(f"error: cannot write report: {refusal}", file=sys.stderr)
+        return 2
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             text = fh.read()

@@ -5,8 +5,9 @@ integers.  The canonical total order puts every L before every M and
 sorts each family by index; tuple comparison on (family, index) gives
 exactly that order since "L" < "M".
 
-An Element is a finite formal linear combination of basis symbols with
-Scalar coefficients, stored sparsely.  Zero coefficients are never stored.
+An Element is a finite formal linear combination of basis symbols, stored
+sparsely, its coefficients ints, GaussInts or Scalars as arithmetic gives
+them (a basis element has the int 1).  Zero coefficients are never stored.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import IndexOverflowError
-from .scalars import ZERO, ONE, MINUS_ONE
 
 # Indices are kept within the signed 64-bit range so that index sums in
 # structure constants stay machine-checked rather than silently huge.
@@ -68,7 +68,7 @@ class Element:
 
     @staticmethod
     def basis(sym):
-        return Element({sym: ONE})
+        return Element({sym: 1})
 
     # -- queries ------------------------------------------------------------
 
@@ -79,7 +79,7 @@ class Element:
         return bool(self.terms)
 
     def coefficient(self, sym):
-        return self.terms.get(sym, ZERO)
+        return self.terms.get(sym, 0)
 
     def support(self):
         return sorted(self.terms)
@@ -90,10 +90,10 @@ class Element:
     # -- arithmetic -----------------------------------------------------------
 
     def __add__(self, other):
-        return combine(ONE, self, ONE, other)
+        return combine(1, self, 1, other)
 
     def __sub__(self, other):
-        return combine(ONE, self, MINUS_ONE, other)
+        return combine(1, self, -1, other)
 
     def __neg__(self):
         return Element({sym: -coeff for sym, coeff in self.terms.items()})

@@ -16,12 +16,12 @@ nonzero value has one associate (a unit multiple) with re > 0 and im >= 0,
 its canonical form.
 
 The three types mix in + - * and /: a Scalar takes an int or a GaussInt
-on either side, lifting it, and the result is a Scalar.  A definition's
-constants are narrowed once (`narrow`): to Z[i] when both parts are
-integers, else kept as Scalars.  So kernels, constraint rows and
-elimination run in Z[i] wherever the constants are Gaussian integers as
-given, and a rational constant brings Scalars only into the terms it
-multiplies; `lift` turns a value into a Scalar for reports.
+on either side, lifting it, and the result is a Scalar.  A constant is
+stored only narrowed (`narrow`): in Z[i] when both parts are integers,
+else as a Scalar.  So kernels, constraint rows and elimination run in Z[i]
+wherever the constants are Gaussian integers as given, a rational
+constant brings Scalars only into the terms it multiplies, and `lift`
+makes a value a Scalar for reports (a GaussInt prints as that Scalar).
 """
 
 from __future__ import annotations
@@ -170,35 +170,25 @@ class Scalar:
 
 ZERO = Scalar(0)
 ONE = Scalar(1)
-MINUS_ONE = Scalar(-1)
 I = Scalar(0, 1)
-
-_INT_CACHE: dict[int, Scalar] = {0: ZERO, 1: ONE, -1: MINUS_ONE}
 
 
 def narrow(v):
-    """A Scalar's value in Z[i] (an int or a GaussInt) when both its parts
-    are integers, else the Scalar itself."""
+    """A value (int, GaussInt, Scalar, or what Scalar() reads) in Z[i] when
+    both its parts are integers, else as a Scalar."""
+    if type(v) is int or type(v) is GaussInt:
+        return v
+    v = v if isinstance(v, Scalar) else Scalar(v)
     re, im = v.re, v.im
     if re.denominator != 1 or im.denominator != 1:
         return v
     return GaussInt(re.numerator, im.numerator) if im else re.numerator
 
 
-def from_int(n):
-    """Shared Scalar for a small integer; used by structure-constant code."""
-    s = _INT_CACHE.get(n)
-    if s is None:
-        s = Scalar(n)
-        if -256 <= n <= 256:
-            _INT_CACHE[n] = s
-    return s
-
-
 def lift(v):
     """An int or a GaussInt as a Scalar; a Scalar is returned as it is."""
     if type(v) is int:
-        return from_int(v)
+        return Scalar(v)
     if type(v) is GaussInt:
         return Scalar(v.re, v.im)
     return v
@@ -281,6 +271,9 @@ class GaussInt:
 
     def __hash__(self):
         return hash((self.re, self.im))
+
+    def __str__(self):
+        return str(Scalar(self.re, self.im))
 
     def __repr__(self):
         return f"GaussInt({self.re}, {self.im})"

@@ -358,7 +358,8 @@ def _family_relations(bdef, core_ansatz):
     a[lo,lo]: a[r,i] = h when r = i and 0 otherwise, b = 0, each c column
     proportional to f (f(t0) c[r,i] = f(r) c[t0,i] for one support index t0,
     which is enough because f(t0) is nonzero and the support lies in the
-    core), and sum_j f(j) d[r,j] = h f(r).
+    core), and sum_j f(j) d[r,j] = h f(r).  The rows take f's stored
+    values, so an f in Z[i] gives rows in Z[i].
     """
     relations = ConstraintSystem()
     for uid in core_ansatz.unknown_ids():
@@ -374,20 +375,18 @@ def _family_relations(bdef, core_ansatz):
             relations.add_row({unknown("b", r): 1})
             relations.add_row({unknown("c", r): 1})
         return relations
-    f = bdef.f
+    f = bdef.f.by_index
     h = unknown("a", lo, lo)
-    t0 = f.support[0]
+    t0 = bdef.f.support[0]
     for r in core.indices():
         for i in core.indices():
             if (r, i) != (lo, lo):
                 relations.add_row({unknown("a", r, i): 1, h: -1 if r == i else 0})
             relations.add_row({unknown("b", r, i): 1})
             if r != t0:
-                relations.add_row(
-                    {unknown("c", r, i): f.m_value(t0), unknown("c", t0, i): -f.m_value(r)}
-                )
-        weighted = {unknown("d", r, j): f.m_value(j) for j in f.support}
-        relations.add_row({**weighted, h: -f.m_value(r)})
+                relations.add_row({unknown("c", r, i): f[t0], unknown("c", t0, i): -f.get(r, 0)})
+        weighted = {unknown("d", r, j): fj for j, fj in f.items()}
+        relations.add_row({**weighted, h: -f.get(r, 0)})
     return relations
 
 

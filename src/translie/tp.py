@@ -22,45 +22,36 @@ from .algebras import ProductDef, TP_FAMILY
 from .checks import POISSON_LEIBNIZ, run_law, window
 from .elements import L, M
 from .errors import InvalidParamsError, require_budget
-from .scalars import Scalar, ZERO, lift, narrow
+from .scalars import narrow
 
 POISSON_AND_TRANSPOSED = "poisson-and-transposed"
 TRANSPOSED_ONLY = "transposed-only"
 
 
-def _scalar(v):
-    v = lift(v)
-    return v if isinstance(v, Scalar) else Scalar(v)
+def _narrowed(items):
+    """{key: value} of (key, value) items, each value narrowed, zeros dropped."""
+    return {key: v for key, v in ((key, narrow(v)) for key, v in items) if v}
 
 
 class TPParams:
     """Product family parameters; immutable after construction.
 
-    alpha, c and d hold Scalars, as given.  `narrowed` holds the constants
-    product_terms and validate_params read, each narrowed once
-    (scalars.narrow): (alpha, c, d as {(i, j): {q: value}}, f's values).
+    alpha and the values of c ({p: value}) and d ({(i, j, q): value}) are
+    each narrowed once, here (scalars.narrow), zeros dropped; pairs holds
+    d by (i, j) as {(i, j): {q: value}}, the form product_terms and
+    validate_params join on.
     """
 
-    __slots__ = ("alpha", "c", "d", "f", "k", "narrowed")
+    __slots__ = ("alpha", "c", "d", "f", "k", "pairs")
 
     def __init__(self, alpha, c, d, f, k):
-        object.__setattr__(self, "alpha", _scalar(alpha))
-        object.__setattr__(
-            self, "c", {int(p): _scalar(v) for p, v in c.items() if _scalar(v)}
-        )
-        clean = {}
+        d = _narrowed(((int(i), int(j), int(q)), v) for (i, j, q), v in d.items())
         pairs = {}
         for (i, j, q), v in d.items():
-            v = _scalar(v)
-            if v:
-                key = (int(i), int(j), int(q))
-                clean[key] = v
-                pairs.setdefault(key[:2], {})[key[2]] = narrow(v)
-        object.__setattr__(self, "d", clean)
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "k", int(k))
-        c_values = {p: narrow(v) for p, v in self.c.items()}
-        object.__setattr__(self, "narrowed", (narrow(self.alpha), c_values, pairs, f.by_index))
+            pairs.setdefault((i, j), {})[q] = v
+        c = _narrowed((int(p), v) for p, v in c.items())
+        for name, value in zip(self.__slots__, (narrow(alpha), c, d, f, int(k), pairs)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("TPParams is immutable")
@@ -73,9 +64,8 @@ class TPParams:
         return sorted(idx) if idx else [0]
 
     def product_terms(self, x, y):
-        """Product of two basis symbols as (coefficient, symbol) terms, the
-        coefficients made from the narrowed constants."""
-        alpha, c, pairs, f_values = self.narrowed
+        """Product of two basis symbols as (coefficient, symbol) terms."""
+        f_values = self.f.by_index
         if x.family == "L" and y.family == "L":
             return []
         if x.family == "M" and y.family == "M":
@@ -83,17 +73,17 @@ class TPParams:
             fx, fy = f_values.get(x.index), f_values.get(y.index)
             if fx and fy:
                 cf = fx * fy
-                out.extend((cf * cp, L(p)) for p, cp in c.items())
-            row = pairs.get((x.index, y.index))
+                out.extend((cf * cp, L(p)) for p, cp in self.c.items())
+            row = self.pairs.get((x.index, y.index))
             if row:
                 out.extend((dv, M(q)) for q, dv in row.items())
             return out
         if x.family == "M":
             x, y = y, x
         fy = f_values.get(y.index)
-        if not fy or not alpha:
+        if not fy or not self.alpha:
             return []
-        return [(alpha * fy, x)]
+        return [(self.alpha * fy, x)]
 
 
 @dataclass
@@ -118,12 +108,13 @@ def validate_params(params):
 
     Every term of the laws has a factor of d, or of alpha f(M_i) f(M_j), so
     each law is checked only where d's entries and f's support reach, by
-    sparse joins listing witnesses in sorted index order, on the narrowed
-    constants (in Z[i] where they are Gaussian integers), each witness's
-    residual lifted to a Scalar.  The work of each join is checked against
-    the budget before it runs: the weighted sums meet at most |supp f|^2
-    pairs beyond d's, and the exchange join makes one product per d entry
-    (a,b,q) and entry of d(q,.,.), a count read off d in O(|d|).
+    sparse joins listing witnesses in sorted index order, on the stored
+    constants: a witness's residual is in Z[i] where they are Gaussian
+    integers, a Scalar where a rational one enters.  The work of each join
+    is checked against the budget before it runs: the weighted sums meet at
+    most |supp f|^2 pairs beyond d's, and the exchange join makes one
+    product per d entry (a,b,q) and entry of d(q,.,.), a count read off d
+    in O(|d|).
     """
     report = TPValidationReport()
     support = params.f.support
@@ -139,22 +130,20 @@ def validate_params(params):
         f"exchange identity needs {products} products of d entries over "
         f"{len(params.d)} entries",
     )
-    alpha, _, pairs, f_values = params.narrowed
+    alpha, pairs, f_values = params.alpha, params.pairs, params.f.by_index
     for i, j, q in sorted({(min(i, j), max(i, j), q) for i, j, q in params.d}):
         residual = pairs.get((i, j), {}).get(q, 0) - pairs.get((j, i), {}).get(q, 0)
         if residual:
-            report.eq_symmetry_violations.append(((i, j, q), _scalar(residual)))
+            report.eq_symmetry_violations.append(((i, j, q), residual))
 
     candidates = set(pairs)
     if alpha:
         candidates.update((i, j) for i in support for j in support)
     for i, j in sorted(candidates):
-        total = 0
-        for q, v in pairs.get((i, j), {}).items():
-            total = total + f_values.get(q, 0) * v
+        total = sum(f_values.get(q, 0) * v for q, v in pairs.get((i, j), {}).items())
         residual = total - alpha * f_values.get(i, 0) * f_values.get(j, 0)
         if residual:
-            report.eq_weighted_sum_violations.append(((i, j), _scalar(residual)))
+            report.eq_weighted_sum_violations.append(((i, j), residual))
 
     # each product d(a,b,q) d(q,c,p) is the term + d(r,s,q) d(q,t,p) of the
     # tuple (r,s,t,p) = (a,b,c,p) and the term - d(s,t,q) d(q,r,p) of (c,a,b,p)
@@ -168,30 +157,27 @@ def validate_params(params):
                 for p, w in out.items():
                     sums[a, b, c, p] = sums.get((a, b, c, p), 0) + v * w
                     sums[c, a, b, p] = sums.get((c, a, b, p), 0) - v * w
-    report.eq_exchange_violations = [(key, _scalar(v)) for key, v in sorted(sums.items()) if v]
+    report.eq_exchange_violations = [(key, v) for key, v in sorted(sums.items()) if v]
     return report
 
 
 def build_example_family(f, d_seq, c, k):
-    """Rank-one d array: d_{i,j,p} = d_p f(M_i) f(M_j), alpha = sum f(M_q) d_q.
+    """Rank-one d array: d_{i,j,p} = d_p f(M_i) f(M_j), alpha = sum f(M_q) d_q,
+    computed on the narrowed values, in Z[i] where they are Gaussian integers.
 
     Always passes validation: symmetry and the exchange identity hold
     because the array factors through the functional, and the weighted-sum
     law reduces to the definition of alpha.
     """
-    d_seq = {int(p): _scalar(v) for p, v in d_seq.items() if _scalar(v)}
-    alpha = ZERO
-    for q, dv in d_seq.items():
-        alpha = alpha + f.m_value(q) * dv
+    f_values = f.by_index
+    d_seq = _narrowed((int(p), v) for p, v in d_seq.items())
+    alpha = sum(f_values.get(q, 0) * dv for q, dv in d_seq.items())
     d = {}
-    for i in f.support:
-        fi = f.m_value(i)
-        for j in f.support:
-            w = fi * f.m_value(j)
+    for i, fi in f_values.items():
+        for j, fj in f_values.items():
+            w = fi * fj
             for p, dv in d_seq.items():
-                val = dv * w
-                if val:
-                    d[(i, j, p)] = val
+                d[i, j, p] = dv * w
     return TPParams(alpha=alpha, c=c, d=d, f=f, k=k)
 
 

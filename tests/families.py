@@ -18,7 +18,13 @@ from fractions import Fraction
 from translie.algebras import product_eval
 from translie.elements import Element, L, M, extend
 from translie.linalg import unknown
-from translie.scalars import ONE, ZERO, Scalar
+from translie.scalars import ONE, ZERO, Scalar, lift
+
+
+def scalar_value(f, index):
+    """f(M_index) as a Scalar, 0 off the support: the fixtures and oracles
+    compute in Scalars, whatever type f stores its values in."""
+    return lift(f.by_index.get(index, 0))
 
 
 class Counting:
@@ -82,15 +88,15 @@ def afk_family_operator(f, h, c, d_rows, domain):
     for r, row in rows.items():
         total = ZERO
         for j, val in row.items():
-            total = total + f.m_value(j) * val
-        if total != h * f.m_value(r):
+            total = total + scalar_value(f, j) * val
+        if total != h * scalar_value(f, r):
             raise ValueError(
                 f"d row {r} violates the weighted row-sum condition"
             )
     table = {}
     for r in domain.indices():
         table[L(r)] = Element({L(r): h}) if h else Element()
-        fr = f.m_value(r)
+        fr = scalar_value(f, r)
         terms = {}
         if fr:
             for i, ci in c.items():
@@ -151,7 +157,7 @@ def full_window_family_assignment(ansatz, f, h, c, d_rows):
     for r in ansatz.domain.indices():
         if ansatz.image.contains(r) and h:
             asg[unknown("a", r, r)] = h
-        fr = f.m_value(r)
+        fr = scalar_value(f, r)
         for i in ansatz.image.indices():
             if fr:
                 ci = c.get(i)
@@ -181,7 +187,7 @@ def random_family_params(f, domain, image, rng):
             if val:
                 c[i] = val
     d_rows = {}
-    ft0 = f.m_value(t0)
+    ft0 = scalar_value(f, t0)
     for r in domain.indices():
         row = {}
         for j in image.indices():
@@ -191,8 +197,8 @@ def random_family_params(f, domain, image, rng):
                     row[j] = val
         total = ZERO
         for j, val in row.items():
-            total = total + f.m_value(j) * val
-        row[t0] = (h * f.m_value(r) - total) / ft0
+            total = total + scalar_value(f, j) * val
+        row[t0] = (h * scalar_value(f, r) - total) / ft0
         if not row[t0]:
             del row[t0]
         d_rows[r] = row

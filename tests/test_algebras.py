@@ -21,9 +21,9 @@ from translie.algebras import (
 from translie.checks import window, window_symbols
 from translie.elements import MAX_INDEX, BasisSymbol, Element, L, M
 from translie.errors import IndexOverflowError
-from translie.scalars import GaussInt, Scalar, from_int, lift
+from translie.scalars import GaussInt, Scalar, lift
 
-from families import ScalarMultiple, TableOperator
+from families import ScalarMultiple, TableOperator, scalar_value
 from kernel_reference import _bracket_terms as reference_kernel
 from kernel_reference import _sort3
 
@@ -88,18 +88,18 @@ def reference_terms(bdef, x, y, z):
     kind = bdef.kind
     if kind == "a-omega-delta":
         if fa == "L" and fb == "L" and fc == "M":
-            return [(from_int(sign * (b.index - a.index)), L(a.index + b.index + c.index))]
+            return [(Scalar(sign * (b.index - a.index)), L(a.index + b.index + c.index))]
         if fa == "L" and fb == "M":
-            return [(from_int(sign * (b.index - c.index)), M(a.index + b.index + c.index))]
+            return [(Scalar(sign * (b.index - c.index)), M(a.index + b.index + c.index))]
         return []
     if kind == "a-omega-delta-omega-form":
         if fa == "L" and fb == "L" and fc == "M":
-            return [(from_int(sign * (b.index - a.index)), L(a.index + b.index - c.index))]
+            return [(Scalar(sign * (b.index - a.index)), L(a.index + b.index - c.index))]
         if fa == "L" and fb == "M":
-            return [(from_int(sign * (c.index - b.index)), M(b.index + c.index - a.index))]
+            return [(Scalar(sign * (c.index - b.index)), M(b.index + c.index - a.index))]
         return []
     if fa == "L" and fb == "L" and fc == "M":
-        fv = bdef.f.m_value(c.index)
+        fv = scalar_value(bdef.f, c.index)
         if not fv:
             return []
         return [(fv.scale_int(sign * (a.index - b.index)), L(a.index + b.index + bdef.k))]
@@ -214,15 +214,17 @@ def test_bracket_kernel_matches_its_previous_form(name):
 def test_functional_values_are_narrowed_once():
     """f's values are kept as Gaussian integers where both parts are
     integers, f = 1+i included, and as Scalars elsewhere, so one bracket
-    gives both; m_value gives Scalars either way."""
+    gives both; values holds the same narrowed values, and each lifts to
+    its Scalar."""
     bdef = afk(0, functional({0: Scalar(1, 1), 1: 2, 2: "1/2"}))
     assert bdef.f.by_index == {0: GaussInt(1, 1), 1: 2, 2: Scalar(Fraction(1, 2))}
     assert [type(v) for v in bdef.f.by_index.values()] == [GaussInt, int, Scalar]
     assert typed(bdef.terms(L(1), L(2), M(0))) == [(GaussInt, GaussInt(-1, -1), L(3))]
     assert typed(bdef.terms(L(1), L(2), M(1))) == [(int, -2, L(3))]
     assert typed(bdef.terms(L(1), L(2), M(2))) == [(Scalar, Scalar(Fraction(-1, 2)), L(3))]
-    assert [type(bdef.f.m_value(t)) for t in range(4)] == [Scalar] * 4
-    assert bdef.f.m_value(0) == Scalar(1, 1) and bdef.f.m_value(3) == 0
+    assert bdef.f.values == tuple(bdef.f.by_index.items())
+    assert [type(lift(v)) for _, v in bdef.f.values] == [Scalar] * 3
+    assert lift(bdef.f.by_index[0]) == Scalar(1, 1) and bdef.f.by_index.get(3, 0) == 0
 
 
 def test_bracket_trilinear_on_elements():
@@ -331,9 +333,9 @@ def test_relabel_m_negation():
 
 def test_functional_eval():
     g = functional({0: 1, 2: 3})
-    assert g.m_value(0) == Scalar(1)
-    assert g.m_value(2) == Scalar(3)
-    assert g.m_value(1).is_zero()
+    assert g.by_index[0] == Scalar(1)
+    assert g.by_index[2] == Scalar(3)
+    assert not g.by_index.get(1, 0)
     assert g.support == [0, 2]
 
 

@@ -31,7 +31,7 @@ from translie.checks import (
 from translie.elements import Element, L, M
 from translie import errors
 from translie.errors import BudgetExceededError
-from translie.scalars import Scalar, from_int
+from translie.scalars import Scalar
 from translie.tp import poisson_violation_witness
 
 from families import Counting, ScalarMultiple
@@ -48,7 +48,7 @@ class CorruptedLLM:
             return []
         a, b, c, sign = _sort3(x, y, z)
         if a.family == "L" and b.family == "L" and c.family == "M":
-            return [(from_int(sign * (b.index - a.index + 1)), L(a.index + b.index + c.index))]
+            return [(Scalar(sign * (b.index - a.index + 1)), L(a.index + b.index + c.index))]
         return a_omega_delta().terms(x, y, z)
 
 
@@ -59,7 +59,7 @@ class AsymmetricTable:
 
     def terms(self, x, y, z):
         if (x.family, y.family, z.family) == ("L", "L", "M"):
-            return [(from_int(1), L(x.index + y.index + z.index))]
+            return [(Scalar(1), L(x.index + y.index + z.index))]
         return []
 
 
@@ -147,7 +147,7 @@ def test_one_third_derivation_hand_instance():
         + bracket_eval(bdef, x, y, op.apply(z))
     )
     assert lhs == Element.basis(L(2))
-    assert rhs == lhs.scale(from_int(3))
+    assert rhs == lhs.scale(Scalar(3))
 
 
 def test_one_third_derivation_scalar_multiple_passes():

@@ -22,6 +22,7 @@ from translie.solver import (
     solve_and_classify,
 )
 
+from families import scalar_value
 from spaces import dense
 
 # ---------------------------------------------------------------------------
@@ -86,13 +87,14 @@ def reference_full_window(core_space, core, f, full_dim):
         for i in core.indices():
             for r in core.indices():
                 for s in core.indices():
-                    if vec[unknown("c", r, i)] * f.m_value(s) != vec[unknown("c", s, i)] * f.m_value(r):
+                    lhs = vec[unknown("c", r, i)] * scalar_value(f, s)
+                    if lhs != vec[unknown("c", s, i)] * scalar_value(f, r):
                         good = False
         for r in core.indices():
             total = ZERO
             for j in f.support:
-                total = total + f.m_value(j) * vec[unknown("d", r, j)]
-            if total != h * f.m_value(r):
+                total = total + scalar_value(f, j) * vec[unknown("d", r, j)]
+            if total != h * scalar_value(f, r):
                 good = False
         if not good:
             offending.append(_strings(core_space, idx))
@@ -125,22 +127,22 @@ def graded_family(core):
 def full_window_family(core, f):
     """1 + |core|^2 vectors spanning the functional-bracket family."""
     t0 = f.support[0]
-    ft0 = f.m_value(t0)
+    ft0 = scalar_value(f, t0)
     h_vec = {unknown("a", r, r): ONE for r in core.indices()}
     for r in core.indices():
-        if f.m_value(r):
-            h_vec[unknown("d", r, t0)] = f.m_value(r) / ft0
+        if scalar_value(f, r):
+            h_vec[unknown("d", r, t0)] = scalar_value(f, r) / ft0
     vectors = [h_vec]
     for i in core.indices():
         vectors.append(
-            {unknown("c", r, i): f.m_value(r) for r in core.indices() if f.m_value(r)}
+            {unknown("c", r, i): scalar_value(f, r) for r in core.indices() if scalar_value(f, r)}
         )
     for r in core.indices():
         for j in core.indices():
             if j != t0:
                 vec = {unknown("d", r, j): ONE}
-                if f.m_value(j):
-                    vec[unknown("d", r, t0)] = -f.m_value(j) / ft0
+                if scalar_value(f, j):
+                    vec[unknown("d", r, t0)] = -scalar_value(f, j) / ft0
                 vectors.append(vec)
     return vectors
 

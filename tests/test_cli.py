@@ -43,8 +43,8 @@ def test_parse_scalar_strings():
             algebra={"kind": "a-f-k", "k": 1, "f": {"0": "5", "2": "1/2+5i"}},
         )
     )
-    assert cfg.algebra.f.m_value(0) == Scalar(5)
-    assert cfg.algebra.f.m_value(2) == Scalar.parse("1/2+5i")
+    assert cfg.algebra.f.by_index[0] == Scalar(5)
+    assert cfg.algebra.f.by_index[2] == Scalar.parse("1/2+5i")
 
 
 def test_parse_rejects_bad_window():
@@ -66,7 +66,11 @@ AFK_F0 = {"kind": "a-f-k", "f": {"0": "1"}}
     [
         (
             dict(command="check-laws", algebra={"kind": "a-omega-delta"}, zap=1),
-            "config: unknown key 'zap'",
+            "config: check-laws does not read the key 'zap'",
+        ),
+        (
+            dict(command="check-laws", algebra={"kind": "a-omega-delta"}, windows={"zap": [0, 0]}),
+            "windows.zap: check-laws does not read this window",
         ),
         (
             dict(command="check-laws", algebra={"kind": "a-f-k", "K": 3, "f": {"0": "1"}}),
@@ -122,7 +126,7 @@ AFK_F0 = {"kind": "a-f-k", "f": {"0": "1"}}
         ),
     ],
     ids=[
-        "root", "afk-K", "aod-k", "aod-f", "omega-form-k", "example-C",
+        "root", "window", "afk-K", "aod-k", "aod-f", "omega-form-k", "example-C",
         "alpha-beside-example", "c-beside-example", "d-beside-example", "tp-D",
     ],
 )
@@ -347,17 +351,27 @@ def test_a_config_that_is_not_utf8_exits_2_with_one_error_line(tmp_path, capsys)
     "out, errno_name", [("missing/report.json", "ENOENT"), (".", "EISDIR")],
     ids=["missing-directory", "directory"],
 )
-def test_an_unwritable_report_path_exits_2_with_one_error_line(tmp_path, capsys, out, errno_name):
-    """The report is computed, then its path is refused: exit 2 with the
-    OS error, not a traceback and exit 1, which would read as a violation."""
+def test_an_unwritable_report_path_exits_2_with_one_error_line(
+    tmp_path, capsys, monkeypatch, out, errno_name
+):
+    """The report path is refused before anything runs: exit 2 with the
+    OS error opening it would raise, not a traceback and exit 1, which
+    would read as a violation; nothing is created."""
+
+    def refuse(config):
+        raise AssertionError("run was called")
+
+    monkeypatch.setattr(cli, "run", refuse)
     path = tmp_path / "cfg.json"
     path.write_text(cfg_text(command="tp-triviality", windows={"domain": [-2, 2]}))
     target = str(tmp_path / out)
+    before = sorted(p.name for p in tmp_path.iterdir())
     assert main(["tp-triviality", "--config", str(path), "--out", target, "--quiet"]) == 2
     code = getattr(errno, errno_name)
     assert capsys.readouterr().err == (
         f"error: cannot write report: [Errno {code}] {os.strerror(code)}: {target!r}\n"
     )
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
 def test_main_seed_override(tmp_path):
@@ -740,7 +754,40 @@ FUZZ_CORRUPTIONS = [
     ("tp_params", {"example_family": {"d_seq": {"0": "1"}}, "alpha": "1"}),
     ("algebra", {"kind": "a-f-k", "K": 3, "f": {"0": "1"}}),
     ("mode", "both"),
+    (None, None),  # a key or window the command does not read, from UNREAD
 ]
+# the windows and the optional keys beside mode and seed that each command
+# reads, and whether it has a randomized pass (which reads budget)
+READS = {
+    "check-laws": (("domain", "equation"), ("algebra",), True),
+    "solve-derivations": (("domain", "equation", "core", "image"), ("algebra", "degree"), False),
+    "tp-triviality": (("domain", "index", "basis"), (), False),
+    "build-tp": ((), ("algebra", "tp_params"), False),
+    "verify-tp": ((), ("algebra", "tp_params"), True),
+    "generators": (("domain",), ("algebra", "generators", "max_rounds"), False),
+}
+# (key, value) for every key a command may not read, valid where read
+UNREAD = [
+    ("algebra", {"kind": "a-omega-delta"}),
+    ("degree", 1),
+    ("generators", [["L", 0]]),
+    ("max_rounds", 2),
+    ("tp_params", {"example_family": {"d_seq": {"1": "3"}}}),
+]
+WINDOW_NAMES = ("domain", "equation", "core", "image", "index", "basis")
+
+
+def unread(command):
+    """(key, value) pairs the command does not read: keys, windows (as a
+    whole windows object) and a randomized mode without a randomized pass."""
+    windows, keys, randomized = READS[command]
+    out = [(key, value) for key, value in UNREAD if key not in keys]
+    out += [("windows", {name: [0, 0]}) for name in WINDOW_NAMES if name not in windows]
+    if not randomized:
+        out.append(("mode", "randomized"))
+    return out
+
+
 def small_windows(size):
     def from_lo(lo):
         return st.integers(lo, lo + size - 1).map(lambda hi: [lo, hi])
@@ -754,24 +801,32 @@ SMALL_WINDOW = small_windows(3)
 @st.composite
 def config_docs(draw, command):
     """A config document for command on small windows ([0,0] included),
-    with up to two fields then replaced from FUZZ_CORRUPTIONS."""
+    with only the keys and windows the command reads, and up to two
+    fields then replaced from FUZZ_CORRUPTIONS."""
+    windows, keys, randomized = READS[command]
     doc = {}
     if draw(st.booleans()):
         doc["command"] = command
-    afk_only = command in ("build-tp", "verify-tp")
-    doc["algebra"] = draw(st.sampled_from(FUZZ_ALGEBRAS[2:] if afk_only else FUZZ_ALGEBRAS))
-    # domain and equation are always set: the defaults, [-10,10] for a
-    # solve and [-2,2] for the fundamental identity, take seconds
+    afk_only = "tp_params" in keys
+    if "algebra" in keys:
+        doc["algebra"] = draw(st.sampled_from(FUZZ_ALGEBRAS[2:] if afk_only else FUZZ_ALGEBRAS))
+    # domain and equation are always set where read: the defaults,
+    # [-10,10] for a solve and [-2,2] for the fundamental identity, take
+    # seconds
+    sizes = {"domain": small_windows(5), "equation": SMALL_WINDOW}
     doc["windows"] = draw(
         st.fixed_dictionaries(
-            {"domain": small_windows(5), "equation": SMALL_WINDOW},
-            optional={name: SMALL_WINDOW for name in ("core", "image", "index", "basis")},
+            {name: sizes[name] for name in windows if name in sizes},
+            optional={name: SMALL_WINDOW for name in windows if name not in sizes},
         )
     )
     optional = {
-        "mode": st.sampled_from(["exhaustive", "randomized"]),
-        "budget": st.integers(1, 50),
+        "mode": st.sampled_from(["exhaustive", "randomized"] if randomized else ["exhaustive"]),
         "seed": st.integers(-(2**70), 2**70),
+    }
+    if randomized:
+        optional["budget"] = st.integers(1, 50)
+    read = {
         "degree": st.integers(-3, 3),
         "generators": st.lists(
             st.tuples(st.sampled_from(["L", "M"]), st.integers(-3, 3)).map(list),
@@ -780,12 +835,15 @@ def config_docs(draw, command):
         ),
         "max_rounds": st.integers(0, 3),
     }
+    optional.update((key, values) for key, values in read.items() if key in keys)
     if afk_only:
         doc["tp_params"] = draw(st.sampled_from(FUZZ_TP_PARAMS))
     for key, values in optional.items():
         if draw(st.booleans()):
             doc[key] = draw(values)
     for key, value in draw(st.lists(st.sampled_from(FUZZ_CORRUPTIONS), max_size=2)):
+        if key is None:
+            key, value = draw(st.sampled_from(unread(command)))
         doc[key] = value
     return doc
 
@@ -798,6 +856,41 @@ def test_cli_fuzz_exits_0_1_or_2_without_traceback(data, command):
     assert code in (0, 1, 2), (command, doc, err)
     assert "Traceback" not in err
     assert (code == 2) == err.startswith("error: "), err
+
+
+# one small passing config per command, seed included: every report echoes it
+READ_ONLY_DOCS = {
+    "check-laws": {"algebra": {"kind": "a-omega-delta"},
+                   "windows": {"domain": [-1, 1], "equation": [-1, 1]}},
+    "solve-derivations": {"algebra": {"kind": "a-omega-delta"},
+                          "windows": {"domain": [-4, 4], "core": [-2, 2]}, "degree": 1},
+    "tp-triviality": {"windows": {"domain": [-1, 1]}},
+    "build-tp": {"algebra": AFK_F0, "tp_params": {"example_family": {"d_seq": {"1": "5"}}}},
+    "verify-tp": {"algebra": AFK_F0, "tp_params": {"example_family": {"d_seq": {"1": "5"}}}},
+    "generators": {"algebra": {"kind": "a-omega-delta"}, "windows": {"domain": [-1, 1]}},
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_a_key_the_command_does_not_read_exits_2_naming_it(command):
+    """Each key, window and randomized mode the command does not read is
+    refused with one error line naming it, instead of being echoed as if
+    it had been used; the same config without it passes."""
+    base = {**READ_ONLY_DOCS[command], "seed": 3}
+    assert _main_on(command, base) == (0, "")
+    for key, value in unread(command):
+        doc = dict(base)
+        if key == "windows":
+            (name,) = value
+            doc["windows"] = {**base.get("windows", {}), **value}
+            message = f"windows.{name}: {command} does not read this window"
+        elif key == "mode":
+            doc["mode"] = value
+            message = f"mode: {command} has no randomized pass"
+        else:
+            doc[key] = value
+            message = f"config: {command} does not read the key {key!r}"
+        assert _main_on(command, doc) == (2, f"error: {message}\n"), doc
 
 
 OVERSIZED = [-200, 200]
@@ -821,10 +914,14 @@ OVERSIZED = [-200, 200]
 )
 def test_cli_fuzz_oversized_windows_hit_the_budget(case, algebra, degree):
     command, windows = case
-    # only the graded solve (a-omega-delta) takes a nonzero degree
-    if algebra["kind"] != "a-omega-delta":
-        degree = 0
-    code, err = _main_on(command, {"algebra": algebra, "windows": windows, "degree": degree})
+    doc = {"windows": windows}
+    # tp-triviality reads no algebra, and only a solve reads the degree,
+    # which only the graded solve (a-omega-delta) takes nonzero
+    if command != "tp-triviality":
+        doc["algebra"] = algebra
+    if command == "solve-derivations":
+        doc["degree"] = degree if algebra["kind"] == "a-omega-delta" else 0
+    code, err = _main_on(command, doc)
     assert code == 2
     assert re.fullmatch(r"error: .* needs \d+ .*, budget is 2000000\n", err), err
 

@@ -2,7 +2,7 @@ import pytest
 
 from translie.elements import Element, L, M, combine, extend
 from translie.errors import IndexOverflowError
-from translie.scalars import Scalar, from_int
+from translie.scalars import Scalar
 
 
 def test_symbol_order_l_before_m_then_index():
@@ -22,19 +22,19 @@ def test_symbol_index_overflow():
 def test_combine_cancellation():
     x = Element.basis(L(2))
     y = x.scale(Scalar(-1))
-    assert combine(from_int(1), x, from_int(1), y).is_zero()
+    assert combine(Scalar(1), x, Scalar(1), y).is_zero()
 
 
 def test_combine_scaling_prunes_zero_factor():
     x = Element({L(1): Scalar(1), M(3): Scalar(1)})
     y = Element.basis(M(5))
-    out = combine(from_int(2), x, from_int(0), y)
+    out = combine(Scalar(2), x, Scalar(0), y)
     assert out == Element({L(1): Scalar(2), M(3): Scalar(2)})
     assert M(5) not in out.terms
 
 
 def test_combine_disjoint_supports():
-    out = combine(from_int(1), Element.basis(L(0)), from_int(1), Element.basis(M(0)))
+    out = combine(Scalar(1), Element.basis(L(0)), Scalar(1), Element.basis(M(0)))
     assert out == Element({L(0): Scalar(1), M(0): Scalar(1)})
 
 
@@ -81,14 +81,14 @@ def test_extend_is_the_multilinear_sum():
 
 def test_extend_scalars_cancellation_and_empty_maps():
     def kernel(x, y, z):
-        return [(from_int(1), L(0))] if x.family == y.family == z.family == "L" else []
+        return [(Scalar(1), L(0))] if x.family == y.family == z.family == "L" else []
 
     half = Scalar.parse("1/2")
     x = {L(0): half, M(0): Scalar.parse("1+i")}
     assert extend(kernel, x, x, x) == {L(0): half * half * half}
-    assert extend(kernel, {L(0): from_int(1)}, {L(0): from_int(2)}, {}) == {}
+    assert extend(kernel, {L(0): Scalar(1)}, {L(0): Scalar(2)}, {}) == {}
 
     def opposite(sym):
-        return [(from_int(1), L(0))] if sym.family == "L" else [(from_int(-1), L(0))]
+        return [(Scalar(1), L(0))] if sym.family == "L" else [(Scalar(-1), L(0))]
 
-    assert extend(opposite, {L(3): from_int(2), M(3): from_int(2)}) == {}
+    assert extend(opposite, {L(3): Scalar(2), M(3): Scalar(2)}) == {}

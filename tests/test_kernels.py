@@ -249,12 +249,12 @@ def _constants_read(d, args):
     terms = d.terms(*args)
     if getattr(d, "kind", None) == "a-f-k":
         t = max(args).index
-        return [[d.f.m_value(t)] for _ in terms]
+        return [[d.f.by_index.get(t, 0)] for _ in terms]
     params = getattr(d, "params", None)
     if params is None:
         return [[] for _ in terms]
     x, y = args
-    f = params.f.m_value
+    f = params.f.by_index.__getitem__
     if x.family == y.family == "M":
         return [
             [f(x.index), f(y.index), params.c[sym.index]] if sym.family == "L"

@@ -10,7 +10,7 @@ from translie import linalg
 from translie.elements import Element, L
 from translie.linalg import ConstraintSystem
 from translie.scalars import (
-    I, ONE, GaussInt, Scalar, ZERO, from_int, gauss, ggcd, lift, narrow, unit
+    I, ONE, GaussInt, Scalar, ZERO, gauss, ggcd, lift, narrow, unit
 )
 
 from spaces import has_gaussian_form
@@ -59,11 +59,6 @@ def test_parse_rejects_garbage():
     for text in ["", "x", "1/", "1+2", "++i", "1/2+", "2i+3", "1/0", "1+2/0i"]:
         with pytest.raises(ValueError):
             Scalar.parse(text)
-
-
-def test_small_int_cache_shared():
-    assert from_int(3) is from_int(3)
-    assert from_int(3) == Scalar(3)
 
 
 def test_float_agreement_sampled():

@@ -3,6 +3,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from translie.algebras import TP_FAMILY, ProductDef, afk, functional, product_eval
 from translie.checks import (
@@ -15,7 +17,7 @@ from translie.checks import (
 from translie.elements import Element, L, M
 from translie import errors
 from translie.errors import BudgetExceededError, InvalidParamsError
-from translie.scalars import ZERO, Scalar
+from translie.scalars import ZERO, GaussInt, Scalar, lift, narrow
 from translie.tp import (
     POISSON_AND_TRANSPOSED,
     TRANSPOSED_ONLY,
@@ -28,7 +30,7 @@ from translie.tp import (
     validate_params,
 )
 
-from families import left_multiplication_operator
+from families import left_multiplication_operator, scalar_value
 
 F01 = functional({0: 1})
 
@@ -120,7 +122,7 @@ def test_build_example_family_values():
 
     f2 = functional({0: 1, 2: 1})
     q = build_example_family(f2, {1: 1}, {}, 0)
-    assert q.alpha.is_zero()
+    assert not q.alpha
     assert q.d == {
         (0, 0, 1): Scalar(1),
         (0, 2, 1): Scalar(1),
@@ -129,7 +131,7 @@ def test_build_example_family_values():
     }
 
     z = build_example_family(F01, {}, {}, 0)
-    assert z.alpha.is_zero() and not z.d
+    assert not z.alpha and not z.d
 
 
 def test_build_example_family_always_valid_random():
@@ -190,7 +192,7 @@ def test_classify_poisson_dichotomy():
 
     # alpha = 0 with nonzero d: support of the sequence away from the functional
     p0 = build_example_family(F01, {1: 5}, {}, 2)
-    assert p0.alpha.is_zero() and p0.d
+    assert not p0.alpha and p0.d
     assert classify_poisson(p0) == POISSON_AND_TRANSPOSED
 
     pc = build_example_family(F01, {1: 5}, {2: 1}, 2)
@@ -247,6 +249,90 @@ def test_params_immutable_and_pruned():
 
 
 # ---------------------------------------------------------------------------
+# each constant stored once, narrowed
+
+
+# integral, Gaussian-integer, rational and 1/2+i values, given as ints,
+# GaussInts and Scalars: a Gaussian integer given as a Scalar is narrowed
+VALUES = st.one_of(
+    st.integers(-3, 3),
+    st.builds(GaussInt, st.integers(-3, 3), st.integers(1, 3)),
+    st.builds(Scalar, st.integers(-3, 3), st.integers(-3, 3)),
+    st.builds(Scalar, st.fractions(-3, 3, max_denominator=4)),
+    st.just(Scalar(Fraction(1, 2), 1)),
+)
+INDEX_MAPS = st.dictionaries(st.integers(-2, 2), VALUES, max_size=3)
+
+
+def _stored_as(stored, given):
+    """stored is narrow(given), in its type, and prints as given's Scalar."""
+    expected = narrow(given)
+    return (
+        type(stored) is type(expected)
+        and stored == expected
+        and str(stored) == str(lift(stored)) == str(lift(given))
+    )
+
+
+def _scalar(v):
+    v = lift(v)
+    return v if isinstance(v, Scalar) else Scalar(v)
+
+
+def _scalar_example_family(f, d_seq):
+    """alpha and d of the rank-one family computed in Scalars, value by
+    value, the loop build_example_family ran before it read the stored
+    values: the oracle for its values."""
+    d_seq = {int(p): _scalar(v) for p, v in d_seq.items() if _scalar(v)}
+    alpha = ZERO
+    for q, dv in d_seq.items():
+        alpha = alpha + scalar_value(f, q) * dv
+    d = {}
+    for i in f.support:
+        fi = scalar_value(f, i)
+        for j in f.support:
+            w = fi * scalar_value(f, j)
+            for p, dv in d_seq.items():
+                val = dv * w
+                if val:
+                    d[(i, j, p)] = val
+    return alpha, d
+
+
+@settings(max_examples=80, deadline=None)
+@given(f_map=INDEX_MAPS, alpha=VALUES, c=INDEX_MAPS, d_map=INDEX_MAPS)
+def test_functional_and_params_store_each_value_narrowed(f_map, alpha, c, d_map):
+    f = functional(f_map)
+    given_f = {i: v for i, v in f_map.items() if v}
+    assert f.support == sorted(given_f)
+    assert f.by_index == dict(f.values)
+    assert all(_stored_as(v, given_f[i]) for i, v in f.values)
+
+    d = {(i, -i, i + 1): v for i, v in d_map.items()}
+    params = TPParams(alpha=alpha, c=c, d=d, f=f, k=0)
+    assert _stored_as(params.alpha, alpha)
+    assert params.c.keys() == {p for p, v in c.items() if v}
+    assert all(_stored_as(v, c[p]) for p, v in params.c.items())
+    assert params.d.keys() == {key for key, v in d.items() if v}
+    assert all(_stored_as(v, d[key]) for key, v in params.d.items())
+    assert params.pairs == {(i, j): {q: v} for (i, j, q), v in params.d.items()}
+
+
+@settings(max_examples=80, deadline=None)
+@given(f_map=INDEX_MAPS, d_seq=INDEX_MAPS)
+def test_example_family_matches_the_scalar_loop(f_map, d_seq):
+    """build_example_family on the stored values gives the Scalar loop's
+    alpha and d, value for value, each stored narrowed and printed as the
+    loop's Scalar."""
+    f = functional(f_map)
+    params = build_example_family(f, d_seq, {}, 0)
+    alpha, d = _scalar_example_family(f, d_seq)
+    assert _stored_as(params.alpha, alpha)
+    assert list(params.d) == list(d)
+    assert all(_stored_as(params.d[key], v) for key, v in d.items())
+
+
+# ---------------------------------------------------------------------------
 # the sparse joins of validate_params against the dense loops they replaced
 
 
@@ -272,10 +358,10 @@ def _dense_validation(params):
         for j in idx:
             total = Scalar(0)
             for q in idx:
-                fq = f.m_value(q)
+                fq = scalar_value(f, q)
                 if fq:
                     total = total + fq * d(i, j, q)
-            residual = total - params.alpha * f.m_value(i) * f.m_value(j)
+            residual = total - params.alpha * scalar_value(f, i) * scalar_value(f, j)
             if residual:
                 weighted.append(((i, j), residual))
     for r in idx:
@@ -323,9 +409,9 @@ def _random_params(rng):
 
 
 def test_sparse_validation_matches_the_dense_loops():
-    """Witness for witness, each residual a Scalar with the dense loops'
-    text, on params whose constants are all Gaussian integers (joined in
-    Z[i]: real and Gaussian integers) and on ones with a Gaussian-rational
+    """Witness for witness, each residual with the dense loops' text, on
+    params whose constants are all Gaussian integers (joined in Z[i]: each
+    residual an int or a GaussInt) and on ones with a Gaussian-rational
     constant (joined in Scalars where it enters)."""
     rng = random.Random(41)
     seen = [0, 0, 0]
@@ -340,14 +426,14 @@ def test_sparse_validation_matches_the_dense_loops():
         )
         dense = _dense_validation(params)
         assert lists == dense
+        constants = [params.alpha, *params.c.values(), *params.f.by_index.values()]
+        constants += params.d.values()
+        in_ring = all(type(v) is not Scalar for v in constants)
         for found, expected in zip(lists, dense):
-            assert all(type(v) is Scalar for _, v in found)
+            assert all(type(v) is not Scalar for _, v in found) or not in_ring
             assert [(key, str(v)) for key, v in found] == [(key, str(v)) for key, v in expected]
         seen = [n + bool(violations) for n, violations in zip(seen, lists)]
-        alpha, c, pairs, f_values = params.narrowed
-        constants = [alpha, *c.values(), *f_values.values()]
-        constants += [v for row in pairs.values() for v in row.values()]
-        integral[all(type(v) is not Scalar for v in constants)] += not report.is_valid
+        integral[in_ring] += not report.is_valid
     assert all(n >= 5 for n in seen), seen
     assert all(n >= 5 for n in integral), integral
 
