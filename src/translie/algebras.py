@@ -45,6 +45,11 @@ OMEGA_FORM = "a-omega-delta-omega-form"
 AFK = "a-f-k"
 
 
+def narrowed(items):
+    """{key: value} of (key, value) items, each value narrowed, zeros dropped."""
+    return {key: v for key, v in ((key, narrow(v)) for key, v in items) if v}
+
+
 @dataclass(frozen=True)
 class FiniteFunctional:
     """Linear map with value 0 on every L_r and finite support on the M_r.
@@ -59,8 +64,7 @@ class FiniteFunctional:
     by_index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        narrowed = ((int(i), narrow(v)) for i, v in self.values)
-        values = tuple(sorted((i, v) for i, v in narrowed if v))
+        values = tuple(sorted(narrowed((int(i), v) for i, v in self.values).items()))
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "by_index", dict(values))
 

@@ -134,15 +134,16 @@ _INT_FIELDS = {
 
 
 # the keys every command reads, and what each command reads beside them:
-# its windows, its other keys, and whether it has a randomized pass
-_COMMON = ("command", "windows", "mode", "budget", "seed")
+# its windows and its other keys (a command reading budget, the sample
+# count, has a randomized pass)
+_COMMON = ("command", "windows", "mode", "seed")
 _READS = {
-    "check-laws": (("domain", "equation"), ("algebra",), True),
-    "solve-derivations": (("domain", "equation", "core", "image"), ("algebra", "degree"), False),
-    "tp-triviality": (("index", "basis", "domain"), (), False),
-    "build-tp": ((), ("algebra", "tp_params"), False),
-    "verify-tp": ((), ("algebra", "tp_params"), True),
-    "generators": (("domain",), ("algebra", "generators", "max_rounds"), False),
+    "check-laws": (("domain", "equation"), ("algebra", "budget")),
+    "solve-derivations": (("domain", "equation", "core", "image"), ("algebra", "degree")),
+    "tp-triviality": (("index", "basis", "domain"), ()),
+    "build-tp": ((), ("algebra", "tp_params")),
+    "verify-tp": ((), ("algebra", "tp_params", "budget")),
+    "generators": (("domain",), ("algebra", "generators", "max_rounds")),
 }
 
 
@@ -280,7 +281,7 @@ def parse_config(text, command=None):
         f"config command {doc_command!r} does not match requested {command!r}",
     )
 
-    windows_read, keys_read, randomized = _READS[command]
+    windows_read, keys_read = _READS[command]
     for key in data:
         _require(key in _COMMON + keys_read, f"config: {command} does not read the key {key!r}")
 
@@ -301,7 +302,10 @@ def parse_config(text, command=None):
 
     cfg.mode = data.get("mode", "exhaustive")
     _require(cfg.mode in ("exhaustive", "randomized"), "mode must be exhaustive or randomized")
-    _require(cfg.mode == "exhaustive" or randomized, f"mode: {command} has no randomized pass")
+    _require(
+        cfg.mode == "exhaustive" or "budget" in keys_read,
+        f"mode: {command} has no randomized pass",
+    )
     for name, (least, message) in _INT_FIELDS.items():
         if name in data:
             value = data[name]
@@ -315,7 +319,7 @@ def parse_config(text, command=None):
     if "tp_params" in data:
         cfg.tp_params = _parse_tp_params(data["tp_params"], cfg.algebra)
     _require(
-        cfg.tp_params is not None or command not in ("verify-tp", "build-tp"),
+        cfg.tp_params is not None or "tp_params" not in keys_read,
         f"{command} requires a 'tp_params' section",
     )
 
@@ -424,13 +428,11 @@ def _run_check_laws(cfg):
         _entry(check_fundamental_identity(cfg.algebra, equation)),
     ]
     if cfg.mode == "randomized":
-        entries.append(
-            _entry(
-                check_fundamental_identity(
-                    cfg.algebra, equation, samples=cfg.budget or DEFAULT_SAMPLES, seed=cfg.seed
-                )
-            )
+        samples = cfg.budget or DEFAULT_SAMPLES
+        law_report = check_fundamental_identity(
+            cfg.algebra, equation, samples=samples, seed=cfg.seed
         )
+        entries.append(_entry(law_report))
     if cfg.algebra.kind == A_OMEGA_DELTA:
         entries.append(_entry(check_relabel_intertwining(domain)))
         entries.append(_entry(check_commutative_associative(algebra_a(), domain)))
@@ -504,13 +506,9 @@ def _run_verify_tp(cfg):
                        check_tp_compatibility(bdef, prod, closure)):
         entries.append(_entry(law_report, details={"window": [closure.lo, closure.hi]}))
     if cfg.mode == "randomized":
-        entries.append(
-            _entry(
-                check_tp_compatibility(
-                    bdef, prod, closure, samples=cfg.budget or DEFAULT_SAMPLES, seed=cfg.seed
-                )
-            )
-        )
+        samples = cfg.budget or DEFAULT_SAMPLES
+        law_report = check_tp_compatibility(bdef, prod, closure, samples=samples, seed=cfg.seed)
+        entries.append(_entry(law_report))
 
     # the classical Leibniz law must hold exactly on the poisson-and-transposed side
     classification = classify_poisson(params)
@@ -533,14 +531,9 @@ def _run_verify_tp(cfg):
 
 def _run_generators(cfg):
     domain = cfg.windows.get("domain", window(-6, 6))
-    gens = cfg.generators or [
-        BasisSymbol(fam, i) for fam in ("L", "M") for i in (-1, 0, 1)
-    ]
+    gens = cfg.generators or [BasisSymbol(fam, i) for fam in ("L", "M") for i in (-1, 0, 1)]
     result = generator_closure(
-        cfg.algebra,
-        [Element.basis(s) for s in gens],
-        domain,
-        max_rounds=cfg.max_rounds,
+        cfg.algebra, [Element.basis(s) for s in gens], domain, max_rounds=cfg.max_rounds
     )
     details = {
         "spanned": result.spanned,
@@ -594,13 +587,16 @@ def _print_summary(report, stream, timing=False):
 
 
 def _report_path_refusal(path):
-    """The OSError opening path to write would raise when it is a directory
-    or in a missing one, else None; path is not opened."""
+    """The OSError opening path to write would raise when it is a directory,
+    or its directory is missing or not one, else None; path is not opened."""
+    dirname = os.path.dirname(path) or os.curdir
     if os.path.isdir(path):
-        return OSError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-    if not os.path.isdir(os.path.dirname(path) or os.curdir):
-        return OSError(errno.ENOENT, os.strerror(errno.ENOENT), path)
-    return None
+        code = errno.EISDIR
+    elif not os.path.isdir(dirname):
+        code = errno.ENOTDIR if os.path.exists(dirname) else errno.ENOENT
+    else:
+        return None
+    return OSError(code, os.strerror(code), path)
 
 
 def main(argv=None):

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algebras import ProductDef, TP_FAMILY
+from .algebras import ProductDef, TP_FAMILY, narrowed
 from .checks import POISSON_LEIBNIZ, run_law, window
 from .elements import L, M
 from .errors import InvalidParamsError, require_budget
@@ -26,11 +26,6 @@ from .scalars import narrow
 
 POISSON_AND_TRANSPOSED = "poisson-and-transposed"
 TRANSPOSED_ONLY = "transposed-only"
-
-
-def _narrowed(items):
-    """{key: value} of (key, value) items, each value narrowed, zeros dropped."""
-    return {key: v for key, v in ((key, narrow(v)) for key, v in items) if v}
 
 
 class TPParams:
@@ -45,13 +40,16 @@ class TPParams:
     __slots__ = ("alpha", "c", "d", "f", "k", "pairs")
 
     def __init__(self, alpha, c, d, f, k):
-        d = _narrowed(((int(i), int(j), int(q)), v) for (i, j, q), v in d.items())
+        d = narrowed(((int(i), int(j), int(q)), v) for (i, j, q), v in d.items())
         pairs = {}
         for (i, j, q), v in d.items():
             pairs.setdefault((i, j), {})[q] = v
-        c = _narrowed((int(p), v) for p, v in c.items())
-        for name, value in zip(self.__slots__, (narrow(alpha), c, d, f, int(k), pairs)):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "alpha", narrow(alpha))
+        object.__setattr__(self, "c", narrowed((int(p), v) for p, v in c.items()))
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "k", int(k))
+        object.__setattr__(self, "pairs", pairs)
 
     def __setattr__(self, name, value):
         raise AttributeError("TPParams is immutable")
@@ -170,7 +168,7 @@ def build_example_family(f, d_seq, c, k):
     law reduces to the definition of alpha.
     """
     f_values = f.by_index
-    d_seq = _narrowed((int(p), v) for p, v in d_seq.items())
+    d_seq = narrowed((int(p), v) for p, v in d_seq.items())
     alpha = sum(f_values.get(q, 0) * dv for q, dv in d_seq.items())
     d = {}
     for i, fi in f_values.items():

@@ -348,8 +348,9 @@ def test_a_config_that_is_not_utf8_exits_2_with_one_error_line(tmp_path, capsys)
 
 
 @pytest.mark.parametrize(
-    "out, errno_name", [("missing/report.json", "ENOENT"), (".", "EISDIR")],
-    ids=["missing-directory", "directory"],
+    "out, errno_name",
+    [("missing/report.json", "ENOENT"), (".", "EISDIR"), ("cfg.json/report.json", "ENOTDIR")],
+    ids=["missing-directory", "directory", "file-as-directory"],
 )
 def test_an_unwritable_report_path_exits_2_with_one_error_line(
     tmp_path, capsys, monkeypatch, out, errno_name
@@ -757,18 +758,19 @@ FUZZ_CORRUPTIONS = [
     (None, None),  # a key or window the command does not read, from UNREAD
 ]
 # the windows and the optional keys beside mode and seed that each command
-# reads, and whether it has a randomized pass (which reads budget)
+# reads; a command that reads budget has a randomized pass
 READS = {
-    "check-laws": (("domain", "equation"), ("algebra",), True),
-    "solve-derivations": (("domain", "equation", "core", "image"), ("algebra", "degree"), False),
-    "tp-triviality": (("domain", "index", "basis"), (), False),
-    "build-tp": ((), ("algebra", "tp_params"), False),
-    "verify-tp": ((), ("algebra", "tp_params"), True),
-    "generators": (("domain",), ("algebra", "generators", "max_rounds"), False),
+    "check-laws": (("domain", "equation"), ("algebra", "budget")),
+    "solve-derivations": (("domain", "equation", "core", "image"), ("algebra", "degree")),
+    "tp-triviality": (("domain", "index", "basis"), ()),
+    "build-tp": ((), ("algebra", "tp_params")),
+    "verify-tp": ((), ("algebra", "tp_params", "budget")),
+    "generators": (("domain",), ("algebra", "generators", "max_rounds")),
 }
 # (key, value) for every key a command may not read, valid where read
 UNREAD = [
     ("algebra", {"kind": "a-omega-delta"}),
+    ("budget", 5),
     ("degree", 1),
     ("generators", [["L", 0]]),
     ("max_rounds", 2),
@@ -780,10 +782,10 @@ WINDOW_NAMES = ("domain", "equation", "core", "image", "index", "basis")
 def unread(command):
     """(key, value) pairs the command does not read: keys, windows (as a
     whole windows object) and a randomized mode without a randomized pass."""
-    windows, keys, randomized = READS[command]
+    windows, keys = READS[command]
     out = [(key, value) for key, value in UNREAD if key not in keys]
     out += [("windows", {name: [0, 0]}) for name in WINDOW_NAMES if name not in windows]
-    if not randomized:
+    if "budget" not in keys:
         out.append(("mode", "randomized"))
     return out
 
@@ -803,7 +805,8 @@ def config_docs(draw, command):
     """A config document for command on small windows ([0,0] included),
     with only the keys and windows the command reads, and up to two
     fields then replaced from FUZZ_CORRUPTIONS."""
-    windows, keys, randomized = READS[command]
+    windows, keys = READS[command]
+    randomized = "budget" in keys
     doc = {}
     if draw(st.booleans()):
         doc["command"] = command
@@ -824,9 +827,8 @@ def config_docs(draw, command):
         "mode": st.sampled_from(["exhaustive", "randomized"] if randomized else ["exhaustive"]),
         "seed": st.integers(-(2**70), 2**70),
     }
-    if randomized:
-        optional["budget"] = st.integers(1, 50)
     read = {
+        "budget": st.integers(1, 50),
         "degree": st.integers(-3, 3),
         "generators": st.lists(
             st.tuples(st.sampled_from(["L", "M"]), st.integers(-3, 3)).map(list),
