@@ -448,7 +448,12 @@ def _run_check_laws(cfg):
 def _run_solve_derivations(cfg):
     domain = cfg.windows.get("domain", window(-10, 10))
     equation = cfg.windows.get("equation", domain)
-    core = cfg.windows.get("core", window(-(domain.size // 4), domain.size // 4))
+    # the core defaults to the domain's middle index, rounded toward 0,
+    # +- |domain| // 4, which keeps the margin solve_and_classify requires
+    ends = domain.lo + domain.hi
+    middle = -(-ends // 2) if ends < 0 else ends // 2
+    radius = domain.size // 4
+    core = cfg.windows.get("core", window(middle - radius, middle + radius))
     verdict = solve_and_classify(
         cfg.algebra, domain, equation, core, cfg.degree, cfg.windows.get("image")
     )

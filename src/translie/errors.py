@@ -17,7 +17,7 @@ class IndexOverflowError(TransLieError):
 
 
 class UnknownNotFoundError(TransLieError):
-    """A referenced unknown is not registered in the system."""
+    """A referenced unknown is not one of the system's unknowns."""
 
 
 class BudgetExceededError(TransLieError):

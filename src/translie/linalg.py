@@ -57,7 +57,8 @@ def unknown(name, *subs):
 
 @dataclass
 class ConstraintSystem:
-    """Homogeneous linear system, rhs = 0.
+    """Homogeneous linear system, rhs = 0, over a list of distinct unknowns,
+    column j being unknowns[j]; a repeated unknown raises ValueError.
 
     Each row is kept once, as added, in its own coefficient types: a map
     column -> int, GaussInt or Scalar, duplicates included; rows gives them
@@ -73,21 +74,19 @@ class ConstraintSystem:
     provenance: list = field(default_factory=list)
     distinct: dict = field(default_factory=dict)
     _rows: list = field(default_factory=list, repr=False)
-    _index: dict = field(default_factory=dict, repr=False)
+    _index: dict = field(init=False, repr=False)
 
-    def register(self, uid):
-        idx = self._index.get(uid)
-        if idx is None:
-            idx = len(self.unknowns)
-            self._index[uid] = idx
-            self.unknowns.append(uid)
-        return idx
+    def __post_init__(self):
+        self._index = {}
+        for col, uid in enumerate(self.unknowns):
+            if self._index.setdefault(uid, col) != col:
+                raise ValueError(f"unknown {uid} is repeated")
 
     def column_of(self, uid):
         try:
             return self._index[uid]
         except KeyError:
-            raise UnknownNotFoundError(f"unregistered unknown {uid}") from None
+            raise UnknownNotFoundError(f"unknown {uid} is not in the system") from None
 
     @property
     def rows(self):
@@ -109,7 +108,7 @@ class ConstraintSystem:
         try:
             row = {self._index[uid]: coeff for uid, coeff in coeffs.items() if coeff}
         except KeyError as exc:
-            raise UnknownNotFoundError(f"unregistered unknown {exc.args[0]}") from None
+            raise UnknownNotFoundError(f"unknown {exc.args[0]} is not in the system") from None
         return self.add_columns(row, provenance)
 
     def describe(self, index):
@@ -170,7 +169,7 @@ class SolutionSpace:
 
     def residuals(self, system):
         """For each basis vector, the index of the first row it leaves
-        nonzero, or None; the system must register every unknown.
+        nonzero, or None; the system must have every unknown.
 
         Only the distinct normal forms are substituted: every row is a
         nonzero multiple of one of them, so this checks every row.  The

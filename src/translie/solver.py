@@ -1,10 +1,11 @@
 """Windowed constraint assembly and exact classification of 1/3-derivations.
 
-An ansatz declares, for every basis symbol of a source window, a formal
-image with named unknown coefficients.  The one-third-derivation law is
-then imposed on every bracket relation whose participating symbols are
-representable, each comparison of basis coefficients becoming one
-homogeneous row (scaled by 3 to stay fraction-free):
+An ansatz declares, in its image table, for every basis symbol of a
+source window, a formal image with named unknown coefficients.  The
+one-third-derivation law is then imposed on every bracket relation whose
+participating symbols are representable, each comparison of basis
+coefficients becoming one homogeneous row (scaled by 3 to stay
+fraction-free):
 
     3 phi([x,y,z]) - [phi(x),y,z] - [x,phi(y),z] - [x,y,phi(z)] = 0.
 
@@ -25,8 +26,9 @@ call only and keeps the nonzero values alone, and reads each term's
 unknown from the varied symbol's own image list.  The terms, and the order
 they are added in, are those of bracketing every image again, so the rows
 are the same.  A graded image list has 2 entries that move with the index,
-so graded ansatze get no table.  Images are cached as (column, image
-symbol) pairs, so each row is built on columns for the column intake.
+so graded ansatze get no table.  The ansatz's image table is mapped to
+(column, image symbol) pairs once per assembly, so each row is built on
+columns for the column intake.
 
 Solving happens over the full window; the classification is asserted only
 on the projection to a core window kept away from the boundary, where the
@@ -44,11 +46,6 @@ from .elements import BasisSymbol, L, M
 from .errors import EmptySystemError, require_budget
 from .linalg import ConstraintSystem, SolutionSpace, nullspace, project_solution, unknown
 
-GRADED = "graded"
-FULL_WINDOW = "full-window"
-
-_UNSET = object()
-
 _PATTERNS = (
     ("LLM", ("L", "L", "M")),
     ("LMM", ("L", "M", "M")),
@@ -59,78 +56,68 @@ _PATTERNS = (
 
 @dataclass(frozen=True)
 class Ansatz:
-    kind: str
+    """Formal images of the symbols of the domain window.  Graded exactly
+    when image is None: phi(L_r) = a[r] L_{r+degree} + b[r] M_{r+degree},
+    phi(M_r) likewise with c and d.  Full window otherwise: phi(L_r) =
+    sum_i a[r,i] L_i + sum_j b[r,j] M_j over the image window, phi(M_r)
+    likewise with c and d."""
+
     domain: Window
     degree: int = 0
     image: Window | None = None
 
-    @property
-    def shared_images(self):
-        """True when all symbols of a family have one image-symbol list, in
-        one order, and differ only in their unknowns (full window)."""
-        return self.kind == FULL_WINDOW
+    def _targets(self, r):
+        """(image index, unknown subscripts after r) of each image term of
+        the symbols of index r, in image order."""
+        if self.image is None:
+            return [(r + self.degree, ())]
+        return [(i, (i,)) for i in self.image.indices()]
 
     @property
     def num_unknowns(self):
         """len(unknown_ids()), without building them."""
-        return 4 * self.domain.size * (1 if self.kind == GRADED else self.image.size)
+        return 4 * self.domain.size * (1 if self.image is None else self.image.size)
 
     def unknown_ids(self):
-        ids = []
-        if self.kind == GRADED:
-            for name in "abcd":
-                for r in self.domain.indices():
-                    ids.append(unknown(name, r))
-        else:
-            for name in "abcd":
-                for r in self.domain.indices():
-                    for i in self.image.indices():
-                        ids.append(unknown(name, r, i))
-        return ids
+        """Every unknown, in column order: by name a, b, c, d, then source
+        index, then image index."""
+        return [
+            unknown(name, r, *subs)
+            for name in "abcd"
+            for r in self.domain.indices()
+            for _, subs in self._targets(r)
+        ]
 
-    def images(self, sym):
-        """Formal image of a basis symbol: list of (unknown, image symbol).
-
-        Returns None when the symbol's index is outside the source window,
-        which makes the enclosing equation triple unusable.
-        """
-        r = sym.index
-        if not self.domain.contains(r):
-            return None
-        if self.kind == GRADED:
-            g = self.degree
-            if sym.family == "L":
-                return [(unknown("a", r), L(r + g)), (unknown("b", r), M(r + g))]
-            return [(unknown("c", r), L(r + g)), (unknown("d", r), M(r + g))]
-        first, second = ("a", "b") if sym.family == "L" else ("c", "d")
-        out = [(unknown(first, r, i), L(i)) for i in self.image.indices()]
-        out += [(unknown(second, r, j), M(j)) for j in self.image.indices()]
-        return out
-
-
-def graded_ansatz(degree, domain):
-    return Ansatz(GRADED, domain=domain, degree=degree)
-
-
-def full_window_ansatz(domain, image):
-    return Ansatz(FULL_WINDOW, domain=domain, image=image)
+    def images(self):
+        """The image table: {symbol: [(unknown, image symbol)]} for every
+        symbol of the domain, the L terms of its image before the M terms.
+        A symbol outside the domain has no entry, which makes any equation
+        triple that needs its image unusable."""
+        table = {}
+        for r in self.domain.indices():
+            targets = self._targets(r)
+            for fam, first, second in (("L", "a", "b"), ("M", "c", "d")):
+                table[BasisSymbol(fam, r)] = [
+                    (unknown(first, r, *subs), L(i)) for i, subs in targets
+                ] + [(unknown(second, r, *subs), M(i)) for i, subs in targets]
+        return table
 
 
 def ansatz_for(bdef, domain, degree=0, image=None):
-    """The ansatz of the kind classified for an algebra: graded for the
-    shifted bracket, full window over the image (default: the domain) for
-    a-f-k.  An image window for the graded kind, or a nonzero degree for
-    the full window, raises ValueError rather than being ignored."""
+    """The ansatz classified for an algebra: graded for the shifted
+    bracket, full window over the image (default: the domain) for a-f-k.
+    An image window for the graded ansatz, or a nonzero degree for the full
+    window, raises ValueError rather than being ignored."""
     if bdef.kind == A_OMEGA_DELTA:
         if image is not None:
             raise ValueError(f"{bdef.kind} has a graded ansatz, which takes no image window")
-        return graded_ansatz(degree, domain)
+        return Ansatz(domain, degree)
     if bdef.kind == AFK:
         if degree:
             raise ValueError(
                 f"{bdef.kind} has a full-window ansatz, which takes no degree (got {degree})"
             )
-        return full_window_ansatz(domain, domain if image is None else image)
+        return Ansatz(domain, image=domain if image is None else image)
     raise ValueError(f"no classification defined for bracket {bdef.kind!r}")
 
 
@@ -151,45 +138,34 @@ def assemble_system(bdef, ansatz, eq_window):
     integer as given, f = 1+i included, with Scalars where a rational or
     Gaussian-rational value of f enters.
 
-    When the ansatz shares one image-symbol list per family
-    (Ansatz.shared_images: full window), the varied-slot brackets come from
-    a SlotTable made for this call: the bracket of the image at position p
-    with the two other symbols fixed is the same for every varied symbol of
-    the family, so it is computed once, only nonzero values are kept, and
-    the unknown at position p of the varied symbol's own image list takes
-    it.  Graded ansatze bracket each image directly.  Either way the same
-    (column, terms) pairs reach one accumulation loop in the same order,
-    and each row goes to ConstraintSystem.add_columns.
+    When the ansatz is full window, so that every symbol of a family has
+    one image-symbol list, the varied-slot brackets come from a SlotTable
+    made for this call: the bracket of the image at position p with the two
+    other symbols fixed is the same for every varied symbol of the family,
+    so it is computed once, only nonzero values are kept, and the unknown
+    at position p of the varied symbol's own image list takes it.  Graded
+    ansatze bracket each image directly.  Either way the same (column,
+    terms) pairs reach one accumulation loop in the same order, and each
+    row goes to ConstraintSystem.add_columns.  The ansatz's image table is
+    mapped to columns once, after both budget checks.
     """
     n = eq_window.size
     triples = 2 * comb(n, 2) * n + 2 * comb(n, 3)
     require_budget(triples, f"assembly needs {triples} equation triples")
     require_budget(ansatz.num_unknowns, f"ansatz needs {ansatz.num_unknowns} unknowns")
-    system = ConstraintSystem()
-    for uid in ansatz.unknown_ids():
-        system.register(uid)
+    system = ConstraintSystem(ansatz.unknown_ids())
+    images = {
+        sym: [(system.column_of(uid), img) for uid, img in pairs]
+        for sym, pairs in ansatz.images().items()
+    }
     bracket = bdef.terms
-
-    image_cache = {}
-
-    def images_of(sym):
-        """The symbol's image as (column, image symbol) pairs, or None."""
-        hit = image_cache.get(sym, _UNSET)
-        if hit is _UNSET:
-            hit = ansatz.images(sym)
-            if hit is not None:
-                hit = [(system.column_of(uid), img) for uid, img in hit]
-            image_cache[sym] = hit
-        return hit
-
-    table = SlotTable(bracket) if ansatz.shared_images else None
+    table = None if ansatz.image is None else SlotTable(bracket)
     # the representable symbols of the equation window, by family, in index
     # order; a triple with an unrepresentable symbol gives no equation
     representable = {}
     for fam in "LM":
         syms = [BasisSymbol(fam, i) for i in eq_window.indices()]
-        found = [(sym, images_of(sym)) for sym in syms]
-        representable[fam] = [(sym, img) for sym, img in found if img is not None]
+        representable[fam] = [(sym, images[sym]) for sym in syms if sym in images]
     qualifying = 0
     for pattern_name, (fx, fy, fz) in _PATTERNS:
         xs, ys, zs = representable[fx], representable[fy], representable[fz]
@@ -200,7 +176,7 @@ def assemble_system(bdef, ansatz, eq_window):
                     lhs_images = []
                     ok = True
                     for coeff, out in bracket(x, y, z):
-                        img_out = images_of(out)
+                        img_out = images.get(out)
                         if img_out is None:
                             ok = False
                             break
@@ -251,7 +227,7 @@ class SlotTable:
     for each image symbol whose value is nonzero.  The entry depends on the
     varied symbol's family only, never on its index, so it is exact only
     for an ansatz whose symbols of one family share one image-symbol list
-    (Ansatz.shared_images); the unknowns are read from the varied symbol's
+    (a full-window one); the unknowns are read from the varied symbol's
     own image list, of (column, image symbol) pairs, at each position.
     """
 
@@ -304,26 +280,11 @@ class ClassificationVerdict:
     core_space: SolutionSpace | None = None
 
 
-# what the core space is expected to be, given the family's dimension and
-# the ansatz degree
-_DESCRIPTIONS = {
-    GRADED: (
-        "core dimension {dim}; basis vector is the uniform shift by {degree}: "
-        "a and d constant and equal, b and c zero"
-    ),
-    FULL_WINDOW: (
-        "b block zero; a block h*identity; c columns proportional to the "
-        "functional values; weighted d-row sums equal to h times the "
-        "functional value; core dimension {dim}"
-    ),
-}
-
-
 def solve_and_classify(bdef, domain, eq_window, core, degree=0, image=None):
     """Assemble, solve exactly, project to the core, and classify.
 
-    The ansatz over the domain and the core ansatz are both ansatz_for's
-    kind for the algebra, so `degree` and `image` are read as ansatz_for
+    The ansatz over the domain and the core ansatz both come from
+    ansatz_for, so `degree` and `image` are read as ansatz_for
     reads them; the expected core is the uniform shift (graded) or the
     family of _family_relations (full window).  The windows are checked
     before anything is assembled: the core keeps the margin from the domain
@@ -352,7 +313,7 @@ def solve_and_classify(bdef, domain, eq_window, core, degree=0, image=None):
 
 def _family_relations(bdef, core_ansatz):
     """The expected core family as the nullspace of its defining relations,
-    registered on the core ansatz's unknowns.
+    on the core ansatz's unknowns.
 
     Graded: a[r] = a[lo] and d[r] = a[lo], b = c = 0.  Full window, with h =
     a[lo,lo]: a[r,i] = h when r = i and 0 otherwise, b = 0, each c column
@@ -361,12 +322,10 @@ def _family_relations(bdef, core_ansatz):
     core), and sum_j f(j) d[r,j] = h f(r).  The rows take f's stored
     values, so an f in Z[i] gives rows in Z[i].
     """
-    relations = ConstraintSystem()
-    for uid in core_ansatz.unknown_ids():
-        relations.register(uid)
+    relations = ConstraintSystem(core_ansatz.unknown_ids())
     core = core_ansatz.domain
     lo = core.lo
-    if core_ansatz.kind == GRADED:
+    if core_ansatz.image is None:
         a0 = unknown("a", lo)
         for r in core.indices():
             if r != lo:
@@ -395,6 +354,17 @@ def _classify(core_space, bdef, core_ansatz, full_dim):
     defining relation nonzero (containment) and the dimensions agree."""
     relations = _family_relations(bdef, core_ansatz)
     expected_dim = relations.num_unknowns - relations.rank()
+    if core_ansatz.image is None:
+        expected = (
+            f"core dimension {expected_dim}; basis vector is the uniform shift by "
+            f"{core_ansatz.degree}: a and d constant and equal, b and c zero"
+        )
+    else:
+        expected = (
+            "b block zero; a block h*identity; c columns proportional to the "
+            "functional values; weighted d-row sums equal to h times the "
+            f"functional value; core dimension {expected_dim}"
+        )
     offending = [
         {str(uid): str(val) for uid, val in core_space.vector_as_dict(idx).items()}
         for idx, row in enumerate(core_space.residuals(relations))
@@ -402,9 +372,7 @@ def _classify(core_space, bdef, core_ansatz, full_dim):
     ]
     return ClassificationVerdict(
         matches=not offending and core_space.dimension == expected_dim,
-        expected_description=_DESCRIPTIONS[core_ansatz.kind].format(
-            dim=expected_dim, degree=core_ansatz.degree
-        ),
+        expected_description=expected,
         core_dimension=core_space.dimension,
         offending_vectors=offending,
         expected_core_dimension=expected_dim,
@@ -427,12 +395,13 @@ def tp_triviality_system(w_index, w_basis):
     """
     rows = 2 * w_basis.size ** 2 * w_index.size
     require_budget(rows, f"tp-triviality system needs {rows} rows")
-    system = ConstraintSystem()
-    column = {}
-    for name in ("alpha", "beta"):
-        for i in w_basis.indices():
-            for k in w_index.indices():
-                column[name, i, k] = system.register(unknown(name, i, k))
+    system = ConstraintSystem([
+        unknown(name, i, k)
+        for name in ("alpha", "beta")
+        for i in w_basis.indices()
+        for k in w_index.indices()
+    ])
+    column = {(name, *subs): col for col, (name, subs) in enumerate(system.unknowns)}
 
     for i in w_basis.indices():
         for j in w_basis.indices():

@@ -123,10 +123,11 @@ def solution_operator(space, vector_index, ansatz, window_):
     """
     have = set(space.unknowns)
     vec = space.vector_as_dict(vector_index)
+    ansatz_images = ansatz.images()
     table = {}
     for r in window_.indices():
         for sym in (L(r), M(r)):
-            images = ansatz.images(sym)
+            images = ansatz_images.get(sym)
             if images is None or any(uid not in have for uid, _ in images):
                 continue
             terms = {}

@@ -38,8 +38,8 @@ from translie.elements import Element, L, M
 from translie.scalars import Scalar
 from translie.linalg import nullspace
 from translie.solver import (
+    Ansatz,
     assemble_system,
-    full_window_ansatz,
     solve_and_classify,
     tp_triviality_system,
 )
@@ -146,7 +146,7 @@ def test_c07_induced_product_triviality():
 def test_c08_full_window_classification_and_family():
     f = functional({0: 1, 1: 2})
     bdef = afk(1, f)
-    ansatz = full_window_ansatz(window(-4, 4), window(-4, 4))
+    ansatz = Ansatz(window(-4, 4), image=window(-4, 4))
     verdict = solve_and_classify(bdef, window(-4, 4), window(-4, 4), window(-2, 2))
     ok = verdict.matches
 

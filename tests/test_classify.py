@@ -14,11 +14,10 @@ from translie.checks import window
 from translie.linalg import SolutionSpace, rank, unknown
 from translie.scalars import ONE, ZERO, Scalar
 from translie.solver import (
+    Ansatz,
     ClassificationVerdict,
     _classify,
     _family_relations,
-    full_window_ansatz,
-    graded_ansatz,
     solve_and_classify,
 )
 
@@ -186,7 +185,7 @@ def _core(size):
 @pytest.mark.parametrize("degree", [-2, 0, 1])
 def test_graded_relations_match_reference(size, degree):
     core = _core(size)
-    ansatz = graded_ansatz(degree, core)
+    ansatz = Ansatz(core, degree)
     lo, hi = core.lo, core.hi
     family = graded_family(core)
     perturbations = [
@@ -221,7 +220,7 @@ def test_full_window_relations_match_reference(size, values):
     core = _core(size)
     f = functional(values)
     bdef = afk(1, f)
-    ansatz = full_window_ansatz(core, core)
+    ansatz = Ansatz(core, image=core)
     lo, hi = core.lo, core.hi
     t0 = f.support[0]
     family = full_window_family(core, f)
@@ -245,10 +244,10 @@ def test_full_window_relations_match_reference(size, values):
 @pytest.mark.parametrize("size", range(1, 6))
 def test_family_dimension_is_computed_from_the_relations(size):
     core = _core(size)
-    graded = _family_relations(a_omega_delta(), graded_ansatz(0, core))
+    graded = _family_relations(a_omega_delta(), Ansatz(core))
     assert graded.num_unknowns - rank(graded.rows) == 1
     for values in (v for n, v in SIZED_FUNCTIONALS if n == size):
-        rel = _family_relations(afk(1, functional(values)), full_window_ansatz(core, core))
+        rel = _family_relations(afk(1, functional(values)), Ansatz(core, image=core))
         assert rel.num_unknowns - rank(rel.rows) == 1 + size * size
 
 

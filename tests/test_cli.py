@@ -214,6 +214,35 @@ def test_run_solve_derivations():
     assert report.entries[0]["details"]["core_dimension"] == 1
 
 
+@pytest.mark.parametrize(
+    "domain, core",
+    [((0, 20), (5, 15)), ((-11, 10), (-5, 5)), ((-10, 11), (-5, 5)), ((-10, 10), (-5, 5))],
+)
+def test_default_core_is_centred_on_the_domain(domain, core, monkeypatch):
+    """The default core is the domain's middle index, rounded toward 0,
+    +- |domain| // 4: off-centre domains are solved, and a domain with
+    lo + hi in {-1, 0, 1} keeps the core centred on 0."""
+    cores = []
+
+    def solve(bdef, domain, eq_window, core, *args):
+        cores.append((core.lo, core.hi))
+        return solver.solve_and_classify(bdef, domain, eq_window, core, *args)
+
+    monkeypatch.setattr(cli, "solve_and_classify", solve)
+    cfg = parse_config(
+        cfg_text(
+            command="solve-derivations",
+            algebra={"kind": "a-omega-delta"},
+            windows={"domain": list(domain)},
+            degree=1,
+        )
+    )
+    report = run(cfg)
+    assert cores == [core]
+    assert report.verdict == "pass"
+    assert report.entries[0]["details"]["core_dimension"] == 1
+
+
 def test_run_tp_triviality():
     cfg = parse_config(
         cfg_text(command="tp-triviality", windows={"domain": [-3, 3]})

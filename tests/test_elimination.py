@@ -50,10 +50,8 @@ def _scalar(v):
 
 def _system(n, rows, scale=None):
     """Rows as given (int or Scalar values), or each multiplied by scale."""
-    system = ConstraintSystem()
     uids = [unknown("x", j) for j in range(n)]
-    for uid in uids:
-        system.register(uid)
+    system = ConstraintSystem(uids)
     for row in rows:
         if scale is not None:
             row = {c: scale * _scalar(v) for c, v in row.items()}

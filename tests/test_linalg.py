@@ -17,16 +17,14 @@ from translie.linalg import (
     unknown,
 )
 from translie.scalars import GaussInt, ONE, Scalar, ZERO, lift
-from translie.solver import assemble_system, full_window_ansatz
+from translie.solver import Ansatz, assemble_system
 
 from spaces import assert_sparse_basis, dense, has_gaussian_form, residuals_oracle
 
 
 def _system(unknown_names, rows):
-    sys_ = ConstraintSystem()
     uids = [unknown(n, 0) for n in unknown_names]
-    for uid in uids:
-        sys_.register(uid)
+    sys_ = ConstraintSystem(uids)
     for row in rows:
         sys_.add_row({uids[i]: Scalar(c) for i, c in row.items()})
     return sys_, uids
@@ -87,10 +85,8 @@ def test_rank_nullity_on_random_systems():
     rng = random.Random(7)
     for _ in range(25):
         n = rng.randint(1, 8)
-        sys_ = ConstraintSystem()
         uids = [unknown("x", i) for i in range(n)]
-        for uid in uids:
-            sys_.register(uid)
+        sys_ = ConstraintSystem(uids)
         rows = []
         for _ in range(rng.randint(0, 12)):
             row = {
@@ -108,10 +104,8 @@ def test_rank_nullity_on_random_systems():
 def test_system_rank_reads_the_distinct_forms():
     rng = random.Random(5)
     for _ in range(30):
-        sys_ = ConstraintSystem()
         uids = [unknown("x", i) for i in range(6)]
-        for uid in uids:
-            sys_.register(uid)
+        sys_ = ConstraintSystem(uids)
         rows = []
         for _ in range(rng.randint(0, 9)):
             row = {uids[i]: Scalar(rng.randint(-2, 2), rng.randint(-1, 1)) for i in range(6)}
@@ -237,7 +231,7 @@ def _full_window_system(f_zero):
     """The a-f-k, k = 1 system on the full window [-4,4], f = {0: f_zero, 1: 2}."""
     w = window(-4, 4)
     bdef = afk(1, functional({0: f_zero, 1: Scalar(2)}))
-    return assemble_system(bdef, full_window_ansatz(w, w), w)
+    return assemble_system(bdef, Ansatz(w, image=w), w)
 
 
 @pytest.mark.parametrize("f_zero", [Scalar(3), Scalar(1, 1)], ids=["real", "gaussian"])
@@ -293,18 +287,21 @@ def test_dropped_pivot_raises_verification_error_naming_the_oracle_row(f_zero, m
     )
 
 
+def test_a_repeated_unknown_is_refused():
+    x = unknown("x", 0)
+    with pytest.raises(ValueError, match=r"unknown x\[0\] is repeated"):
+        ConstraintSystem([x, unknown("y", 0), x])
+
+
 def test_row_referencing_unregistered_unknown():
-    sys_ = ConstraintSystem()
-    sys_.register(unknown("x", 0))
+    sys_ = ConstraintSystem([unknown("x", 0)])
     with pytest.raises(UnknownNotFoundError):
         sys_.add_row({unknown("y", 0): ONE})
 
 
 def test_gaussian_rational_rows():
-    sys_ = ConstraintSystem()
     u, v = unknown("x", 0), unknown("x", 1)
-    sys_.register(u)
-    sys_.register(v)
+    sys_ = ConstraintSystem([u, v])
     sys_.add_row({u: Scalar(0, 1), v: Scalar(1)})  # i*x + y = 0
     space = nullspace(sys_)
     assert space.dimension == 1

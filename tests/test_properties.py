@@ -78,10 +78,8 @@ def test_bracket_linear_in_first_slot(x, y, z, a):
 )
 @settings(max_examples=60)
 def test_nullspace_rank_identity(n, raw_rows):
-    system = ConstraintSystem()
     uids = [unknown("x", i) for i in range(n)]
-    for uid in uids:
-        system.register(uid)
+    system = ConstraintSystem(uids)
     kept = []
     for raw in raw_rows:
         row = {uids[i % n]: Scalar(v) for i, v in raw.items() if v}
@@ -107,10 +105,8 @@ def systems_and_spaces(draw):
     n = draw(st.integers(1, 7))
     touched = draw(st.integers(1, n))
     coeffs = gaussian_ints if draw(st.booleans()) else real_ints
-    system = ConstraintSystem()
     uids = [unknown("x", i) for i in range(n)]
-    for uid in uids:
-        system.register(uid)
+    system = ConstraintSystem(uids)
     for row in draw(st.lists(
         st.dictionaries(st.integers(0, touched - 1), coeffs, min_size=1, max_size=4), max_size=10
     )):

@@ -18,12 +18,11 @@ from translie.linalg import ConstraintSystem, nullspace, unknown
 from translie.scalars import ONE, Scalar
 from translie import solver
 from translie.solver import (
+    Ansatz,
     _PATTERNS,
     _form_add,
     ansatz_for,
     assemble_system,
-    full_window_ansatz,
-    graded_ansatz,
     solve_and_classify,
     tp_triviality_system,
 )
@@ -40,7 +39,7 @@ from spaces import assignment_space, dense
 
 def test_assembled_row_matches_known_substitution():
     """Degree 1, triple (-1,1,0): 6a_0 - a_{-1} - 3a_1 - 2d_0 = 0."""
-    sys_ = assemble_system(a_omega_delta(), graded_ansatz(1, window(-1, 1)), window(-1, 1))
+    sys_ = assemble_system(a_omega_delta(), Ansatz(window(-1, 1), 1), window(-1, 1))
     rows = {
         prov: {sys_.unknowns[c]: v for c, v in row.items()}
         for row, prov in zip(sys_.rows, sys_.provenance)
@@ -57,7 +56,7 @@ def test_assembled_row_matches_known_substitution():
 def test_afk_assembly_forces_b_block_to_zero():
     f = functional({0: 1})
     sys_ = assemble_system(
-        afk(0, f), full_window_ansatz(window(-3, 3), window(-3, 3)), window(-3, 3)
+        afk(0, f), Ansatz(window(-3, 3), image=window(-3, 3)), window(-3, 3)
     )
     singleton_b = [
         row
@@ -102,28 +101,27 @@ def test_core_must_respect_boundary_margin():
 
 def test_empty_system():
     with pytest.raises(EmptySystemError):
-        assemble_system(a_omega_delta(), graded_ansatz(0, window(5, 6)), window(-1, 1))
+        assemble_system(a_omega_delta(), Ansatz(window(5, 6)), window(-1, 1))
 
 
 def test_single_index_equation_window_gives_no_equation():
     """Every triple over one index repeats a symbol, so none is an equation."""
     with pytest.raises(EmptySystemError, match="no triple of distinct symbols"):
-        assemble_system(a_omega_delta(), graded_ansatz(0, window(-2, 2)), window(0, 0))
+        assemble_system(a_omega_delta(), Ansatz(window(-2, 2)), window(0, 0))
 
 
 def _oracle_system(bdef, ansatz, eq_window):
     """The law on every ordered triple of all eight family orders, evaluated
     on Elements through bracket_eval, one Element per unknown."""
-    system = ConstraintSystem()
-    for uid in ansatz.unknown_ids():
-        system.register(uid)
+    system = ConstraintSystem(ansatz.unknown_ids())
+    images = ansatz.images()
     symbols = [BasisSymbol(fam, i) for fam in "LM" for i in eq_window.indices()]
     for x, y, z in itertools.product(symbols, repeat=3):
-        if any(ansatz.images(sym) is None for sym in (x, y, z)):
+        if any(sym not in images for sym in (x, y, z)):
             continue
         ex, ey, ez = Element.basis(x), Element.basis(y), Element.basis(z)
         bracket = bracket_eval(bdef, ex, ey, ez)
-        if any(ansatz.images(sym) is None for sym in bracket.support()):
+        if any(sym not in images for sym in bracket.support()):
             continue
         defect = {}
 
@@ -131,13 +129,13 @@ def _oracle_system(bdef, ansatz, eq_window):
             defect[uid] = defect.get(uid, Element()) + element
 
         for out, coeff in bracket.terms.items():
-            for uid, img in ansatz.images(out):
+            for uid, img in images[out]:
                 add(uid, Element({img: Scalar(3) * coeff}))
-        for uid, img in ansatz.images(x):
+        for uid, img in images[x]:
             add(uid, -bracket_eval(bdef, Element.basis(img), ey, ez))
-        for uid, img in ansatz.images(y):
+        for uid, img in images[y]:
             add(uid, -bracket_eval(bdef, ex, Element.basis(img), ez))
-        for uid, img in ansatz.images(z):
+        for uid, img in images[z]:
             add(uid, -bracket_eval(bdef, ex, ey, Element.basis(img)))
         for out in {sym for element in defect.values() for sym in element.terms}:
             system.add_row({uid: element.coefficient(out) for uid, element in defect.items()})
@@ -146,18 +144,18 @@ def _oracle_system(bdef, ansatz, eq_window):
 
 ORACLE_CASES = {
     **{
-        f"a-omega-delta-degree{g}": (a_omega_delta(), graded_ansatz(g, window(-3, 3)), window(-3, 3))
+        f"a-omega-delta-degree{g}": (a_omega_delta(), Ansatz(window(-3, 3), g), window(-3, 3))
         for g in range(-2, 3)
     },
-    "omega-form": (omega_form(), graded_ansatz(1, window(-3, 3)), window(-3, 3)),
+    "omega-form": (omega_form(), Ansatz(window(-3, 3), 1), window(-3, 3)),
     "a-f-k-fractional": (
         afk(1, functional({0: Scalar.parse("1/2"), 1: Scalar.parse("-2/3")})),
-        full_window_ansatz(window(-2, 2), window(-2, 2)),
+        Ansatz(window(-2, 2), image=window(-2, 2)),
         window(-2, 2),
     ),
     "a-f-k-gaussian": (
         afk(1, functional({0: Scalar.parse("1+i"), 1: 2})),
-        full_window_ansatz(window(-2, 2), window(-2, 2)),
+        Ansatz(window(-2, 2), image=window(-2, 2)),
         window(-2, 2),
     ),
     # an image window wider than the domain, and an equation window wider
@@ -165,7 +163,7 @@ ORACLE_CASES = {
     **{
         f"a-f-k-{name}-{shape}": (
             afk(1, functional(f)),
-            full_window_ansatz(window(-2, 2), window(*image)),
+            Ansatz(window(-2, 2), image=window(*image)),
             window(*equation),
         )
         for name, f in (("real", {0: 1, 1: -2}), ("gaussian", {0: Scalar.parse("1+i"), 1: 2}))
@@ -203,28 +201,27 @@ def _reference_assembly(bdef, ansatz, eq_window):
     each triple: the loop the full-window table replaced, kept as the
     reference whose rows, provenance and distinct forms it must reproduce in
     order."""
-    system = ConstraintSystem()
-    for uid in ansatz.unknown_ids():
-        system.register(uid)
+    system = ConstraintSystem(ansatz.unknown_ids())
+    images = ansatz.images()
     bracket = bdef.terms
     lo, hi = eq_window.lo, eq_window.hi + 1
     for pattern_name, (fx, fy, fz) in _PATTERNS:
         for r in range(lo, hi):
             x = BasisSymbol(fx, r)
-            img_x = ansatz.images(x)
+            img_x = images.get(x)
             if img_x is None:
                 continue
             for s in range(r + 1 if fy == fx else lo, hi):
                 y = BasisSymbol(fy, s)
-                img_y = ansatz.images(y)
+                img_y = images.get(y)
                 if img_y is None:
                     continue
                 for t in range(s + 1 if fz == fy else lo, hi):
                     z = BasisSymbol(fz, t)
-                    img_z = ansatz.images(z)
+                    img_z = images.get(z)
                     if img_z is None:
                         continue
-                    lhs = [(3 * coeff, ansatz.images(out)) for coeff, out in bracket(x, y, z)]
+                    lhs = [(3 * coeff, images.get(out)) for coeff, out in bracket(x, y, z)]
                     if any(img_out is None for _, img_out in lhs):
                         continue
                     form = {}
@@ -249,12 +246,12 @@ _REFERENCE_CASES = {
     **ORACLE_CASES,
     "a-f-k-real-[-4,4]": (
         afk(1, functional({0: 1, 1: 2})),
-        full_window_ansatz(window(-4, 4), window(-4, 4)),
+        Ansatz(window(-4, 4), image=window(-4, 4)),
         window(-4, 4),
     ),
     "a-f-k-gaussian-image-[-8,8]": (
         afk(-1, functional({0: Scalar.parse("1+i"), 1: 2})),
-        full_window_ansatz(window(-3, 3), window(-8, 8)),
+        Ansatz(window(-3, 3), image=window(-8, 8)),
         window(-3, 3),
     ),
 }
@@ -275,21 +272,39 @@ def test_assembly_reproduces_the_reference_loop_in_order(case):
 
 
 def test_only_full_window_ansatze_share_images():
-    """The table's precondition: every symbol of a family has the same image
-    symbols in the same order; graded images move with the index."""
-    full = full_window_ansatz(window(-2, 2), window(-3, 3))
-    graded = graded_ansatz(1, window(-2, 2))
-    assert full.shared_images and not graded.shared_images
+    """The SlotTable's precondition: in a full-window image table every
+    symbol of a family has the same image symbols in the same order; graded
+    images move with the index."""
+    full = Ansatz(window(-2, 2), image=window(-3, 3)).images()
+    graded = Ansatz(window(-2, 2), 1).images()
     for fam in "LM":
-        lists = {tuple(img for _, img in full.images(BasisSymbol(fam, r))) for r in range(-2, 3)}
+        lists = {tuple(img for _, img in full[BasisSymbol(fam, r)]) for r in range(-2, 3)}
         assert len(lists) == 1
-    assert graded.images(L(0))[0][1] != graded.images(L(1))[0][1]
+        assert lists == {tuple(L(i) for i in range(-3, 4)) + tuple(M(j) for j in range(-3, 4))}
+        for r in range(-2, 3):
+            assert [img for _, img in graded[BasisSymbol(fam, r)]] == [L(r + 1), M(r + 1)]
+
+
+@pytest.mark.parametrize(
+    "ansatz",
+    [Ansatz(window(-3, 4), 2), Ansatz(window(0, 0)), Ansatz(window(-2, 2), image=window(-3, 1))],
+    ids=["graded", "graded-one-index", "full-window"],
+)
+def test_image_table_covers_the_domain_with_every_unknown_once(ansatz):
+    """The table's keys are the domain's symbols, and its unknowns,
+    flattened, are unknown_ids(), each once."""
+    table = ansatz.images()
+    domain = ansatz.domain.indices()
+    assert set(table) == {BasisSymbol(fam, r) for fam in "LM" for r in domain}
+    flat = [uid for pairs in table.values() for uid, _ in pairs]
+    assert len(flat) == len(set(flat)) == ansatz.num_unknowns
+    assert set(flat) == set(ansatz.unknown_ids())
 
 
 def test_assembly_over_budget_raises_before_enumerating():
     """2*C(n,2)*n + 2*C(n,3) triples for n equation indices: 1,949,476 at
     n = 114 is inside the budget, 2,001,460 at n = 115 is not."""
-    ansatz = graded_ansatz(0, window(-3, 3))
+    ansatz = Ansatz(window(-3, 3))
     with pytest.raises(EmptySystemError):
         assemble_system(a_omega_delta(), ansatz, window(100, 213))
     with pytest.raises(BudgetExceededError) as exc:
@@ -299,32 +314,35 @@ def test_assembly_over_budget_raises_before_enumerating():
 
 def test_num_unknowns_counts_the_unknown_ids():
     for ansatz in (
-        graded_ansatz(2, window(-3, 4)),
-        full_window_ansatz(window(-2, 2), window(-3, 1)),
+        Ansatz(window(-3, 4), 2),
+        Ansatz(window(-2, 2), image=window(-3, 1)),
     ):
         assert ansatz.num_unknowns == len(ansatz.unknown_ids())
 
 
 def test_assembly_refuses_too_many_unknowns_before_registering(monkeypatch):
     """The triple budget passes on a narrow equation window; the ansatz's
-    4*|domain|*|image| unknowns are counted before any is built."""
+    4*|domain|*|image| unknowns are counted before any unknown or image is
+    built."""
 
     def no_ids(self):
         raise AssertionError("built the unknowns of an ansatz over budget")
 
+    def no_images(self):
+        raise AssertionError("built the image table of an ansatz over budget")
+
     monkeypatch.setattr(solver.Ansatz, "unknown_ids", no_ids)
-    ansatz = full_window_ansatz(window(-500, 500), window(-500, 500))
+    monkeypatch.setattr(solver.Ansatz, "images", no_images)
+    ansatz = Ansatz(window(-500, 500), image=window(-500, 500))
     with pytest.raises(BudgetExceededError) as exc:
         assemble_system(afk(1, functional({0: 1})), ansatz, window(-1, 1))
     assert str(exc.value) == "ansatz needs 4008004 unknowns, budget is 2000000"
 
 
 def test_ansatz_for_pairs_each_algebra_with_its_kind():
-    assert ansatz_for(a_omega_delta(), window(-2, 2), 3) == graded_ansatz(3, window(-2, 2))
+    assert ansatz_for(a_omega_delta(), window(-2, 2), 3) == Ansatz(window(-2, 2), 3)
     f = functional({0: 1})
-    assert ansatz_for(afk(1, f), window(-2, 2)) == full_window_ansatz(
-        window(-2, 2), window(-2, 2)
-    )
+    assert ansatz_for(afk(1, f), window(-2, 2)) == Ansatz(window(-2, 2), image=window(-2, 2))
     with pytest.raises(ValueError, match="a-omega-delta-omega-form"):
         ansatz_for(omega_form(), window(-2, 2))
 
@@ -342,14 +360,14 @@ def test_solver_solution_passes_forward_check():
         a_omega_delta(), window(-6, 6), window(-6, 6), window(-3, 3), degree=1
     )
     op = solution_operator(
-        verdict.core_space, 0, graded_ansatz(1, window(-3, 3)), window(-3, 3)
+        verdict.core_space, 0, Ansatz(window(-3, 3), 1), window(-3, 3)
     )
     report = check_one_third_derivation(a_omega_delta(), op, window(-1, 1))
     assert report.passed
 
 
 def test_truncated_shift_satisfies_every_assembled_row():
-    ansatz = graded_ansatz(2, window(-5, 5))
+    ansatz = Ansatz(window(-5, 5), 2)
     sys_ = assemble_system(a_omega_delta(), ansatz, window(-5, 5))
     assert assignment_space(sys_, graded_family_assignment(ansatz)).verify_against(sys_)
 
@@ -365,7 +383,7 @@ def test_eq_window_monotonicity():
 
     dims = []
     for eq in (window(-4, 4), window(-6, 6), window(-8, 8)):
-        ansatz = graded_ansatz(0, window(-8, 8))
+        ansatz = Ansatz(window(-8, 8))
         sys_ = assemble_system(a_omega_delta(), ansatz, eq)
         space = nullspace(sys_)
         keep = [unknown(n, r) for n in "abcd" for r in window(-2, 2).indices()]
@@ -389,7 +407,7 @@ def test_full_window_solve_matches_family_shape():
 
 def test_family_members_satisfy_assembled_rows():
     f = functional({0: 1, 1: 2})
-    ansatz = full_window_ansatz(window(-3, 3), window(-3, 3))
+    ansatz = Ansatz(window(-3, 3), image=window(-3, 3))
     sys_ = assemble_system(afk(1, f), ansatz, window(-3, 3))
     rng = random.Random(5)
     for _ in range(3):
@@ -439,9 +457,7 @@ def test_triviality_weakened_system_has_solutions():
     """Without the M-family comparison rows the alpha block is unconstrained,
     which shows that those rows do the work."""
     full = tp_triviality_system(window(-2, 2), window(-2, 2))
-    sys_ = ConstraintSystem()
-    for uid in full.unknowns:
-        sys_.register(uid)
+    sys_ = ConstraintSystem(full.unknowns)
     for row, prov in zip(full.rows, full.provenance):
         if prov[-1].family == "L":
             sys_.add_row({full.unknowns[col]: v for col, v in row.items()}, prov)
