@@ -1,34 +1,33 @@
 """Exact nullspace computation for sparse homogeneous systems.
 
 Rows are sparse maps column -> coefficient over an ordered list of named
-unknowns.  A system keeps each row once, in its own coefficient type, plus
-a Scalar view of them, and the distinct normal forms of its rows: the row
-scaled to a primitive row over the integers, or over the Gaussian integers
-Z[i] when it has an imaginary part, whose lead is in canonical form (see
-scalars.unit): a positive int, or re > 0 and im >= 0.  So a row, its
-multiples by i and 1+i and its rational multiples all have one form, and an
-integer row's form is the same primitive integer row whichever of them it
-came as.  Rows are homogeneous, so rows with one normal form impose one
-constraint; elimination and verification run on the distinct forms only.
-Verification indexes the basis vectors by column and streams the distinct
-forms once, so each form is dotted only with the vectors that share a
-column with it: a vector that shares none leaves the form exactly zero.
+unknowns.  A system keeps each row once, as given, in its own coefficient
+type (int, GaussInt or Scalar), plus a Scalar view of them.  A row's normal
+form is the row scaled to a primitive row over the integers, or over the
+Gaussian integers Z[i] when it has an imaginary part, whose lead is in
+canonical form (see scalars.unit): a positive int, or re > 0 and im >= 0.
+So a row, its multiples by i and 1+i and its rational multiples all have
+one form; basis vectors are kept as theirs.
 
-Elimination is one incremental reduced row echelon form: each incoming row
-is cleared against the pivots, becomes a pivot at its smallest column, and
-is cleared out of the earlier pivots, so the pivots stay fully reduced as
-rows arrive.  It is fraction-free over Z, and over Z[i] where a Gaussian
-integer enters (Bareiss, Math. Comp. 1968; Z[i] is Euclidean too): clearing
-keeps a row's content, which is divided out once per reduced row, so every
-pivot is primitive with a canonical lead.  The values say which ring they
-are in: each gcd is math.gcd, or scalars.ggcd when math.gcd refuses a
-GaussInt.  The RREF is unique, so the output does not depend on row
-order: the nullspace basis has one sparse vector per free column, built in
-Z[i] and kept, like every basis vector of a SolutionSpace, as its normal
-form, the one rows get.  A projection re-reduces those vectors with the
-same elimination, and verification dots them with the forms exactly in
-Z[i]; Scalars appear only when a vector is reported, divided by its value
-at its smallest column.
+The nullspace is found by column elimination, the transpose of an
+incremental reduced row echelon form: the basis is updated and the rows are
+not.  It starts from the unit vectors, each with an identity column on
+which every other vector is zero, and dots each row with the vectors that
+share a column with it.  A row that every vector leaves zero lies in the
+span of the rows before it and costs that one sparse dot.  Otherwise the
+row is taken in its normal form, the vector of least identity column j with
+a nonzero dot d_j is removed, and every other vector i with d_i != 0
+becomes the primitive d_j v_i - d_i v_j.  Column j is the lead the RREF
+gives the row reduced by the rows before it, so the vectors left, in
+ascending identity column, are those of the RREF's free columns, and the
+basis does not depend on row order.  It is fraction-free over Z, and over
+Z[i] where a Gaussian integer enters (Bareiss, Math. Comp. 1968; Z[i] is
+Euclidean too).  The values say which ring they are in: each gcd is
+math.gcd, or scalars.ggcd when math.gcd refuses a GaussInt.  Verification
+indexes the basis vectors by column and streams the rows as given once,
+exactly; Scalars appear only when a vector is reported, divided by its
+value at its smallest column.  The RREF itself (_rref) gives a system's
+rank and re-reduces the vectors of a projection.
 """
 
 from __future__ import annotations
@@ -63,16 +62,13 @@ class ConstraintSystem:
     Each row is kept once, as added, in its own coefficient types: a map
     column -> int, GaussInt or Scalar, duplicates included; rows gives them
     all as maps column -> Scalar, built on access.  provenance holds one
-    tuple (name, *indices, symbol) or None per row; distinct maps each
-    distinct normal form (a tuple of (column, value) pairs sorted by column,
-    the values ints or GaussInts) to the index of its first row.  Rows are
-    added through add_columns only, which keeps them in step; add_row is
-    its UnknownId form.
+    tuple (name, *indices, symbol) or None per row.  Rows are added through
+    add_columns only, which keeps them in step; add_row is its UnknownId
+    form.
     """
 
     unknowns: list = field(default_factory=list)
     provenance: list = field(default_factory=list)
-    distinct: dict = field(default_factory=dict)
     _rows: list = field(default_factory=list, repr=False)
     _index: dict = field(init=False, repr=False)
 
@@ -99,7 +95,6 @@ class ConstraintSystem:
         if row:
             self._rows.append(row)
             self.provenance.append(provenance)
-            self.distinct.setdefault(_normal_form(row), len(self._rows) - 1)
         return row
 
     def add_row(self, coeffs, provenance=None):
@@ -124,8 +119,8 @@ class ConstraintSystem:
         return len(self.unknowns)
 
     def rank(self):
-        """Rank of the system, read off its distinct normal forms."""
-        return len(_rref(list(self.distinct)))
+        """Rank of the system: the RREF of its rows' normal forms."""
+        return len(_rref([_normal_form(row) for row in self._rows]))
 
 
 @dataclass
@@ -171,39 +166,28 @@ class SolutionSpace:
         """For each basis vector, the index of the first row it leaves
         nonzero, or None; the system must have every unknown.
 
-        Only the distinct normal forms are substituted: every row is a
-        nonzero multiple of one of them, so this checks every row.  The
-        vectors are indexed by column and the forms streamed once, in
-        order: a form meets only the vectors that share a column with it,
-        as the others leave it exactly zero.  Forms and vectors are both in
-        Z[i], so every product is exact.
+        The vectors are indexed by column and the rows, as given, streamed
+        once, in order: a row meets only the vectors that share a column
+        with it, as the others leave it exactly zero.  Vectors are in Z[i]
+        and rows in Z[i] or Scalars, so every product is exact.
         """
+        if not self.basis:
+            return []
         col_map = [system.column_of(uid) for uid in self.unknowns]
         by_column = {}
         for idx, vec in enumerate(self.basis):
             for col, v in vec.items():
                 by_column.setdefault(col_map[col], []).append((idx, v))
         first = [None] * len(self.basis)
-        for form, row in system.distinct.items():
+        for index, row in enumerate(system._rows):
             totals = {}
-            for col, coeff in form:
+            for col, coeff in row.items():
                 for idx, v in by_column.get(col, ()):
-                    total = totals.get(idx)
-                    totals[idx] = coeff * v if total is None else total + coeff * v
+                    totals[idx] = totals.get(idx, 0) + coeff * v
             for idx, total in totals.items():
                 if total and first[idx] is None:
-                    first[idx] = row
+                    first[idx] = index
         return first
-
-
-def _ring_part(vec):
-    """A sparse Scalar vector times the lcm of its denominators, in Z[i]."""
-    den = lcm(*[q.denominator for v in vec.values() for q in (v.re, v.im)])
-    return {
-        col: gauss(v.re.numerator * (den // v.re.denominator),
-                    v.im.numerator * (den // v.im.denominator))
-        for col, v in vec.items()
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +208,10 @@ def _ring_form(row):
     """The normal form of a row of ints, GaussInts and Scalars: scaled by
     the lcm of its denominators to Z[i], then made primitive over Z[i]."""
     if any(type(v) is Scalar for v in row.values()):
-        row = _ring_part({c: lift(v) for c, v in row.items()})
+        row = {c: lift(v) for c, v in row.items()}
+        den = lcm(*[q.denominator for v in row.values() for q in (v.re, v.im)])
+        row = {c: gauss(v.re.numerator * (den // v.re.denominator),
+                        v.im.numerator * (den // v.im.denominator)) for c, v in row.items()}
     else:
         row = dict(row)
     _make_primitive(row, min(row))
@@ -289,8 +276,12 @@ def _clear(row, col, pivot):
     """Zero row[col] in place by subtracting a multiple of pivot, whose lead
     is col: the row is first scaled by the pivot's lead value over their
     gcd, and keeps its content."""
-    a = row[col]
-    b = pivot[col]
+    _subtract(row, row[col], pivot[col], pivot)
+
+
+def _subtract(row, a, b, pivot):
+    """row * b - pivot * a in place, a and b first divided by their gcd;
+    entries that cancel are deleted."""
     g = _gcd(a, b)
     a //= g
     b //= g
@@ -340,25 +331,17 @@ class LeadSpan:
         return bool(row)
 
 
-def rank(rows):
-    """Rank of a list of sparse rows of ints, GaussInts or Scalars
-    (non-destructive)."""
-    system = ConstraintSystem()
-    for row in rows:
-        system.add_columns(row)
-    return system.rank()
-
-
 def nullspace(system):
     """Exact basis of {v : Av = 0} for a homogeneous ConstraintSystem, one
     normal-form vector per free column of the RREF.
 
     dimension = num_unknowns - rank(A) by construction; every basis vector
-    is substituted back into every row, and a residual raises
+    is substituted back into every row as given, and a residual raises
     VerificationError naming the row's provenance.  The budget bounds
     dimension × num_unknowns, the size of the basis that is verified and
-    reported: a lower bound is checked before eliminating, the count itself
-    before any vector is built.
+    reported: the rank is at most the row count, so (num_unknowns - rows) ×
+    num_unknowns is checked before eliminating, and the count itself before
+    the free columns no cutting row met get vectors and before verification.
     """
     space = SolutionSpace(unknowns=list(system.unknowns), basis=_nullspace_basis(system))
     if not space.verify_against(system):
@@ -371,43 +354,60 @@ def nullspace(system):
 
 
 def _nullspace_basis(system):
-    """One sparse vector in Z[i] per free column of the RREF; the
-    elimination's rows are released on return, before the basis is
-    verified.  The rank is at most the number of distinct forms, which
-    bounds the basis size from below before eliminating.
-
-    The free column j gets m, the lcm of the leads b of the pivots it
-    appears in, and each such pivot's lead column gets -v * (m // b), v
-    being the pivot's value at j: the pivot is zero in every other lead
-    column, so the vector leaves it zero.
-    """
+    """One vector in Z[i] per free column, in ascending order, by column
+    elimination over the rows as given (see the module docstring); a unit
+    vector is built only when a cutting row first meets its column."""
     n = system.num_unknowns
-    least = (n - len(system.distinct)) * n
+    rows = system._rows
+    least = (n - len(rows)) * n
     require_budget(
-        least,
-        f"nullspace basis needs at least {least} entries "
-        f"({n} unknowns, {len(system.distinct)} distinct rows)",
+        least, f"nullspace basis needs at least {least} entries ({n} unknowns, {len(rows)} rows)"
     )
-    pivots = _rref(list(system.distinct))
-    vectors = n - len(pivots)
-    entries = vectors * n
+    vectors = {}  # identity column -> vector, a map column -> int or GaussInt
+    by_column = {}  # column a cutting row met -> {identity column: vector nonzero there}
+    for row in rows:
+        dots = _dots(row, by_column)
+        if dots is not None and not any(dots.values()):
+            continue
+        row = dict(_normal_form(row))
+        for col in row:
+            if col not in by_column:
+                vectors[col] = {col: 1}
+                by_column[col] = {col: vectors[col]}
+        dots = {p: d for p, d in _dots(row, by_column).items() if d}
+        j = min(dots)
+        pivot, b = vectors.pop(j), dots.pop(j)
+        for col in pivot:
+            del by_column[col][j]
+        for p, a in dots.items():
+            vec = vectors[p]
+            _subtract(vec, a, b, pivot)
+            _make_primitive(vec, p)
+            for col in pivot:
+                if col in vec:
+                    by_column[col][p] = vec
+                else:
+                    by_column[col].pop(p, None)
+    dimension = n - (len(by_column) - len(vectors))  # a vector per met column, less one per cut
+    entries = dimension * n
     require_budget(
-        entries, f"nullspace basis needs {entries} entries ({vectors} vectors of {n} unknowns)"
+        entries, f"nullspace basis needs {entries} entries ({dimension} vectors of {n} unknowns)"
     )
-    scale = {j: 1 for j in range(n) if j not in pivots}
-    for lead, prow in pivots.items():
-        b = prow[lead]
-        for col in prow:
-            if col != lead:
-                m = scale[col]
-                scale[col] = m * b // _gcd(m, b)
-    free = {j: {j: m} for j, m in scale.items()}
-    for lead, prow in pivots.items():
-        b = prow[lead]
-        for col, v in prow.items():
-            if col != lead:
-                free[col][lead] = -v * (scale[col] // b)
-    return list(free.values())
+    return [vectors.get(j) or {j: 1} for j in range(n) if j in vectors or j not in by_column]
+
+
+def _dots(row, by_column):
+    """{identity column: row . vector} over the vectors that share a column
+    with the row; None when a column of the row has met no cutting row, as
+    then its unit vector, on which the row is nonzero, has not been built."""
+    totals = {}
+    for col, coeff in row.items():
+        vecs = by_column.get(col)
+        if vecs is None:
+            return None
+        for p, vec in vecs.items():
+            totals[p] = totals.get(p, 0) + coeff * vec[col]
+    return totals
 
 
 def project_solution(space, keep):

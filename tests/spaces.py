@@ -1,9 +1,10 @@
-"""Test-side views of sparse solution spaces, and the all-rows
-substitution loop that SolutionSpace.residuals is checked against."""
+"""Test-side views of sparse solution spaces, the rank of a list of rows,
+and the all-rows substitution loop that SolutionSpace.residuals is
+checked against."""
 
 from math import lcm
 
-from translie.linalg import SolutionSpace, _normal_form
+from translie.linalg import ConstraintSystem, SolutionSpace, _normal_form
 from translie.scalars import ZERO, GaussInt, lift
 
 
@@ -15,9 +16,9 @@ def dense(space, idx):
 
 
 def has_gaussian_form(system):
-    """Whether a distinct form of the system has a GaussInt, which makes
-    its elimination run in Z[i]."""
-    return any(type(v) is GaussInt for form in system.distinct for _, v in form)
+    """Whether a row's normal form has a GaussInt, which makes its
+    elimination run in Z[i]."""
+    return any(type(v) is GaussInt for row in system._rows for _, v in _normal_form(row))
 
 
 def assignment_space(system, assignment):
@@ -40,7 +41,7 @@ def assert_sparse_basis(space):
 def residuals_oracle(space, system):
     """SolutionSpace.residuals by brute force: every vector, lifted to
     Scalars and scaled to Gaussian integers held as pairs of ints, is
-    dotted with every distinct form in order, in pair arithmetic."""
+    dotted with every row's normal form in order, in pair arithmetic."""
     col_map = [system.column_of(uid) for uid in space.unknowns]
     out = []
     for vec in space.basis:
@@ -49,9 +50,9 @@ def residuals_oracle(space, system):
         pairs = {
             col_map[col]: (int(v.re * den), int(v.im * den)) for col, v in vec.items()
         }
-        for form, row in system.distinct.items():
+        for row, given in enumerate(system._rows):
             re = im = 0
-            for col, coeff in form:
+            for col, coeff in _normal_form(given):
                 if col in pairs:
                     a, b = (coeff, 0) if type(coeff) is int else (coeff.re, coeff.im)
                     c, d = pairs[col]
@@ -63,3 +64,13 @@ def residuals_oracle(space, system):
         else:
             out.append(None)
     return out
+
+
+def rank(rows):
+    """Rank of a list of sparse rows of ints, GaussInts or Scalars (not
+    changed); zero entries are dropped, as ConstraintSystem.add_row drops
+    them, and a row with no other entry adds nothing."""
+    system = ConstraintSystem()
+    for row in rows:
+        system.add_columns({col: v for col, v in row.items() if v})
+    return system.rank()

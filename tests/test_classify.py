@@ -11,7 +11,7 @@ import pytest
 
 from translie.algebras import a_omega_delta, afk, functional
 from translie.checks import window
-from translie.linalg import SolutionSpace, rank, unknown
+from translie.linalg import SolutionSpace, unknown
 from translie.scalars import ONE, ZERO, Scalar
 from translie.solver import (
     Ansatz,
@@ -22,7 +22,7 @@ from translie.solver import (
 )
 
 from families import scalar_value
-from spaces import dense
+from spaces import dense, rank
 
 # ---------------------------------------------------------------------------
 # reference matchers

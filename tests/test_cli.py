@@ -17,6 +17,8 @@ from translie.cli import COMMANDS, main, parse_config, run
 from translie.errors import ConfigParseError, ConfigSchemaError
 from translie.scalars import Scalar
 
+from nullspace_reference import eliminate_before_last_cutting_row
+
 
 def cfg_text(**kwargs):
     return json.dumps(kwargs)
@@ -509,15 +511,9 @@ def test_aliasing_keys_and_zero_denominators_exit_2(text, message, tmp_path, cap
 
 
 def test_failed_verification_exits_2_naming_the_row(tmp_path, capsys, monkeypatch):
-    """A basis vector that misses a constraint is a typed error, not a traceback."""
-    rref = linalg._rref
-
-    def drop_last_pivot(forms):
-        pivots = rref(forms)
-        del pivots[max(pivots)]
-        return pivots
-
-    monkeypatch.setattr(linalg, "_rref", drop_last_pivot)
+    """A basis vector that misses a constraint is a typed error, not a
+    traceback: the elimination stops before its last cutting row."""
+    eliminate_before_last_cutting_row(monkeypatch)
     path = tmp_path / "cfg.json"
     path.write_text(
         cfg_text(
@@ -1075,28 +1071,27 @@ NARROW_EQUATION = dict(
 
 def test_dense_nullspace_basis_over_budget_exits_2(tmp_path, capsys):
     """A wide image and a narrow equation window leave 1,446 free columns
-    over 2,420 unknowns (3,499,320 entries).  975 distinct rows bound that
-    from below by (2,420 - 975) * 2,420 = 3,496,900, over the budget."""
+    over 2,420 unknowns (3,499,320 entries).  1,460 rows bound that from
+    below by (2,420 - 1,460) * 2,420 = 2,323,200, over the budget."""
     doc = dict(NARROW_EQUATION, windows=dict(NARROW_EQUATION["windows"], image=[-60, 60]))
     path = tmp_path / "cfg.json"
     path.write_text(cfg_text(**doc))
     assert main(["solve-derivations", "--config", str(path), "--quiet"]) == 2
     assert capsys.readouterr().err == (
-        "error: nullspace basis needs at least 3496900 entries "
-        "(2420 unknowns, 975 distinct rows), budget is 2000000\n"
+        "error: nullspace basis needs at least 2323200 entries "
+        "(2420 unknowns, 1460 rows), budget is 2000000\n"
     )
 
 
-def test_nullspace_lower_bound_over_budget_exits_2_before_eliminating(
-    tmp_path, capsys, monkeypatch
-):
-    """Image [-1000,1000]: 40,020 unknowns and 34,027 distinct rows bound
-    the basis by about 2.4*10^8 entries, refused before elimination."""
+def test_nullspace_basis_over_budget_exits_2_before_verifying(tmp_path, capsys, monkeypatch):
+    """Image [-1000,1000]: 72,104 rows exceed the 40,020 unknowns, so the
+    row count bounds nothing; the elimination leaves 12,002 vectors, about
+    4.8*10^8 entries, refused before any is verified."""
 
-    def no_elimination(*args):
-        raise AssertionError("eliminated a system whose basis is over budget")
+    def no_verification(*args):
+        raise AssertionError("verified a basis that is over budget")
 
-    monkeypatch.setattr(linalg, "_rref", no_elimination)
+    monkeypatch.setattr(linalg.SolutionSpace, "verify_against", no_verification)
     doc = dict(
         command="solve-derivations",
         algebra={"kind": "a-f-k", "f": {"0": "1"}},
@@ -1104,10 +1099,12 @@ def test_nullspace_lower_bound_over_budget_exits_2_before_eliminating(
     )
     path = tmp_path / "cfg.json"
     path.write_text(cfg_text(**doc))
+    start = time.monotonic()
     assert main(["solve-derivations", "--config", str(path), "--quiet"]) == 2
+    assert time.monotonic() - start < 10
     assert capsys.readouterr().err == (
-        "error: nullspace basis needs at least 239839860 entries "
-        "(40020 unknowns, 34027 distinct rows), budget is 2000000\n"
+        "error: nullspace basis needs 480320040 entries "
+        "(12002 vectors of 40020 unknowns), budget is 2000000\n"
     )
 
 

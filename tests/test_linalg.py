@@ -13,13 +13,13 @@ from translie.linalg import (
     SolutionSpace,
     nullspace,
     project_solution,
-    rank,
     unknown,
 )
 from translie.scalars import GaussInt, ONE, Scalar, ZERO, lift
 from translie.solver import Ansatz, assemble_system
 
-from spaces import assert_sparse_basis, dense, has_gaussian_form, residuals_oracle
+from nullspace_reference import eliminate_before_last_cutting_row
+from spaces import assert_sparse_basis, dense, has_gaussian_form, rank, residuals_oracle
 
 
 def _system(unknown_names, rows):
@@ -101,7 +101,9 @@ def test_rank_nullity_on_random_systems():
         assert space.verify_against(sys_)
 
 
-def test_system_rank_reads_the_distinct_forms():
+def test_system_rank_is_the_unknowns_less_the_nullity():
+    """The RREF of the rows' normal forms and the column elimination count
+    the same rank; the test-side rank drops zero entries as add_row does."""
     rng = random.Random(5)
     for _ in range(30):
         uids = [unknown("x", i) for i in range(6)]
@@ -110,8 +112,9 @@ def test_system_rank_reads_the_distinct_forms():
         for _ in range(rng.randint(0, 9)):
             row = {uids[i]: Scalar(rng.randint(-2, 2), rng.randint(-1, 1)) for i in range(6)}
             sys_.add_row(row)
-            rows.append({sys_.column_of(u): c for u, c in row.items() if c})
-        assert sys_.rank() == rank(rows)
+            rows.append({sys_.column_of(u): c for u, c in row.items()})
+        assert sys_.rank() == rank(rows) == 6 - nullspace(sys_).dimension
+    assert rank([{0: 0}, {}, {1: ZERO, 2: 0}]) == 0
 
 
 def test_rows_are_kept_once_in_their_own_type():
@@ -138,8 +141,9 @@ def test_rows_are_kept_once_in_their_own_type():
     assert sys_.rows[0] == {2: Scalar(6), 0: Scalar(-4)}
     assert sys_.provenance == [("p", 1), None, None]
     # (1+i, 2) = (1+i) * (1, 1-i): a primitive Gaussian-integer form
-    assert list(sys_.distinct) == [((0, 2), (2, -3)), ((1, 1), (2, -3)),
-                                   ((0, 1), (2, GaussInt(1, -1)))]
+    assert [linalg._normal_form(row) for row in sys_._rows] == [
+        ((0, 2), (2, -3)), ((1, 1), (2, -3)), ((0, 1), (2, GaussInt(1, -1)))
+    ]
     assert has_gaussian_form(sys_)
 
 
@@ -157,13 +161,10 @@ def test_mixed_rows_are_kept_as_given_and_normalized():
     assert [[type(v) for v in row.values()] for row in sys_._rows] == [
         [int, Scalar], [Scalar, int], [int, Scalar]
     ]
-    assert list(sys_.distinct) == [((0, 1), (1, -2)), ((1, 2), (2, -1)),
-                                   ((0, 1), (2, GaussInt(0, 1)))]
+    forms = [linalg._normal_form(row) for row in sys_._rows]
+    assert forms == [((0, 1), (1, -2)), ((1, 2), (2, -1)), ((0, 1), (2, GaussInt(0, 1)))]
     assert has_gaussian_form(sys_)
-    scalar_only, _ = _system("xyz", [])
-    for row in sys_.rows:
-        scalar_only.add_columns(row)
-    assert list(scalar_only.distinct) == list(sys_.distinct)
+    assert [linalg._normal_form(row) for row in sys_.rows] == forms
 
 
 def test_zero_empty_and_unregistered_rows_append_nothing():
@@ -173,7 +174,7 @@ def test_zero_empty_and_unregistered_rows_append_nothing():
     assert sys_.add_columns({}, ("empty",)) == {}
     with pytest.raises(UnknownNotFoundError):
         sys_.add_row({x: 1, unknown("w", 0): 2})
-    assert (sys_.rows, sys_.provenance, sys_.distinct) == ([], [], {})
+    assert (sys_.rows, sys_.provenance) == ([], [])
 
 
 def test_lead_span_reduces_by_leading_column_only():
@@ -227,6 +228,15 @@ def test_residuals_name_the_first_row_each_vector_misses():
     assert SolutionSpace(uids, [{}]).first_residual(sys_) is None
 
 
+def test_a_space_with_no_vector_reads_no_row():
+    """A space with no vector has no residual, and returns before it reads
+    a row: a dimension-0 answer such as tp-triviality's streams none."""
+    sys_, uids = _system("xy", [{0: 1, 1: 1}])
+    sys_._rows = None  # reading a row would raise
+    assert SolutionSpace(uids, []).residuals(sys_) == []
+    assert SolutionSpace(uids, []).verify_against(sys_)
+
+
 def _full_window_system(f_zero):
     """The a-f-k, k = 1 system on the full window [-4,4], f = {0: f_zero, 1: 2}."""
     w = window(-4, 4)
@@ -259,22 +269,18 @@ def test_residuals_match_the_oracle_on_full_window_systems(f_zero):
 
 @pytest.mark.parametrize("f_zero", [Scalar(3), Scalar(1, 1)], ids=["real", "gaussian"])
 def test_dropped_pivot_raises_verification_error_naming_the_oracle_row(f_zero, monkeypatch):
-    """An elimination that loses a pivot yields a basis that misses rows;
-    nullspace names the first vector that does and the first row it
-    misses, the same pair the all-rows loop finds."""
-    rref, verify = linalg._rref, SolutionSpace.verify_against
+    """An elimination that loses a pivot, by stopping before its last
+    cutting row, yields a basis that misses rows; nullspace names the first
+    vector that does and the first row it misses, the same pair the
+    all-rows loop finds."""
+    verify = SolutionSpace.verify_against
     checked = []
-
-    def drop_last_pivot(forms):
-        pivots = rref(forms)
-        del pivots[max(pivots)]
-        return pivots
 
     def record(space, system):
         checked.append(space)
         return verify(space, system)
 
-    monkeypatch.setattr(linalg, "_rref", drop_last_pivot)
+    eliminate_before_last_cutting_row(monkeypatch)
     monkeypatch.setattr(SolutionSpace, "verify_against", record)
     system = _full_window_system(f_zero)
     with pytest.raises(VerificationError) as exc:

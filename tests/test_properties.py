@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 
 from translie.algebras import a_omega_delta, bracket_eval
 from translie.elements import Element, L, M, combine
-from translie.linalg import ConstraintSystem, SolutionSpace, nullspace, rank, unknown
+from translie.linalg import ConstraintSystem, SolutionSpace, nullspace, unknown
 from translie.scalars import ONE, Scalar
 
-from spaces import residuals_oracle
+from spaces import rank, residuals_oracle
 
 fractions = st.fractions(
     min_value=-20, max_value=20, max_denominator=12
