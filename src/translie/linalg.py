@@ -26,8 +26,8 @@ Euclidean too).  The values say which ring they are in: each gcd is
 math.gcd, or scalars.ggcd when math.gcd refuses a GaussInt.  Verification
 indexes the basis vectors by column and streams the rows as given once,
 exactly; Scalars appear only when a vector is reported, divided by its
-value at its smallest column.  The RREF itself (_rref) gives a system's
-rank and re-reduces the vectors of a projection.
+value at its smallest column.  A LeadSpan, rows kept one per lead, gives
+a system's rank and, back-substituted, a projection's basis.
 """
 
 from __future__ import annotations
@@ -119,8 +119,8 @@ class ConstraintSystem:
         return len(self.unknowns)
 
     def rank(self):
-        """Rank of the system: the RREF of its rows' normal forms."""
-        return len(_rref([_normal_form(row) for row in self._rows]))
+        """Rank of the system: the rows a LeadSpan of them keeps."""
+        return len(LeadSpan(dict(row) for row in self._rows).rows)
 
 
 @dataclass
@@ -194,64 +194,26 @@ class SolutionSpace:
 # normal forms and elimination
 
 
-def _int_form(row):
-    """The normal form of a row of ints: the primitive row with a positive
-    lead, as (column, value) pairs; TypeError on any other value."""
+def _normal_form(row):
+    """The canonical multiple of a nonzero row, as (column, value) pairs:
+    primitive over Z or, if math.gcd refuses a value, over Z[i] after its
+    Scalars' denominators are cleared; its lead a positive int or canonical."""
+    try:
+        g = gcd(*row.values())
+    except TypeError:  # a GaussInt or a Scalar
+        if any(type(v) is Scalar for v in row.values()):
+            row = {c: lift(v) for c, v in row.items()}
+            den = lcm(*[q.denominator for v in row.values() for q in (v.re, v.im)])
+            row = {c: gauss(v.re.numerator * (den // v.re.denominator),
+                            v.im.numerator * (den // v.im.denominator)) for c, v in row.items()}
+        else:
+            row = dict(row)
+        _make_primitive(row, min(row))
+        return tuple(sorted(row.items()))
     items = sorted(row.items())
-    g = gcd(*row.values())
     if items[0][1] < 0:
         g = -g
     return tuple(items) if g == 1 else tuple([(c, v // g) for c, v in items])
-
-
-def _ring_form(row):
-    """The normal form of a row of ints, GaussInts and Scalars: scaled by
-    the lcm of its denominators to Z[i], then made primitive over Z[i]."""
-    if any(type(v) is Scalar for v in row.values()):
-        row = {c: lift(v) for c, v in row.items()}
-        den = lcm(*[q.denominator for v in row.values() for q in (v.re, v.im)])
-        row = {c: gauss(v.re.numerator * (den // v.re.denominator),
-                        v.im.numerator * (den // v.im.denominator)) for c, v in row.items()}
-    else:
-        row = dict(row)
-    _make_primitive(row, min(row))
-    return tuple(sorted(row.items()))
-
-
-def _normal_form(row):
-    """The canonical multiple of a nonzero row, as (column, value) pairs:
-    primitive over Z or Z[i], its lead a positive int or canonical."""
-    try:
-        return _int_form(row)
-    except TypeError:  # a GaussInt or a Scalar
-        return _ring_form(row)
-
-
-def _rref(forms):
-    """Reduced row echelon form of the span of the forms, each a map or
-    (column, value) pairs of ints and GaussInts: {lead column: row}.
-
-    Each pivot row's smallest column is its lead, and it is zero in every
-    other pivot's lead column.  Pivots are primitive over Z, or over Z[i]
-    when they have a GaussInt, with a canonical lead (the RREF row is the
-    pivot divided by its lead); a row's content is divided out when it
-    becomes a pivot and after each clear of a later pivot out of it.
-    """
-    pivots = {}
-    for form in forms:
-        row = dict(form)
-        for col in [c for c in row if c in pivots]:
-            _clear(row, col, pivots[col])
-        if not row:
-            continue
-        lead = min(row)
-        _make_primitive(row, lead)
-        for prow in pivots.values():
-            if lead in prow:
-                _clear(prow, lead, row)
-                _make_primitive(prow, min(prow))
-        pivots[lead] = row
-    return pivots
 
 
 def _gcd(*values):
@@ -270,13 +232,6 @@ def _make_primitive(row, lead):
     if g != 1:
         for c in row:
             row[c] //= g
-
-
-def _clear(row, col, pivot):
-    """Zero row[col] in place by subtracting a multiple of pivot, whose lead
-    is col: the row is first scaled by the pivot's lead value over their
-    gcd, and keeps its content."""
-    _subtract(row, row[col], pivot[col], pivot)
 
 
 def _subtract(row, a, b, pivot):
@@ -301,20 +256,25 @@ def _subtract(row, a, b, pivot):
 
 
 class LeadSpan:
-    """Rows kept one per leading column, each in normal form (primitive
-    over Z or Z[i]), reduced by leading column only with _rref's _clear:
-    the generator closure brackets the kept rows and drops results that
-    leave its window, so its result depends on this basis."""
+    """Rows kept one per leading column, each in normal form, reduced by
+    leading column only: the generator closure brackets the kept rows and
+    drops results that leave its window, so its result depends on this
+    basis.  rref() back-substitutes them."""
 
-    def __init__(self):
+    def __init__(self, rows=()):
         self.rows = {}  # lead column -> row, a map column -> int or GaussInt
+        for row in rows:
+            self.insert(row)
 
     def reduce(self, row):
         """Reduce a row of ints and GaussInts in place; empty when in the span."""
         rows = self.rows
-        while row and min(row) in rows:
+        while row:
             lead = min(row)
-            _clear(row, lead, rows[lead])
+            pivot = rows.get(lead)
+            if pivot is None:
+                break
+            _subtract(row, row[lead], pivot[lead], pivot)
         return row
 
     def insert(self, row):
@@ -329,6 +289,18 @@ class LeadSpan:
         if row:
             self.rows[min(row)] = dict(_normal_form(row))
         return bool(row)
+
+    def rref(self):
+        """The span's RREF {lead: row}, in place: each row, last lead first,
+        cleared at the other leads and made primitive at its lead."""
+        rows = self.rows
+        for lead in sorted(rows, reverse=True):
+            row = rows[lead]
+            for col in [c for c in row if c != lead and c in rows]:
+                pivot = rows[col]
+                _subtract(row, row[col], pivot[col], pivot)
+            _make_primitive(row, lead)
+        return rows
 
 
 def nullspace(system):
@@ -412,7 +384,7 @@ def _dots(row, by_column):
 
 def project_solution(space, keep):
     """Coordinate projection of a solution space, re-reduced to a basis:
-    the RREF pivots of the restricted vectors, which are normal forms.
+    the rref() of a LeadSpan of the restricted vectors, in normal form.
 
     keep: iterable of UnknownId; must be a subset of space.unknowns.  The
     kept coordinates stay in their original order, and each vector is
@@ -425,7 +397,7 @@ def project_solution(space, keep):
     cols = [i for i, uid in enumerate(space.unknowns) if uid in keep]
     position = {col: j for j, col in enumerate(cols)}
     rows = [{position[c]: v for c, v in vec.items() if c in position} for vec in space.basis]
-    pivots = _rref(rows)
+    pivots = LeadSpan(rows).rref()
     return SolutionSpace(
         unknowns=[space.unknowns[i] for i in cols],
         basis=[pivots[lead] for lead in sorted(pivots)],

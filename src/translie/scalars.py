@@ -46,9 +46,6 @@ class Scalar:
 
     # -- predicates -------------------------------------------------------
 
-    def is_zero(self):
-        return not self.re and not self.im
-
     def __bool__(self):
         return bool(self.re) or bool(self.im)
 

@@ -252,8 +252,6 @@ class SlotTable:
 
 
 def _form_add(form, out_sym, col, value):
-    if not value:
-        return
     row = form.get(out_sym)
     if row is None:
         form[out_sym] = {col: value}

@@ -1,11 +1,47 @@
-"""The nullspace basis read off the reduced row echelon form: the oracle
-for `linalg.nullspace`'s column elimination, which must give the same
-vectors in the same order; and a fault injected into that elimination."""
+"""The reduced row echelon form by incremental elimination, and the
+nullspace basis read off it: the oracles for `linalg.LeadSpan.rref` and for
+`linalg.nullspace`'s column elimination, which must give the same pivots,
+and the same vectors in the same order; and a fault injected into that
+elimination."""
 
 from translie import linalg
-from translie.linalg import ConstraintSystem, SolutionSpace, _gcd, _normal_form, _rref
+from translie.linalg import (
+    ConstraintSystem,
+    SolutionSpace,
+    _gcd,
+    _make_primitive,
+    _normal_form,
+    _subtract,
+)
 
 from spaces import rank
+
+
+def _rref(forms):
+    """Reduced row echelon form of the span of the forms, each a map or
+    (column, value) pairs of ints and GaussInts: {lead column: row}.
+
+    Each pivot row's smallest column is its lead, and it is zero in every
+    other pivot's lead column.  Pivots are primitive over Z, or over Z[i]
+    when they have a GaussInt, with a canonical lead (the RREF row is the
+    pivot divided by its lead); a row's content is divided out when it
+    becomes a pivot and after each clear of a later pivot out of it.
+    """
+    pivots = {}
+    for form in forms:
+        row = dict(form)
+        for col in [c for c in row if c in pivots]:
+            _subtract(row, row[col], pivots[col][col], pivots[col])
+        if not row:
+            continue
+        lead = min(row)
+        _make_primitive(row, lead)
+        for prow in pivots.values():
+            if lead in prow:
+                _subtract(prow, prow[lead], row[lead], row)
+                _make_primitive(prow, min(prow))
+        pivots[lead] = row
+    return pivots
 
 
 def reference_basis(system):

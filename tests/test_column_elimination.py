@@ -1,16 +1,17 @@
-"""Differential test of the column elimination behind nullspace: on sparse
-systems of int, Gaussian-integer and Scalar rows it must give the basis the
-reduced row echelon form gives, vector by vector and in order."""
+"""Differential tests of elimination against the incremental reduced row
+echelon form: on sparse systems of int, Gaussian-integer and Scalar rows the
+column elimination behind nullspace must give the basis the RREF gives,
+vector by vector and in order, and LeadSpan.rref() its pivots."""
 
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from translie.linalg import ConstraintSystem, nullspace, unknown
+from translie.linalg import ConstraintSystem, LeadSpan, _normal_form, nullspace, unknown
 from translie.scalars import GaussInt, Scalar, gauss
 
-from nullspace_reference import reference_basis
+from nullspace_reference import _rref, reference_basis
 
 fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 RINGS = {
@@ -74,3 +75,20 @@ def test_column_elimination_gives_the_rref_basis_in_order(case):
     space = nullspace(system)
     assert space.basis == reference_basis(system)
     assert system.rank() + space.dimension == n
+
+
+@given(shaped_systems(), st.sets(st.integers(0, 13)))
+@settings(max_examples=300, deadline=None)
+def test_lead_span_rref_gives_the_reference_pivots(case, dropped):
+    """On the rows restricted to the columns not dropped, as a projection
+    restricts its vectors (rows left empty included), LeadSpan(rows).rref()
+    is the reference RREF of the rows' normal forms and
+    ConstraintSystem.rank() is its number of pivots."""
+    n, rows = case
+    rows = [{c: v for c, v in row.items() if c not in dropped} for row in rows]
+    pivots = _rref([_normal_form(row) for row in rows if row])
+    assert LeadSpan(dict(row) for row in rows).rref() == pivots
+    system = ConstraintSystem([unknown("x", j) for j in range(n)])
+    for row in rows:
+        system.add_columns(dict(row))
+    assert system.rank() == len(pivots)

@@ -190,7 +190,7 @@ def test_pivots_are_primitive_and_span_rows_normal(case):
     im >= 0), and every row a LeadSpan keeps is in normal form."""
     n, rows = case
     system = _system(n, rows)
-    for lead, row in linalg._rref([linalg._normal_form(r) for r in system._rows]).items():
+    for lead, row in LeadSpan(dict(r) for r in system._rows).rref().items():
         assert lead == min(row)
         assert unit(row[lead]) == 1
         assert ggcd(*row.values()) == 1

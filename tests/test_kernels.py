@@ -288,7 +288,8 @@ def test_coefficients_are_gaussian_integers_exactly_where_the_constants_are(data
     """Each term's coefficient is an int or a GaussInt exactly when every
     constant it is built from is a Gaussian integer as given, and a Scalar
     otherwise, so one definition with a mixed f gives both; algebras.kernels
-    hands each definition's terms to a law as they are."""
+    hands each definition's terms to a law as they are.  No coefficient is
+    zero, which solver._form_add relies on."""
     d = data.draw(TYPED_DEFINITIONS[arity], label="definition")
     k = kernels({"bracket" if arity == 3 else "product" if arity == 2 else "op": d})
     assert [fn for fn in k if fn is not None] == [d.terms]
@@ -296,3 +297,4 @@ def test_coefficients_are_gaussian_integers_exactly_where_the_constants_are(data
         terms = d.terms(*args)
         expected = [all(map(_gaussian_integer, constants)) for constants in _constants_read(d, args)]
         assert [_in_ring(c) for c, _ in terms] == expected, args
+        assert all(c for c, _ in terms), args
